@@ -6,10 +6,10 @@ from .graphs import (Graph, GraphSpec, GraphSpecError, banana, build_graph,
                      dump_graph, essential_vertices, graph_from_doc,
                      graph_to_doc, h_graph, interval, load_graph,
                      parse_graph_spec, star, subdivide_edge, wedge)
-from .model import (CapExceededError, Chain, CubeComplex, boundary_chain,
-                    boundary_of_cell, cell_dimension, cell_is_valid,
-                    corner_configurations, enumerate_cells, face, make_cell,
-                    relabel_cell, relabel_chain)
+from .model import (CapExceededError, Chain, CubeComplex, InvariantError,
+                    boundary_chain, boundary_of_cell, cell_dimension,
+                    cell_is_valid, corner_configurations, enumerate_cells,
+                    face, make_cell, relabel_cell, relabel_chain)
 from .homology import (HomologySummary, SparseIntMatrix, boundary_matrix,
                        certify_integral_generation, class_span_rank,
                        connected_components, euler_characteristic, homology,

@@ -156,9 +156,9 @@ def cmd_span(args):
 
 def cmd_export(args):
     g = _load_graph_arg(args.graph, _parse_sinks(args.sinks))
-    max_cells, _ = _parse_caps(args.caps)
+    max_cells, max_nnz = _parse_caps(args.caps)
     cx = enumerate_cells(g, args.n, max_cells=max_cells)
-    summary = homology(cx)
+    summary = homology(cx, max_nnz=max_nnz)
     bc = cyc.enumerate_basic_classes(cx, degree=1) if cx.max_dim >= 1 \
         else cyc.BasicClasses([], False)
     doc = {
@@ -212,8 +212,8 @@ def build_parser():
             p.add_argument("--sinks", default=None,
                            help="comma-separated sink vertices (overrides"
                                 " the spec)")
-        p.add_argument("--caps", default="",
-                       help="MAX_CELLS[,MAX_NNZ] resource caps")
+            p.add_argument("--caps", default="",
+                           help="MAX_CELLS[,MAX_NNZ] resource caps")
         p.add_argument("--format", choices=("human", "machine"),
                        default="human")
         p.add_argument("--out", default=None, help="write output to a file")

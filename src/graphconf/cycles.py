@@ -5,8 +5,8 @@ an assembled configuration (a 0-cell), elementary moves replace one
 particle's static state by a move state and step across that 1-cell to
 the other face.  Traversing a closed itinerary accumulates cells with
 signs +1 along the stored orientation and -1 against it, so the result
-has zero boundary by telescoping.  Constructors assert the zero-boundary
-contract explicitly.
+has zero boundary by telescoping.  Constructors check the zero-boundary
+contract explicitly and raise ``InvariantError`` when it fails.
 
 An "end station" abstracts where a particle rests just off a vertex v on
 a chosen half-edge: on an edge without sink endpoints it is the outermost
@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from .graphs import Graph, GraphSpec, build_graph, edge_of_end, end_side, \
     essential_vertices, other_end, wedge
 from .model import (CapExceededError, Chain, CubeComplex, DEFAULT_MAX_CELLS,
-                    boundary_chain, cell_is_valid, cell_movers, enumerate_cells,
-                    face, is_move_state, make_cell, state_record)
+                    InvariantError, boundary_chain, cell_is_valid, cell_movers,
+                    enumerate_cells, face, is_move_state, make_cell,
+                    state_record)
 
 
 class CycleConstructionError(ValueError):
@@ -235,7 +236,8 @@ class _Walk:
 
 def _closed(walk):
     z = walk.chain()
-    assert boundary_chain(z).is_zero(), "constructed chain is not a cycle"
+    if not boundary_chain(z).is_zero():
+        raise InvariantError("constructed chain is not a cycle")
     return z
 
 
@@ -281,8 +283,8 @@ def star_cycle_chain(g, spec, pair, parking=None):
         walk.go_through_end(pid, frm)
         walk.go_through_end(pid, to)
     z = _closed(walk)
-    if len({edge_of_end(d) for d in spec.ends}) == 3:
-        assert len(z) == 12, "star cycle support must be twelve cells"
+    if len({edge_of_end(d) for d in spec.ends}) == 3 and len(z) != 12:
+        raise InvariantError("star cycle support must be twelve cells")
     return z
 
 
@@ -462,7 +464,8 @@ def h_cycle_chain(g, spec, pair, parking=None):
     if first.config != second.config:
         raise CycleConstructionError("the two crossing orders do not meet")
     z = Chain(g, 1, first.terms) - Chain(g, 1, second.terms)
-    assert boundary_chain(z).is_zero(), "h cycle is not a cycle"
+    if not boundary_chain(z).is_zero():
+        raise InvariantError("h cycle is not a cycle")
     if z.is_zero():
         raise CycleConstructionError("h cycle degenerated to zero")
     return z
@@ -624,8 +627,10 @@ def nonproduct_cycle_chain(g, particles=(0, 1, 2)):
             mover = Chain(g, 1, {make_cell([(t, ("ME", i, end_side(w_ends[i])))]): 1})
             piece = product_chain(z, mover)
             total = total + (piece if i % 2 == 0 else -piece)
-    assert len(total) == 144, "expected 144 distinct cells"
-    assert boundary_chain(total).is_zero(), "the 144-cell chain must be a cycle"
+    if len(total) != 144:
+        raise InvariantError("expected 144 distinct cells")
+    if not boundary_chain(total).is_zero():
+        raise InvariantError("the 144-cell chain must be a cycle")
     return total
 
 

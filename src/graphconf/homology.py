@@ -8,6 +8,7 @@ form invariant factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .model import (CapExceededError, SparseEntries, boundary_chain, face)
@@ -70,86 +71,6 @@ def _column_index(rows):
     return cols
 
 
-def rank_over_rationals(m):
-    """Exact rank via fraction-free (Bareiss) elimination.
-
-    Pivots are chosen by Markowitz cost to limit fill-in.  Rows untouched
-    by recent pivot columns are kept at the elimination epoch where they
-    were last modified and rescaled lazily; the rescale factor is a ratio
-    of pivot values and the division is exact.
-    """
-    rows = m.rows()
-    cols = _column_index(rows)
-    pivots = [1]
-    epoch = {r: 0 for r in rows}
-    rank = 0
-
-    def refresh(r, target):
-        if epoch[r] == target:
-            return
-        num, den = pivots[target], pivots[epoch[r]]
-        row = rows[r]
-        for c in list(row):
-            q, rem = divmod(row[c] * num, den)
-            assert rem == 0, "inexact Bareiss rescale"
-            row[c] = q
-        epoch[r] = target
-
-    while cols:
-        best = None
-        for c, rset in cols.items():
-            col_cost = len(rset) - 1
-            for r in rset:
-                key = ((len(rows[r]) - 1) * col_cost, abs(rows[r][c]), r, c)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-        _, r0, c0 = best
-        step = len(pivots)
-        refresh(r0, step - 1)
-        piv = rows[r0][c0]
-        pivots.append(piv)
-        prev = pivots[step - 1]
-        pivot_row = rows.pop(r0)
-        del epoch[r0]
-        for c in pivot_row:
-            cols[c].discard(r0)
-            if not cols[c]:
-                del cols[c]
-        for r in list(cols.get(c0, ())):
-            refresh(r, step - 1)
-            row = rows[r]
-            factor = row.pop(c0)
-            cols[c0].discard(r)
-            for c in list(row):
-                if c in pivot_row:
-                    continue
-                q, rem = divmod(piv * row[c], prev)
-                assert rem == 0, "inexact Bareiss rescale"
-                row[c] = q
-            for c, pv in pivot_row.items():
-                if c == c0:
-                    continue
-                q, rem = divmod(piv * row.get(c, 0) - factor * pv, prev)
-                assert rem == 0, "inexact Bareiss update"
-                if q:
-                    if c not in row:
-                        cols.setdefault(c, set()).add(r)
-                    row[c] = q
-                elif c in row:
-                    del row[c]
-                    cols[c].discard(r)
-                    if not cols[c]:
-                        del cols[c]
-            epoch[r] = step
-            if not row:
-                del rows[r]
-                del epoch[r]
-        if c0 in cols and not cols[c0]:
-            del cols[c0]
-        rank += 1
-    return rank
-
-
 def _pick_pivot(rows, cols):
     best = None
     for r, row in rows.items():
@@ -171,16 +92,45 @@ def _divmod_balanced(a, p):
     return q, r
 
 
-def _diagonalize(rows, carry=None):
-    """Bring a dict-of-rows matrix to diagonal form by unimodular row and
-    column operations.
+def _diagonalize(rows, carry=None, rows_only=False):
+    """Eliminate a dict-of-rows matrix by unimodular row and column
+    operations; the one elimination loop behind every routine here.
 
-    Row operations are mirrored on ``carry`` (a dict indexed by row) when
-    given.  Returns ``{row: pivot_value}`` with positive pivot values; rows
-    absent from the result were reduced to zero.
+    Returns ``{row: pivot_value}`` with positive pivot values; rows absent
+    from the result were reduced to zero, and ``rows`` is consumed.  Row
+    operations are mirrored on ``carry``, a dict of sparse companion rows
+    indexed like ``rows``.  With ``rows_only`` no column operation is made:
+    a pivot row is dropped once its column is cleared below it, which
+    leaves the rank and the zero rows right but not the pivot values.
+
+    On input whose entries are all +-1, pivots come first from a lazy heap
+    over columns: a unit in the sparsest column, in its shortest row.  A
+    unit pivot clears its column without remainders.  Other input, and
+    whatever that phase leaves, goes to a full scan that prefers units,
+    then small values, then low fill-in; the cost of a Smith form on
+    non-unit input swings with the pivot order, so such input keeps the
+    scan's order throughout.
     """
     cols = _column_index(rows)
     pivot_of_row = {}
+    heap = []
+    if all(abs(v) == 1 for row in rows.values() for v in row.values()):
+        heap = [(len(rs), c) for c, rs in cols.items()]
+        heapify(heap)
+
+    def next_pivot():
+        while heap:
+            n, c = heappop(heap)
+            rs = cols.get(c)
+            if not rs:
+                continue
+            if len(rs) != n:
+                heappush(heap, (len(rs), c))
+                continue
+            units = [(len(rows[r]), r) for r in rs if abs(rows[r][c]) == 1]
+            if units:
+                return min(units)[1], c
+        return _pick_pivot(rows, cols)
 
     def row_op(r, r0, q):
         # row_r -= q * row_r0
@@ -195,12 +145,18 @@ def _diagonalize(rows, carry=None):
             elif c in row:
                 del row[c]
                 cols[c].discard(r)
-        if carry is not None:
-            nv = carry.get(r, 0) - q * carry.get(r0, 0)
-            if nv:
-                carry[r] = nv
-            else:
-                carry.pop(r, None)
+        if not row:
+            del rows[r]
+        if carry is not None and r0 in carry:
+            vec = carry.setdefault(r, {})
+            for j, v in carry[r0].items():
+                nv = vec.get(j, 0) - q * v
+                if nv:
+                    vec[j] = nv
+                else:
+                    vec.pop(j, None)
+            if not vec:
+                del carry[r]
 
     def col_op(c, c0, q):
         # col_c -= q * col_c0; only rows holding c0 are affected
@@ -215,15 +171,13 @@ def _diagonalize(rows, carry=None):
                 del rows[r][c]
                 cols[c].discard(r)
 
-    while any(rows.values()):
-        for r in [r for r, row in rows.items() if not row]:
-            del rows[r]
-        r0, c0 = _pick_pivot(rows, cols)
+    while rows:
+        r0, c0 = next_pivot()
         while True:
             if rows[r0][c0] < 0:
                 rows[r0] = {c: -v for c, v in rows[r0].items()}
-                if carry is not None and carry.get(r0):
-                    carry[r0] = -carry[r0]
+                if carry is not None and r0 in carry:
+                    carry[r0] = {j: -v for j, v in carry[r0].items()}
             piv = rows[r0][c0]
             moved = False
             for r in list(cols[c0]):
@@ -238,6 +192,8 @@ def _diagonalize(rows, carry=None):
                     break
             if moved:
                 continue
+            if rows_only:
+                break
             for c in list(rows[r0]):
                 if c == c0:
                     continue
@@ -251,12 +207,17 @@ def _diagonalize(rows, carry=None):
             if not moved:
                 break
         pivot_of_row[r0] = rows[r0][c0]
-        row0 = rows.pop(r0)
-        for c in row0:
+        for c in rows.pop(r0):
             cols[c].discard(r0)
             if not cols[c]:
                 del cols[c]
     return pivot_of_row
+
+
+def rank_over_rationals(m):
+    """Exact rank over the rationals: the number of pivots of a row-only
+    elimination."""
+    return len(_diagonalize(m.rows(), rows_only=True))
 
 
 def smith_normal_form(m):
@@ -283,65 +244,25 @@ def solve_in_image(m, vec):
     dict indexed by row.
 
     The matrix is diagonalized with the target carried along the row
-    operations; solvability is divisibility on the pivot rows plus
-    vanishing on the rows that reduce to zero.
+    operations as a one-column companion; solvability is divisibility on
+    the pivot rows plus vanishing on the rows that reduce to zero.
     """
-    carry = {r: v for r, v in vec.items() if v}
+    carry = {r: {0: v} for r, v in vec.items() if v}
     pivots = _diagonalize(m.rows(), carry=carry)
-    for r, v in carry.items():
-        d = pivots.get(r)
-        if d is None or v % d:
-            return False
-    return True
+    return all(r in pivots and v[0] % pivots[r] == 0
+               for r, v in carry.items())
 
 
 def integer_kernel_basis(m):
     """An integral basis of ``ker m`` (as column vectors, sparse dicts).
 
-    Columns are reduced by unimodular column operations against a companion
-    identity; companions of columns that reduce to zero form the basis.
+    The transpose is eliminated by row operations with identity companion
+    rows carried along; companions of the rows that reduce to zero form
+    the basis, because the operations are unimodular.
     """
-    columns = [dict() for _ in range(m.num_cols)]
-    for (r, c), v in m.data.items():
-        columns[c][r] = v
-    companions = [{c: 1} for c in range(m.num_cols)]
-
-    def combine(i, j, a, b, c, d):
-        # (col_i, col_j) <- (a*col_i + b*col_j, c*col_i + d*col_j); ad-bc=1
-        for vecs in (columns, companions):
-            vi, vj = vecs[i], vecs[j]
-            ni, nj = {}, {}
-            for k in set(vi) | set(vj):
-                x, y = vi.get(k, 0), vj.get(k, 0)
-                if a * x + b * y:
-                    ni[k] = a * x + b * y
-                if c * x + d * y:
-                    nj[k] = c * x + d * y
-            vecs[i], vecs[j] = ni, nj
-
-    active = list(range(m.num_cols))
-    for r in range(m.num_rows):
-        hot = [c for c in active if r in columns[c]]
-        if not hot:
-            continue
-        lead = hot[0]
-        for c in hot[1:]:
-            x, y = columns[lead][r], columns[c][r]
-            g, s, t = _xgcd(x, y)
-            combine(lead, c, s, t, -(y // g), x // g)
-        active.remove(lead)
-    return [companions[c] for c in active if not columns[c]]
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    g, h = a, b
-    while h:
-        q = g // h
-        g, h = h, g - q * h
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return g, x0, y0
+    carry = {c: {c: 1} for c in range(m.num_cols)}
+    pivots = _diagonalize(m.transpose().rows(), carry=carry, rows_only=True)
+    return [carry[c] for c in range(m.num_cols) if c not in pivots]
 
 
 # -- homology ---------------------------------------------------------------
@@ -413,14 +334,13 @@ def connected_components(cx):
     return len({find(i) for i in range(len(parent))})
 
 
-def homology(cx, torsion=True, max_nnz=None, snf_ranks=True):
+def homology(cx, torsion=True, max_nnz=None):
     """Betti numbers, torsion coefficients and Euler characteristic.
 
     ``b_k = #k-cells - rank D_k - rank D_{k+1}``; torsion in degree ``k``
     is the list of invariant factors of ``D_{k+1}`` exceeding 1.  When
-    torsion is requested the ranks default to the Smith normal form rank
-    count (one elimination per matrix); ``snf_ranks=False`` additionally
-    runs the fraction-free elimination and checks agreement.
+    torsion is requested the ranks are the lengths of the Smith normal
+    forms, one elimination per matrix.
     """
     counts = cx.cell_counts()
     top = cx.max_dim
@@ -431,9 +351,6 @@ def homology(cx, torsion=True, max_nnz=None, snf_ranks=True):
         if torsion:
             factors[k] = smith_normal_form(mat)
             ranks[k] = len(factors[k])
-            if not snf_ranks:
-                assert rank_over_rationals(mat) == ranks[k], \
-                    "rank disagreement between eliminations"
         else:
             ranks[k] = rank_over_rationals(mat)
     degrees = []

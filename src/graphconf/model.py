@@ -51,6 +51,12 @@ class CapExceededError(RuntimeError):
     """An enumeration or matrix assembly went past its configured cap."""
 
 
+class InvariantError(RuntimeError):
+    """A mathematical invariant that a construction guarantees failed to
+    hold: a defect in the library, never a bad request, so it is not a
+    ``ValueError`` that callers skipping unrealizable candidates catch."""
+
+
 # -- single states ------------------------------------------------------------
 
 def is_move_state(state):

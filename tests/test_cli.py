@@ -114,6 +114,13 @@ def test_exit_codes(capsys):
                        "--caps", "1000")
     assert code == 3 and "beyond desk scale" in err
 
+    # export honours MAX_NNZ, and verify has no caps to accept
+    code, _, err = run(capsys, "export", "--graph", "k:5", "-n", "2",
+                       "--caps", ",10")
+    assert code == 3 and "entries" in err
+    code, _, _ = run(capsys, "verify", "--caps", "5")
+    assert code == 2
+
     code, _, _ = run(capsys, "nosuchcommand")
     assert code == 2
 

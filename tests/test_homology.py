@@ -41,9 +41,11 @@ def test_rank_star3_boundary(small_complexes):
 
 def test_rank_against_dense_oracle():
     rng = random.Random(20)
-    for _ in range(400):
-        m = random_matrix(rng)
-        assert rank_over_rationals(m) == fraction_rank(m)
+    # the +-1 inputs take the unit-pivot phase first
+    for count, lo, hi in ((400, -9, 9), (200, -1, 1)):
+        for _ in range(count):
+            m = random_matrix(rng, lo=lo, hi=hi)
+            assert rank_over_rationals(m) == fraction_rank(m)
 
 
 # -- Smith normal form ----------------------------------------------------
@@ -54,24 +56,29 @@ def test_snf_hand_cases():
     m = SparseIntMatrix(2, 2, [(0, 0, 2), (0, 1, 4), (1, 0, 6), (1, 1, 10)])
     assert smith_normal_form(m) == [2, 2]
     assert smith_normal_form(SparseIntMatrix(3, 3)) == []
+    # +-1 input whose unit phase leaves the non-unit residual (-2)
+    m = SparseIntMatrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)])
+    assert smith_normal_form(m) == [1, 2]
 
 
 def test_snf_against_minors_oracle():
     rng = random.Random(21)
-    for _ in range(200):
-        m = random_matrix(rng, max_size=3, lo=-4, hi=4)
-        assert smith_normal_form(m) == minors_gcd_invariant_factors(m)
+    for count, lo, hi in ((200, -4, 4), (100, -1, 1)):
+        for _ in range(count):
+            m = random_matrix(rng, max_size=3, lo=lo, hi=hi)
+            assert smith_normal_form(m) == minors_gcd_invariant_factors(m)
 
 
 def test_snf_divisibility_and_rank():
     rng = random.Random(22)
-    for _ in range(200):
-        m = random_matrix(rng)
-        factors = smith_normal_form(m)
-        assert len(factors) == rank_over_rationals(m)
-        for a, b in zip(factors, factors[1:]):
-            assert b % a == 0
-        assert all(f > 0 for f in factors)
+    for count, lo, hi in ((200, -9, 9), (100, -1, 1)):
+        for _ in range(count):
+            m = random_matrix(rng, lo=lo, hi=hi)
+            factors = smith_normal_form(m)
+            assert len(factors) == rank_over_rationals(m)
+            for a, b in zip(factors, factors[1:]):
+                assert b % a == 0
+            assert all(f > 0 for f in factors)
 
 
 def test_k5_boundaries_are_unimodular(small_complexes):
@@ -90,19 +97,25 @@ def test_solve_in_image():
     m = SparseIntMatrix(1, 2, [(0, 0, 2), (0, 1, 3)])
     assert solve_in_image(m, {0: 1})
     assert solve_in_image(SparseIntMatrix(3, 2), {})
+    # Smith form [1, 2]: the second pivot comes from the non-unit residual
+    m = SparseIntMatrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)])
+    assert solve_in_image(m, {0: 2})
+    assert not solve_in_image(m, {0: 1})
 
 
 def test_integer_kernel_basis():
     rng = random.Random(23)
-    for _ in range(100):
-        m = random_matrix(rng, max_size=6, lo=-3, hi=3)
-        basis = integer_kernel_basis(m)
-        assert len(basis) == m.num_cols - rank_over_rationals(m)
-        rows = m.rows()
-        for vec in basis:
-            assert vec
-            for r, row in rows.items():
-                assert sum(row.get(c, 0) * v for c, v in vec.items()) == 0
+    for count, lo, hi in ((100, -3, 3), (50, -1, 1)):
+        for _ in range(count):
+            m = random_matrix(rng, max_size=6, lo=lo, hi=hi)
+            basis = integer_kernel_basis(m)
+            assert len(basis) == m.num_cols - rank_over_rationals(m)
+            rows = m.rows()
+            for vec in basis:
+                assert vec
+                for r, row in rows.items():
+                    assert sum(row.get(c, 0) * v
+                               for c, v in vec.items()) == 0
 
 
 # -- homology summaries -----------------------------------------------------
@@ -255,11 +268,15 @@ def test_matrix_entry_validation():
 
 
 def test_homology_cross_checks_both_eliminations(small_complexes):
-    # snf_ranks=False runs the fraction-free elimination alongside the
-    # Smith forms and asserts they agree
-    cx = small_complexes("h-n2")
-    h = gc.homology(cx, snf_ranks=False)
-    assert h.betti_vector() == (1, 3, 0)
+    # the Smith form length and the row-only rank agree with the dense
+    # fraction oracle on every boundary matrix
+    for key in ("h-n2", "k5-n2"):
+        cx = small_complexes(key)
+        for k in range(1, cx.max_dim + 1):
+            d = gc.boundary_matrix(cx, k)
+            assert len(smith_normal_form(d)) == rank_over_rationals(d) \
+                == fraction_rank(d), (key, k)
+    assert gc.homology(small_complexes("h-n2")).betti_vector() == (1, 3, 0)
 
 
 def test_homology_matrix_cap(small_complexes):
