@@ -23,7 +23,10 @@ A cell assigns one state to each participating particle:
 A cell is a tuple of ``(particle, state)`` pairs sorted by particle id.
 Cells may be partial (defined on a subset of particles); the cells of a
 :class:`CubeComplex` with ``n`` particles carry all of ``0..n-1``.  The
-dimension of a cell is its number of move states.
+dimension of a cell is its number of move states.  The fast paths rely
+on two facts: a face replaces states but never particle ids, so it keeps
+pid order and is built in place without re-sorting; and the cells of one
+enumeration share each distinct ``(pid, state)`` pair object.
 
 Independence of the moves within one cell:
 
@@ -160,33 +163,40 @@ def relabel_cell(cell, perm):
     return make_cell((perm[p], s) for p, s in cell)
 
 
+def _move_positions(cell):
+    """Positions in ``cell`` of its move states, by particle id."""
+    return [i for i, (_, s) in enumerate(cell) if s[0] in ("ME", "MF")]
+
+
+def _face_at(g, cell, i, side):
+    """The ``side`` face of the move at position ``i``; only that pair
+    changes (and, for an ``ME`` side 0, the slots on its edge)."""
+    pid, state = cell[i]
+    if state[0] == "MF":
+        new = (pid, ("V", g.edges[state[1]][1 if side else 0]))
+    elif side == 1:
+        new = (pid, ("V", g.edges[state[1]][state[2]]))
+    elif state[2] == 0:
+        # entering at the iota end takes slot 0 and pushes the others up
+        e = state[1]
+        cell = tuple((p, ("E", e, s[2] + 1)) if s[0] == "E" and s[1] == e
+                     else (p, s) for p, s in cell)
+        new = (pid, ("E", e, 0))
+    else:
+        e = state[1]
+        new = (pid, ("E", e, sum(1 for _, s in cell
+                                 if s[0] == "E" and s[1] == e)))
+    return cell[:i] + (new,) + cell[i + 1:]
+
+
 def face(g, cell, slot, side):
     """Replace the ``slot``-th move (movers ordered by particle id) by its
     ``side`` endpoint; ``side`` 1 is the vertex end of an ``ME`` and the tau
     vertex of an ``MF``."""
-    movers = cell_movers(cell)
-    if not 0 <= slot < len(movers):
-        raise IndexError(f"cell has {len(movers)} move slots, asked for {slot}")
-    pid, state = movers[slot]
-    rest = [(p, s) for p, s in cell if p != pid]
-    if state[0] == "MF":
-        v = g.edges[state[1]][1 if side else 0]
-        rest.append((pid, ("V", v)))
-        return make_cell(rest)
-    e, end = state[1], state[2]
-    if side == 1:
-        rest.append((pid, ("V", g.edges[e][end])))
-        return make_cell(rest)
-    # side 0: the mover becomes the outermost static slot at its end and
-    # the other occupants of the edge are re-ranked.
-    count = sum(1 for _, s in rest if s[0] == "E" and s[1] == e)
-    if end == 0:
-        rest = [(p, ("E", e, s[2] + 1)) if s[0] == "E" and s[1] == e else (p, s)
-                for p, s in rest]
-        rest.append((pid, ("E", e, 0)))
-    else:
-        rest.append((pid, ("E", e, count)))
-    return make_cell(rest)
+    positions = _move_positions(cell)
+    if not 0 <= slot < len(positions):
+        raise IndexError(f"cell has {len(positions)} move slots, asked for {slot}")
+    return _face_at(g, cell, positions[slot], side)
 
 
 def corner_configurations(g, cell):
@@ -206,15 +216,16 @@ def boundary_of_cell(g, cell):
     """Cubical boundary: alternating sum over move slots (ordered by moving
     particle id) of the side-1 face minus the side-0 face."""
     terms = {}
-    for i in range(cell_dimension(cell)):
-        sign = -1 if i % 2 else 1
-        for side, s in ((1, sign), (0, -sign)):
-            f = face(g, cell, i, side)
+    sign = 1
+    for i in _move_positions(cell):
+        for f, s in ((_face_at(g, cell, i, 1), sign),
+                     (_face_at(g, cell, i, 0), -sign)):
             c = terms.get(f, 0) + s
             if c:
                 terms[f] = c
             else:
                 terms.pop(f, None)
+        sign = -sign
     return terms
 
 
@@ -364,12 +375,13 @@ class CubeComplex:
             result = SparseEntries(rows, cols, ())
         else:
             entries = []
-            lower = self.cells[k - 1]
+            append, index = entries.append, self.index
             for j, cell in enumerate(self.cells[k]):
                 for f, s in boundary_of_cell(self.graph, cell).items():
-                    entries.append((self.index[f][1], j, s))
-            result = SparseEntries(len(lower), len(self.cells[k]),
-                                   tuple(sorted(entries)))
+                    append((index[f][1], j, s))
+            entries.sort()
+            result = SparseEntries(len(self.cells[k - 1]), len(self.cells[k]),
+                                   tuple(entries))
         self._matrices[k] = result
         return result
 
@@ -410,6 +422,11 @@ def enumerate_cells(g, n, max_cells=DEFAULT_MAX_CELLS):
                 claims = tuple(v for v in set(g.edges[e]) if not g.is_sink(v))
                 move_menu.append((("MF", e), claims, e))
 
+    # one shared (pid, state) object per distinct pair, for every cell
+    fixed_pairs = [{s: (pid, s) for s in vertex_menu + [m[0] for m in move_menu]}
+                   for pid in range(n)]
+    slot_pairs = [[[(pid, ("E", e, r)) for r in range(n)]
+                   for e in range(g.num_edges)] for pid in range(n)]
     claimed = set()
     mf_used = set()
     placement = []  # per particle: ('V', v) | ('I', e) | move state
@@ -417,27 +434,26 @@ def enumerate_cells(g, n, max_cells=DEFAULT_MAX_CELLS):
     def emit():
         nonlocal total
         by_edge = {}
-        fixed = []
+        pairs = [None] * n
         dim = 0
         for pid, item in enumerate(placement):
             if item[0] == "I":
                 by_edge.setdefault(item[1], []).append(pid)
             else:
-                fixed.append((pid, item))
+                pairs[pid] = fixed_pairs[pid][item]
                 if is_move_state(item):
                     dim += 1
-        edge_groups = sorted(by_edge.items())
+        edge_groups = list(by_edge.items())
         orderings = [itertools.permutations(group) for _, group in edge_groups]
         for combo in itertools.product(*orderings):
-            pairs = list(fixed)
             for (e, _), order in zip(edge_groups, combo):
                 for r, pid in enumerate(order):
-                    pairs.append((pid, ("E", e, r)))
+                    pairs[pid] = slot_pairs[pid][e][r]
             total += 1
             if total > max_cells:
                 raise CapExceededError(
                     f"more than {max_cells} cells; instance beyond desk scale")
-            cells[dim].append(make_cell(pairs))
+            cells[dim].append(tuple(pairs))
 
     def assign(pid):
         if pid == n:
@@ -475,7 +491,9 @@ def enumerate_cells(g, n, max_cells=DEFAULT_MAX_CELLS):
             claimed.difference_update(claims)
 
     assign(0)
-    return CubeComplex(g, n, [sorted(group) for group in cells])
+    for group in cells:
+        group.sort()
+    return CubeComplex(g, n, cells)
 
 
 # -- text export ---------------------------------------------------------
@@ -486,14 +504,20 @@ def state_record(state):
     return " ".join(str(x) for x in state)
 
 
-def cell_records(cell):
-    return [[p, state_record(s)] for p, s in cell]
+class _Records(dict):
+    """``[pid, state_record]`` per distinct pair, built on first use."""
+
+    def __missing__(self, pair):
+        record = self[pair] = [pair[0], state_record(pair[1])]
+        return record
 
 
 def complex_to_doc(cx):
+    records = _Records()
     doc = {
         "particles": cx.n,
-        "cells": [[cell_records(c) for c in group] for group in cx.cells],
+        "cells": [[[records[p] for p in c] for c in group]
+                  for group in cx.cells],
         "boundaries": {},
     }
     for k in range(1, cx.max_dim + 1):

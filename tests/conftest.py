@@ -75,6 +75,33 @@ def reference_cell_valid(g, cell):
     return True
 
 
+def reference_face(g, cell, slot, side):
+    """The face map as first written: rebuild the cell from its pairs and
+    re-sort it by particle id."""
+    from graphconf.model import cell_movers, make_cell
+    movers = cell_movers(cell)
+    if not 0 <= slot < len(movers):
+        raise IndexError(f"cell has {len(movers)} move slots, asked for {slot}")
+    pid, state = movers[slot]
+    rest = [(p, s) for p, s in cell if p != pid]
+    if state[0] == "MF":
+        v = g.edges[state[1]][1 if side else 0]
+        rest.append((pid, ("V", v)))
+        return make_cell(rest)
+    e, end = state[1], state[2]
+    if side == 1:
+        rest.append((pid, ("V", g.edges[e][end])))
+        return make_cell(rest)
+    count = sum(1 for _, s in rest if s[0] == "E" and s[1] == e)
+    if end == 0:
+        rest = [(p, ("E", e, s[2] + 1)) if s[0] == "E" and s[1] == e else (p, s)
+                for p, s in rest]
+        rest.append((pid, ("E", e, 0)))
+    else:
+        rest.append((pid, ("E", e, count)))
+    return make_cell(rest)
+
+
 def brute_force_cells(g, n):
     """All valid cells of n labeled particles from the full syntactic
     state universe, grouped by dimension."""

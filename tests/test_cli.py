@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 import graphconf as gc
 from graphconf.cli import main
@@ -73,6 +76,22 @@ def test_export_document(capsys, tmp_path):
     assert len(doc["complex"]["cells"][0]) == 4
     assert doc["basic_classes"]
     assert doc["homology"]["degrees"][1]["betti"] == 1
+
+
+@pytest.mark.parametrize("args,digest", [
+    (("circle", "--sinks", "0", "-n", "3"),
+     "6dcc061e6d36a9a5eab4abe8fbc2992bcae82b69915f73ed1e93daa8a9df3d2f"),
+    (("circle", "-n", "3"),
+     "c2f00728d7771ddc441f7f116f9ec5885c83e9f11789bf151fe4cb587017e725"),
+    (("h", "-n", "2"),
+     "cc723784b00b847d004311162d71dc3b2fe795627c2bca1170dcbf356122f8aa"),
+])
+def test_export_machine_bytes_pinned(capsys, args, digest):
+    # the export format is a file format: its bytes must not drift
+    code, out, _ = run(capsys, "export", "--graph", *args,
+                       "--format", "machine")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_graph_file_input(capsys, tmp_path):

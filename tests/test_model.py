@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import factorial
 
 import pytest
@@ -9,7 +10,9 @@ from graphconf.model import (CapExceededError, boundary_of_cell, cell_is_valid,
                              corner_configurations, face, make_cell,
                              relabel_cell, state_record)
 
-from conftest import brute_force_cells
+from graphconf.checks import random_connected_graph
+
+from conftest import brute_force_cells, reference_face
 
 
 # -- enumeration ----------------------------------------------------------
@@ -55,6 +58,8 @@ def test_enumeration_matches_brute_force(graph, n):
     cx = gc.enumerate_cells(graph, n)
     got = {dim: set(cells) for dim, cells in enumerate(cx.cells) if cells}
     assert got == expected
+    # enumerated cells are canonical without passing through make_cell
+    assert all(make_cell(c) == c for group in cx.cells for c in group)
 
 
 def test_enumeration_deterministic():
@@ -133,13 +138,39 @@ def test_face_index_error():
         face(g, cell, 0, 1)
 
 
+def _random_complexes(seed, count):
+    rng = random.Random(seed)
+    pool = []
+    while len(pool) < count:
+        g = random_connected_graph(rng, max_edges=5)
+        try:
+            pool.append(gc.enumerate_cells(g, rng.randint(1, 3),
+                                           max_cells=20_000))
+        except CapExceededError:
+            pass
+    return pool
+
+
 def test_every_face_of_valid_cell_is_valid(small_complexes):
-    cx = small_complexes("star3-n2")
-    for dim in range(1, cx.max_dim + 1):
-        for cell in cx.cells[dim]:
-            for slot in range(dim):
-                for side in (0, 1):
-                    assert cell_is_valid(cx.graph, face(cx.graph, cell, slot, side))
+    # the in-place face agrees with the re-sorting reference face
+    names = ["star3-n2", "star3-n3", "star4-n2", "banana4-n2", "banana4-n3",
+             "k5-n2", "h-n2", "intervalsinks-n2"]
+    pool = [small_complexes(name) for name in names]
+    pool.append(gc.enumerate_cells(gc.circle(sinks={0}), 3))
+    randoms = _random_complexes(2026, 40)
+    assert any(cx.graph.sinks for cx in randoms)
+    assert any(u == v for cx in randoms for u, v in cx.graph.edges)
+    for cx in pool + randoms:
+        for dim in range(1, cx.max_dim + 1):
+            for cell in cx.cells[dim]:
+                for slot in range(dim):
+                    for side in (0, 1):
+                        f = face(cx.graph, cell, slot, side)
+                        assert f == reference_face(cx.graph, cell, slot, side)
+                        assert cell_is_valid(cx.graph, f)
+    # a full traversal of a loop at a sink has two equal faces that cancel
+    loop = gc.circle(sinks={0})
+    assert boundary_of_cell(loop, make_cell([(0, ("MF", 0))])) == {}
 
 
 def test_boundary_of_zero_cell_is_zero():
@@ -160,6 +191,9 @@ def test_boundary_squared_zero_exhaustive(small_complexes):
 
 def test_boundary_matrix_product_vanishes(small_complexes):
     cx = small_complexes("k5-n2")
+    for k in (1, 2):
+        entries = cx.boundary_entries(k).entries
+        assert all(a[:2] < b[:2] for a, b in zip(entries, entries[1:]))
     d1_cols = {}
     for (r, c), v in gc.boundary_matrix(cx, 1).data.items():
         d1_cols.setdefault(c, {})[r] = v
