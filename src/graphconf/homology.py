@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, inf
 
 from .model import (CapExceededError, SparseEntries, boundary_chain, face)
 
@@ -72,14 +72,47 @@ def _column_index(rows):
 
 
 def _pick_pivot(rows, cols):
-    best = None
-    for r, row in rows.items():
-        for c, v in row.items():
-            cost = (len(row) - 1) * (len(cols[c]) - 1)
-            key = (abs(v) != 1, abs(v), cost, r, c)
-            if best is None or key < best[0]:
-                best = (key, r, c)
-    return best[1], best[2]
+    """The entry that minimises ``(|v| != 1, |v|, cost, r, c)``, with
+    ``cost = (len(row) - 1) * (len(col) - 1)``, ties included.
+
+    Units are sought line by line in increasing length, rows and columns
+    alike, the shorter next line first.  An entry not yet seen lies in an
+    unread row and an unread column, so its cost is at least the cost an
+    entry would have at the crossing of the next two lines; once that
+    bound exceeds the best unit's cost, no unread entry can beat or tie
+    it.  Without a unit every entry is read.
+    """
+    by_row = sorted((len(row) - 1, r) for r, row in rows.items())
+    by_col = sorted((len(rs) - 1, c) for c, rs in cols.items() if rs)
+    best = (inf,)
+    i = j = 0
+    while i < len(by_row) and j < len(by_col):
+        lr, r0 = by_row[i]
+        lc, c0 = by_col[j]
+        if lr * lc > best[0]:
+            break
+        if lr <= lc:
+            i += 1
+            for c, v in rows[r0].items():
+                if v == 1 or v == -1:
+                    key = (lr * (len(cols[c]) - 1), r0, c)
+                    if key < best:
+                        best = key
+        else:
+            j += 1
+            for r in cols[c0]:
+                v = rows[r][c0]
+                if v == 1 or v == -1:
+                    key = ((len(rows[r]) - 1) * lc, r, c0)
+                    if key < best:
+                        best = key
+    if best[0] == inf:
+        for r, row in rows.items():
+            for c, v in row.items():
+                key = (abs(v), (len(row) - 1) * (len(cols[c]) - 1), r, c)
+                if key < best:
+                    best = key
+    return best[-2:]
 
 
 def _divmod_balanced(a, p):
@@ -106,10 +139,12 @@ def _diagonalize(rows, carry=None, rows_only=False):
     On input whose entries are all +-1, pivots come first from a lazy heap
     over columns: a unit in the sparsest column, in its shortest row.  A
     unit pivot clears its column without remainders.  Other input, and
-    whatever that phase leaves, goes to a full scan that prefers units,
-    then small values, then low fill-in; the cost of a Smith form on
-    non-unit input swings with the pivot order, so such input keeps the
-    scan's order throughout.
+    whatever that phase leaves, goes to ``_pick_pivot``, which prefers
+    units, then small values, then low fill-in.  The cost of a Smith form
+    on non-unit input swings with the pivot order, so that order is fixed:
+    the search reads lines in increasing length and stops once no unread
+    entry can compete, but it returns exactly the pivot of a full scan over
+    every entry, ties included.
     """
     cols = _column_index(rows)
     pivot_of_row = {}
@@ -224,19 +259,19 @@ def smith_normal_form(m):
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix, all
     positive, with r equal to the rank."""
     pivots = _diagonalize(m.rows())
-    factors = sorted(pivots.values())
-    if factors and factors[-1] > 1:
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(factors)):
-                for j in range(i + 1, len(factors)):
-                    if factors[j] % factors[i]:
-                        g = gcd(factors[i], factors[j])
-                        factors[i], factors[j] = g, factors[i] * factors[j] // g
-                        changed = True
-            factors.sort()
-    return factors
+    # a unit divides everything: only the factors above 1 need the gcd sweep
+    factors = sorted(v for v in pivots.values() if v > 1)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                if factors[j] % factors[i]:
+                    g = gcd(factors[i], factors[j])
+                    factors[i], factors[j] = g, factors[i] * factors[j] // g
+                    changed = True
+        factors.sort()
+    return [1] * (len(pivots) - len(factors)) + factors
 
 
 def solve_in_image(m, vec):

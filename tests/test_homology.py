@@ -1,3 +1,4 @@
+import importlib
 import random
 from math import factorial
 
@@ -7,7 +8,9 @@ import graphconf as gc
 from graphconf.homology import (SparseIntMatrix, integer_kernel_basis,
                                 rank_over_rationals, smith_normal_form,
                                 solve_in_image)
-from conftest import fraction_rank, minors_gcd_invariant_factors
+from graphconf.checks import _random_matrix
+from conftest import (fraction_rank, minors_gcd_invariant_factors,
+                      reference_pick_pivot)
 
 
 def random_matrix(rng, max_size=8, lo=-9, hi=9):
@@ -59,6 +62,11 @@ def test_snf_hand_cases():
     # +-1 input whose unit phase leaves the non-unit residual (-2)
     m = SparseIntMatrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)])
     assert smith_normal_form(m) == [1, 2]
+    # the gcd fix-up reaches factors above 2, with and without a unit
+    assert smith_normal_form(SparseIntMatrix(2, 2, [(0, 0, 6), (1, 1, 4)])) \
+        == [2, 12]
+    m = SparseIntMatrix(3, 3, [(0, 0, 1), (1, 1, 6), (2, 2, 4)])
+    assert smith_normal_form(m) == [1, 2, 12]
 
 
 def test_snf_against_minors_oracle():
@@ -79,6 +87,55 @@ def test_snf_divisibility_and_rank():
             for a, b in zip(factors, factors[1:]):
                 assert b % a == 0
             assert all(f > 0 for f in factors)
+
+
+def planted_matrix(rng, size, factors=(2, 6, 12)):
+    """``diag(1, ..., 1, factors)`` hidden by 4 * size random +-1 row and
+    column operations, with its invariant factors."""
+    diag = [1] * (size - len(factors)) + list(factors)
+    a = [[d if i == j else 0 for j in range(size)] for i, d in enumerate(diag)]
+    for _ in range(4 * size):
+        i, j = rng.sample(range(size), 2)
+        s = rng.choice((1, -1))
+        if rng.random() < 0.5:
+            a[i] = [x + s * y for x, y in zip(a[i], a[j])]
+        else:
+            for row in a:
+                row[i] += s * row[j]
+    entries = [(r, c, v) for r, row in enumerate(a) for c, v in enumerate(row)
+               if v]
+    return SparseIntMatrix(size, size, entries), diag
+
+
+def test_pivot_search_matches_full_scan(monkeypatch):
+    # the bounded search returns the full scan's pivot, ties included, in
+    # every search of every routine built on the elimination
+    homology = importlib.import_module("graphconf.homology")
+    search = homology._pick_pivot
+    picked = []
+
+    def checked(rows, cols):
+        got = search(rows, cols)
+        assert got == reference_pick_pivot(rows, cols)
+        picked.append(abs(rows[got[0]][got[1]]) == 1)
+        return got
+
+    monkeypatch.setattr(homology, "_pick_pivot", checked)
+    rng = random.Random(25)
+    cases = [(_random_matrix(rng), None) for _ in range(60)]
+    cases += [planted_matrix(rng, size) for size in (8, 20, 40, 60)]
+    cases.append((SparseIntMatrix(
+        2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)]), [1, 2]))
+    for m, diag in cases:
+        factors = smith_normal_form(m)
+        assert diag is None or factors == diag
+        assert rank_over_rationals(m) == len(factors)
+        column = {r: v for (r, c), v in m.data.items() if c == 0}
+        assert solve_in_image(m, column)
+        assert len(integer_kernel_basis(m)) == m.num_cols - len(factors)
+    # both branches ran: a unit found by the bounded walk, and the full
+    # scan when no unit is left
+    assert True in picked and False in picked
 
 
 def test_k5_boundaries_are_unimodular(small_complexes):
