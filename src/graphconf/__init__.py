@@ -17,11 +17,10 @@ from .homology import (HomologySummary, SparseIntMatrix, boundary_matrix,
                        rank_over_rationals, smith_normal_form, solve_in_image)
 from .cycles import (BasicClasses, CircuitSpec, CycleConstructionError,
                      EnumerationCaps, HSpec, StarSpec, chain_to_doc,
-                     circuit_cycle, circuit_cycle_chain,
-                     enumerate_basic_classes, h_cycle, h_cycle_chain,
-                     loop_augmented_nonproduct, nonproduct_cycle,
-                     nonproduct_cycle_chain, parked_chain, product_chain,
-                     push_in, star4_relation, star4_relation_chain, star_cycle,
+                     circuit_cycle_chain, enumerate_basic_classes,
+                     h_cycle_chain, loop_augmented_nonproduct,
+                     nonproduct_cycle, nonproduct_cycle_chain, parked_chain,
+                     product_chain, push_in, star4_relation_chain,
                      star_cycle_chain)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

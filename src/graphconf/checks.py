@@ -226,15 +226,13 @@ def nonproduct_checks():
 def starfour_checks():
     def on_star4():
         g = gr.star(4)
-        cx = mdl.enumerate_cells(g, 2)
-        z = cyc.star4_relation(cx, 0, tuple(sorted(g.ends_at(0))), (0, 1))
+        z = cyc.star4_relation_chain(g, 0, tuple(sorted(g.ends_at(0))), (0, 1))
         return z.is_zero(), {"support": len(z)}
 
     def on_banana4():
         g = gr.banana(4)
-        cx = mdl.enumerate_cells(g, 2)
         ends = tuple(2 * e + (0 if g.edges[e][0] == 0 else 1) for e in range(4))
-        z = cyc.star4_relation(cx, 0, ends, (0, 1))
+        z = cyc.star4_relation_chain(g, 0, ends, (0, 1))
         return z.is_zero(), {"support": len(z)}
 
     reference = ("the alternating sum of the four 3-end shuffles of four"
@@ -276,7 +274,7 @@ def wedge_corpus():
     return out + with_sinks
 
 
-def tree_corpus_checks(max_n=3):
+def tree_corpus_checks():
     checks = []
 
     def make(g, n):
@@ -293,7 +291,7 @@ def tree_corpus_checks(max_n=3):
         return run
 
     for name, g in wedge_corpus():
-        for n in range(1, max_n + 1):
+        for n in range(1, 4):
             checks.append(Check(
                 f"trees/{name}/n={n}",
                 f"torsion-freeness and degree-1 generation on {name}"
@@ -341,7 +339,7 @@ class SuiteResult:
         return not self.failures
 
 
-def random_connected_graph(rng, max_edges=6, max_vertices=5, allow_sinks=True):
+def random_connected_graph(rng, max_edges=6, max_vertices=5):
     nv = rng.randint(1, max_vertices)
     edges = []
     for v in range(1, nv):
@@ -354,7 +352,7 @@ def random_connected_graph(rng, max_edges=6, max_vertices=5, allow_sinks=True):
     if not edges:
         edges = [(0, 0)]
     sinks = set()
-    if allow_sinks and rng.random() < 0.5:
+    if rng.random() < 0.5:
         for v in range(nv):
             if rng.random() < 0.3:
                 sinks.add(v)
@@ -479,14 +477,15 @@ def suite_validity_oracle(seed=1, cases=1000):
     return SuiteResult("validity-oracle-equivalence", cases, failures)
 
 
-def suite_equivariance(seed=2, cases=1000, betti_instances=12):
+def suite_equivariance(seed=2, cases=1000):
     """Relabeling commutes with faces and boundaries, and Betti numbers
     are invariant under renaming the particles."""
     rng = random.Random(seed)
     pool = [cx for cx in _instance_pool(rng, 25) if cx.max_dim >= 1]
     failures = []
     done = 0
-    while done < cases - betti_instances:
+    betti_cases = 12
+    while done < cases - betti_cases:
         cx = rng.choice(pool)
         dim = rng.randint(1, cx.max_dim)
         cell = rng.choice(cx.cells[dim])
@@ -509,7 +508,7 @@ def suite_equivariance(seed=2, cases=1000, betti_instances=12):
         if len(failures) > 4:
             return SuiteResult("relabeling-equivariance", done, failures)
     small = [cx for cx in pool if sum(cx.cell_counts()) <= 700] or pool[:1]
-    for _ in range(betti_instances):
+    for _ in range(betti_cases):
         cx = rng.choice(small)
         perm = list(range(cx.n))
         rng.shuffle(perm)
@@ -780,14 +779,14 @@ def _random_unimodular_shuffle(rng, m, ops=6):
     return SparseIntMatrix(m.num_rows, m.num_cols, entries)
 
 
-def suite_snf_oracle(seed=7, cases=1000, big_every=25):
+def suite_snf_oracle(seed=7, cases=1000):
     """Rank agreement between the row-only elimination, the Smith
     normal form, and dense exact elimination; invariance of the Smith form
     under unimodular operations."""
     rng = random.Random(seed)
     failures = []
     for i in range(cases):
-        size = 40 if i % big_every == 0 else rng.randint(1, 10)
+        size = 40 if i % 25 == 0 else rng.randint(1, 10)
         m = _random_matrix(rng, max_size=size)
         want = dense_rank_oracle(m)
         factors = smith_normal_form(m)
@@ -850,8 +849,7 @@ def property_checks(seed=2026, cases=1000):
 
 # -- torsion search -------------------------------------------------------------
 
-def torsion_search(seed=11, instances=100, max_edges=6, max_n=3,
-                   max_cells=400_000):
+def torsion_search(seed=11, instances=100):
     """Random connected graphs reporting any torsion found.
 
     Torsion-freeness for arbitrary graphs is an open expectation, so
@@ -863,10 +861,10 @@ def torsion_search(seed=11, instances=100, max_edges=6, max_n=3,
     ran = 0
     skipped = 0
     while ran < instances:
-        g = random_connected_graph(rng, max_edges=max_edges)
-        n = rng.randint(1, max_n)
+        g = random_connected_graph(rng)
+        n = rng.randint(1, 3)
         try:
-            cx = mdl.enumerate_cells(g, n, max_cells=max_cells)
+            cx = mdl.enumerate_cells(g, n, max_cells=400_000)
             h = homology(cx)
         except mdl.CapExceededError:
             skipped += 1
@@ -900,14 +898,14 @@ def fuzz_check(seed=11, instances=100):
 
 # -- assembly -------------------------------------------------------------------
 
-def all_checks(seed=2026, cases=1000, fuzz_instances=100, tree_max_n=3):
+def all_checks(seed=2026, cases=1000, fuzz_instances=100):
     checks = []
     checks += baseline_checks()
     checks += cellcount_checks()
     checks += surface_checks()
     checks += nonproduct_checks()
     checks += starfour_checks()
-    checks += tree_corpus_checks(max_n=tree_max_n)
+    checks += tree_corpus_checks()
     checks += general_graph_checks()
     checks += property_checks(seed=seed, cases=cases)
     checks.append(fuzz_check(seed=seed + 100, instances=fuzz_instances))

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graphs import Graph, GraphSpec, build_graph, edge_of_end, end_side, \
-    essential_vertices, other_end, wedge
-from .model import (CapExceededError, Chain, CubeComplex, DEFAULT_MAX_CELLS,
-                    InvariantError, boundary_chain, cell_is_valid, cell_movers,
-                    enumerate_cells, face, is_move_state, make_cell,
-                    state_record)
+from .graphs import Graph, GraphSpec, build_graph, dimension_bound, \
+    edge_of_end, end_side, essential_vertices, other_end, wedge
+from .model import (Chain, DEFAULT_MAX_CELLS, InvariantError, boundary_chain,
+                    cell_is_valid, cell_movers, enumerate_cells, face,
+                    is_move_state, make_cell, state_record)
 
 
 class CycleConstructionError(ValueError):
@@ -132,22 +131,28 @@ def normalize_parking(g, parking):
 def assemble_configuration(g, parking, rests):
     """Build the starting 0-cell from parked particles and active rests.
 
-    ``rests`` maps particles to ``('V', v)`` or ``('end', end)``; an 'end'
-    rest occupies the outermost slot at that end (or the far sink).  Parked
-    particles on one edge keep their relative nominal order and sit inward
-    of any active particle at the edge ends.
+    ``parking`` is validated by ``normalize_parking`` and must not name an
+    active particle.  ``rests`` maps particles to ``('V', v)``,
+    ``('E', e, k)`` or ``('end', end)``; an 'E' rest is placed like a
+    parked particle, an 'end' rest occupies the outermost slot at that end
+    (or the far sink).  Parked particles on one edge keep their relative
+    nominal order and sit inward of any active particle at the edge ends.
     """
+    parking = normalize_parking(g, parking)
+    if parking.keys() & rests.keys():
+        raise CycleConstructionError("active particle is also parked")
+    static = dict(parking)
+    static.update((pid, st) for pid, st in rests.items() if st[0] != "end")
     by_edge = {}
     pairs = []
-    for pid, st in sorted(parking.items()):
+    for pid, st in sorted(static.items()):
         if st[0] == "V":
             pairs.append((pid, ("V", st[1])))
         else:
             by_edge.setdefault(st[1], []).append((st[2], pid))
     ordered = {e: [pid for _, pid in sorted(slots)] for e, slots in by_edge.items()}
     for pid, rest in sorted(rests.items()):
-        if rest[0] == "V":
-            pairs.append((pid, ("V", rest[1])))
+        if rest[0] != "end":
             continue
         kind, e, data = _station(g, rest[1])
         if kind == "sink":
@@ -260,20 +265,19 @@ def star_cycle_chain(g, spec, pair, parking=None):
     """The twelve-cell shuffle of two particles over three ends of a star.
 
     Both particles start on different ends; in turns each moves across the
-    center to the free end until the initial configuration returns.  Each
-    of the six transits contributes its outbound and inbound 1-cells, for
-    a support of exactly twelve cells with coefficients +-1: the cell with
-    a particle moving at end a and the other resting at end b carries the
-    sign of the cyclic orientation of (a, b) within the spec triple.
+    center to the free end until the initial configuration returns.  When
+    the three ends lie on distinct edges and rest at three distinct places
+    (ends resting on one sink rest at one place), each of the six transits
+    contributes its outbound and inbound 1-cells, for a support of exactly
+    twelve cells with coefficients +-1: the cell with a particle moving at
+    end a and the other resting at end b carries the sign of the cyclic
+    orientation of (a, b) within the spec triple.
     """
     spec = spec if isinstance(spec, StarSpec) else StarSpec(*spec)
     _check_star_spec(g, spec)
     x, y = pair
     if x == y:
         raise CycleConstructionError("star cycle needs two distinct particles")
-    parking = normalize_parking(g, parking)
-    if x in parking or y in parking:
-        raise CycleConstructionError("active particle is also parked")
     d0, d1, d2 = spec.ends
     start = assemble_configuration(
         g, parking, {x: ("end", d0), y: ("end", d1)})
@@ -283,13 +287,12 @@ def star_cycle_chain(g, spec, pair, parking=None):
         walk.go_through_end(pid, frm)
         walk.go_through_end(pid, to)
     z = _closed(walk)
-    if len({edge_of_end(d) for d in spec.ends}) == 3 and len(z) != 12:
+    stations = [_station(g, d) for d in spec.ends]
+    places = {(kind, data if kind == "sink" else (e, data))
+              for kind, e, data in stations}
+    if len({e for _, e, _ in stations}) == 3 == len(places) and len(z) != 12:
         raise InvariantError("star cycle support must be twelve cells")
     return z
-
-
-def star_cycle(cx, spec, pair, parking=None):
-    return star_cycle_chain(cx.graph, spec, pair, parking)
 
 
 def star4_relation_chain(g, vertex, ends, pair, parking=None):
@@ -304,10 +307,6 @@ def star4_relation_chain(g, vertex, ends, pair, parking=None):
         z = star_cycle_chain(g, StarSpec(vertex, sub), pair, parking)
         total = total + (z if i % 2 == 0 else -z)
     return total
-
-
-def star4_relation(cx, vertex, ends, pair, parking=None):
-    return star4_relation_chain(cx.graph, vertex, ends, pair, parking)
 
 
 # -- circuit cycles ------------------------------------------------------------
@@ -345,9 +344,6 @@ def circuit_cycle_chain(g, spec, particles, parking=None):
     particles = tuple(particles)
     if len(set(particles)) != len(particles) or not particles:
         raise CycleConstructionError("need distinct active particles")
-    parking = normalize_parking(g, parking)
-    if any(p in parking for p in particles):
-        raise CycleConstructionError("active particle is also parked")
 
     if len(particles) == 1:
         p = particles[0]
@@ -372,19 +368,14 @@ def circuit_cycle_chain(g, spec, particles, parking=None):
         for p in particles:
             walk.move(p, ("MF", e))
         return _closed(walk)
-    interior = dict(parking)
-    for i, p in enumerate(particles[1:]):
-        interior[p] = ("E", e, i)
-    start = assemble_configuration(g, interior, {particles[0]: ("V", u)})
+    rests = {p: ("E", e, i) for i, p in enumerate(particles[1:])}
+    rests[particles[0]] = ("V", u)
+    start = assemble_configuration(g, parking, rests)
     walk = _Walk(g, start)
     for j in range(m):
         walk.move(particles[j], ("ME", e, 1))
         walk.move(particles[(j + 1) % m], ("ME", e, 0))
     return _closed(walk)
-
-
-def circuit_cycle(cx, spec, particles, parking=None):
-    return circuit_cycle_chain(cx.graph, spec, particles, parking)
 
 
 # -- h cycles -----------------------------------------------------------------
@@ -434,9 +425,6 @@ def h_cycle_chain(g, spec, pair, parking=None):
     x, y = pair
     if x == y:
         raise CycleConstructionError("h cycle needs two distinct particles")
-    parking = normalize_parking(g, parking)
-    if x in parking or y in parking:
-        raise CycleConstructionError("active particle is also parked")
 
     if g.is_sink(spec.v):
         rests = {x: ("V", spec.v), y: ("V", spec.v)}
@@ -469,10 +457,6 @@ def h_cycle_chain(g, spec, pair, parking=None):
     if z.is_zero():
         raise CycleConstructionError("h cycle degenerated to zero")
     return z
-
-
-def h_cycle(cx, spec, pair, parking=None):
-    return h_cycle_chain(cx.graph, spec, pair, parking)
 
 
 # -- products and push-ins ------------------------------------------------------
@@ -541,7 +525,7 @@ def product_chain(z1, z2):
 
 def parked_chain(g, parking):
     """Degree-0 chain with one cell holding the parked particles."""
-    cell = assemble_configuration(g, normalize_parking(g, parking), {})
+    cell = assemble_configuration(g, parking, {})
     return Chain(g, 0, {cell: 1})
 
 
@@ -606,7 +590,7 @@ def _parallel_four_layout(g):
     return v_ends, w_ends
 
 
-def nonproduct_cycle_chain(g, particles=(0, 1, 2)):
+def nonproduct_cycle_chain(g):
     """The 144-cell 2-cycle of three particles on four parallel edges.
 
     For each choice of a moving pair and each omitted edge (signed by its
@@ -617,10 +601,9 @@ def nonproduct_cycle_chain(g, particles=(0, 1, 2)):
     pairs across the choices of the pair.
     """
     v_ends, w_ends = _parallel_four_layout(g)
-    particles = tuple(particles)
     total = Chain(g, 2)
-    for t in particles:
-        pair = tuple(sorted(set(particles) - {t}))
+    for t in range(3):
+        pair = tuple(p for p in range(3) if p != t)
         for i in range(4):
             ends = tuple(d for j, d in enumerate(v_ends) if j != i)
             z = star_cycle_chain(g, StarSpec(0, ends), pair)
@@ -648,56 +631,49 @@ def nonproduct_cycle(cx):
 
 @dataclass
 class LoopAugmentedCycle:
-    spec: GraphSpec
     graph: Graph
     num_particles: int
     degree: int
     description: str
-    chain: Chain | None = None
-    complex: CubeComplex | None = None
-    checks: dict = field(default_factory=dict)
+    chain: Chain
+    checks: dict
 
 
-def loop_augmented_nonproduct(k, materialize=None, max_cells=DEFAULT_MAX_CELLS):
+def loop_augmented_nonproduct(k):
     """The four-edge banana with ``k`` looped stems at one junction, and
     the recipe multiplying the 144-cell 2-cycle with one circle class per
     loop: a ``(k+2)``-cycle on ``k+3`` particles.
 
-    For ``k <= 1`` the chain is materialized and checked; materializing
-    ``k >= 2`` is past desk scale by design and raises the cap error.
+    The degree ``k+2`` is the dimension bound of ``k+3`` particles on this
+    graph (two junctions and ``k`` stem ends), so the complex has no
+    ``(k+3)``-cells and a nonzero cycle in it is not a boundary.  That
+    certificate needs no enumeration of the complex: every support cell is
+    checked to be a valid cell carrying the particles ``0..k+2``.
     """
     if k < 0:
         raise ValueError("loop count must be nonnegative")
     g = build_graph(GraphSpec.named("banana", 4))
     for _ in range(k):
         g = wedge(g, 0, Graph(2, [(0, 1), (1, 1)]), 0)
-    spec = GraphSpec.explicit(g.num_vertices, g.edges, sorted(g.sinks))
-    description = ("product of the 144-cell two-cycle on the parallel edges"
-                   f" with {k} one-particle circle class(es) on the attached loops")
-    result = LoopAugmentedCycle(spec=spec, graph=g, num_particles=k + 3,
-                                degree=k + 2, description=description)
-    if materialize is None:
-        materialize = k <= 1
-    if not materialize:
-        return result
-    if k >= 2:
-        raise CapExceededError(
-            "materializing the augmented cycle for k >= 2 is beyond desk scale")
     z = nonproduct_cycle_chain(g)
     for j in range(k):
         loop_edge = 4 + 2 * j + 1
         z = product_chain(
             z, circuit_cycle_chain(g, CircuitSpec((2 * loop_edge,)), 3 + j))
-    cx = enumerate_cells(g, k + 3, max_cells=max_cells)
-    from .homology import is_boundary, is_cycle
-    result.chain = z
-    result.complex = cx
-    result.checks = {
-        "support": len(z),
-        "is_cycle": is_cycle(z),
-        "is_boundary": is_boundary(z, cx),
-    }
-    return result
+    n = k + 3
+    if z.degree != dimension_bound(g, n):
+        raise InvariantError("the augmented cycle must lie in the top degree")
+    pids = list(range(n))
+    if not all(cell_is_valid(g, cell) and [p for p, _ in cell] == pids
+               for cell in z.terms):
+        raise InvariantError("the augmented cycle has a cell outside the complex")
+    description = ("product of the 144-cell two-cycle on the parallel edges"
+                   f" with {k} one-particle circle class(es) on the attached loops")
+    return LoopAugmentedCycle(
+        graph=g, num_particles=n, degree=z.degree, description=description,
+        chain=z, checks={"support": len(z),
+                         "is_cycle": boundary_chain(z).is_zero(),
+                         "is_boundary": z.is_zero()})
 
 
 # -- local star bases -----------------------------------------------------------
@@ -757,7 +733,8 @@ def one_dim_cycle_basis(cx):
 def _local_star(g, v):
     """The star neighborhood of ``v`` as a standalone graph: incident
     edges keep their stored orientation and slot ranks, non-loop far
-    endpoints become stubs (sinks when they were sinks).
+    endpoints become stubs, one per edge, except that all edges to one
+    sink share one sink stub (a sink is a single point of the quotient).
 
     Returns the subgraph, the local-to-global edge map, and the
     local-to-global vertex map.
@@ -765,8 +742,7 @@ def _local_star(g, v):
     edges = []
     edge_map = []
     vertex_map = {0: v}
-    sinks = set()
-    next_vertex = 1
+    sink_stubs = {}
     for e in range(g.num_edges):
         u0, u1 = g.edges[e]
         if u0 != v and u1 != v:
@@ -775,13 +751,16 @@ def _local_star(g, v):
             edges.append((0, 0))
         else:
             far = u1 if u0 == v else u0
-            edges.append((0, next_vertex) if u0 == v else (next_vertex, 0))
-            vertex_map[next_vertex] = far
-            if g.is_sink(far):
-                sinks.add(next_vertex)
-            next_vertex += 1
+            stub = sink_stubs.get(far)
+            if stub is None:
+                stub = len(vertex_map)
+                vertex_map[stub] = far
+                if g.is_sink(far):
+                    sink_stubs[far] = stub
+            edges.append((0, stub) if u0 == v else (stub, 0))
         edge_map.append(e)
-    return Graph(next_vertex, edges, sinks), edge_map, vertex_map
+    return (Graph(len(vertex_map), edges, sink_stubs.values()), edge_map,
+            vertex_map)
 
 
 def _map_local_state(edge_map, vertex_map, state):

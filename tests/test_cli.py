@@ -94,6 +94,15 @@ def test_export_machine_bytes_pinned(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_export_at_shared_sink(capsys):
+    # every edge at vertex 1 runs to the one sink 0
+    code, doc, _ = machine(capsys, "export", "--graph", "banana:3",
+                           "--sinks", "0", "-n", "2")
+    assert code == 0
+    assert doc["basic_classes"]
+    assert doc["homology"]["degrees"][1]["betti"] == 4
+
+
 def test_graph_file_input(capsys, tmp_path):
     path = tmp_path / "graph.json"
     path.write_text(gc.dump_graph(gc.banana(4)))

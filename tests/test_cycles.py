@@ -19,7 +19,7 @@ def star3_spec():
 def test_star_cycle_twelve_cells(small_complexes):
     cx = small_complexes("star3-n2")
     _, spec = star3_spec()
-    z = gc.star_cycle(cx, spec, (0, 1))
+    z = gc.star_cycle_chain(cx.graph, spec, (0, 1))
     assert len(z) == 12
     assert all(abs(c) == 1 for c in z.terms.values())
     assert gc.is_cycle(z)
@@ -31,10 +31,10 @@ def test_star_cycle_alternates_in_the_ends(small_complexes):
     cx = small_complexes("star3-n2")
     g = cx.graph
     d0, d1, d2 = sorted(g.ends_at(0))
-    base = gc.star_cycle(cx, StarSpec(0, (d0, d1, d2)), (0, 1))
-    swapped = gc.star_cycle(cx, StarSpec(0, (d1, d0, d2)), (0, 1))
+    base = gc.star_cycle_chain(cx.graph, StarSpec(0, (d0, d1, d2)), (0, 1))
+    swapped = gc.star_cycle_chain(cx.graph, StarSpec(0, (d1, d0, d2)), (0, 1))
     assert swapped == -base
-    cycled = gc.star_cycle(cx, StarSpec(0, (d1, d2, d0)), (0, 1))
+    cycled = gc.star_cycle_chain(cx.graph, StarSpec(0, (d1, d2, d0)), (0, 1))
     assert cycled == base
 
 
@@ -43,7 +43,7 @@ def test_star_cycle_particle_swap_sign(small_complexes):
     # difference bounds (trivially) and the recorded sign is +1
     cx = small_complexes("star3-n2")
     _, spec = star3_spec()
-    z = gc.star_cycle(cx, spec, (0, 1))
+    z = gc.star_cycle_chain(cx.graph, spec, (0, 1))
     zr = gc.relabel_chain(z, {0: 1, 1: 0})
     assert zr == z
     assert gc.is_boundary(z - zr, cx)
@@ -53,7 +53,7 @@ def test_star_cycle_with_parked_particle():
     g = gc.star(3)
     cx = gc.enumerate_cells(g, 3)
     spec = StarSpec(0, tuple(sorted(g.ends_at(0))))
-    z = gc.star_cycle(cx, spec, (0, 1), parking={2: ("E", 2, 0)})
+    z = gc.star_cycle_chain(cx.graph, spec, (0, 1), parking={2: ("E", 2, 0)})
     assert len(z) == 12
     assert gc.is_cycle(z)
     assert not gc.is_boundary(z, cx)
@@ -64,16 +64,17 @@ def test_star_cycle_errors(small_complexes):
     g = cx.graph
     ends = tuple(sorted(g.ends_at(0)))
     with pytest.raises(CycleConstructionError):
-        gc.star_cycle(cx, StarSpec(0, ends), (1, 1))
+        gc.star_cycle_chain(cx.graph, StarSpec(0, ends), (1, 1))
     with pytest.raises(CycleConstructionError):
-        gc.star_cycle(cx, StarSpec(0, (ends[0], ends[1], 7)), (0, 1))
+        gc.star_cycle_chain(cx.graph, StarSpec(0, (ends[0], ends[1], 7)), (0, 1))
     with pytest.raises(CycleConstructionError):
-        gc.star_cycle(cx, StarSpec(0, ends), (0, 1), parking={1: ("V", 0)})
+        gc.star_cycle_chain(cx.graph, StarSpec(0, ends), (0, 1),
+                            parking={1: ("V", 0)})
     with pytest.raises(CycleConstructionError):
-        gc.star_cycle(cx, StarSpec(0, ends[:2] + (ends[0],)), (0, 1))
+        gc.star_cycle_chain(cx.graph, StarSpec(0, ends[:2] + (ends[0],)), (0, 1))
     sink_center = gc.enumerate_cells(gc.star(3, sinks={0}), 2)
     with pytest.raises(CycleConstructionError):
-        gc.star_cycle(sink_center, StarSpec(0, ends), (0, 1))
+        gc.star_cycle_chain(sink_center.graph, StarSpec(0, ends), (0, 1))
 
 
 def test_star_cycle_with_sink_leaf():
@@ -81,7 +82,7 @@ def test_star_cycle_with_sink_leaf():
     g = gc.star(3, sinks={1})
     cx = gc.enumerate_cells(g, 2)
     spec = StarSpec(0, tuple(sorted(g.ends_at(0))))
-    z = gc.star_cycle(cx, spec, (0, 1))
+    z = gc.star_cycle_chain(cx.graph, spec, (0, 1))
     assert len(z) == 12
     assert gc.is_cycle(z)
     assert any(s == ("MF", 0) for cell in z.terms for _, s in cell)
@@ -92,28 +93,28 @@ def test_star_cycle_with_sink_leaf():
 def test_star4_relation_on_star4(small_complexes):
     cx = small_complexes("star4-n2")
     g = cx.graph
-    z = gc.star4_relation(cx, 0, tuple(sorted(g.ends_at(0))), (0, 1))
+    z = gc.star4_relation_chain(cx.graph, 0, tuple(sorted(g.ends_at(0))), (0, 1))
     assert z.is_zero()
 
 
 def test_star4_relation_on_banana4(small_complexes):
     cx = small_complexes("banana4-n2")
     ends = tuple(2 * e for e in range(4))
-    assert gc.star4_relation(cx, 0, ends, (0, 1)).is_zero()
+    assert gc.star4_relation_chain(cx.graph, 0, ends, (0, 1)).is_zero()
 
 
 def test_star4_relation_all_permutations(small_complexes):
     cx = small_complexes("star4-n2")
     ends = tuple(sorted(cx.graph.ends_at(0)))
     for perm in itertools.permutations(ends):
-        assert gc.star4_relation(cx, 0, perm, (0, 1)).is_zero()
+        assert gc.star4_relation_chain(cx.graph, 0, perm, (0, 1)).is_zero()
 
 
 # -- circuit cycles ------------------------------------------------------------
 
 def test_single_particle_circle():
     cx = gc.enumerate_cells(gc.circle(), 1)
-    z = gc.circuit_cycle(cx, CircuitSpec((0,)), 0)
+    z = gc.circuit_cycle_chain(cx.graph, CircuitSpec((0,)), 0)
     assert len(z) == 2
     assert gc.is_cycle(z)
     assert gc.class_span_rank([z], cx, 1) == 1 == gc.homology(cx).betti(1)
@@ -121,8 +122,9 @@ def test_single_particle_circle():
 
 def test_sink_circle_petals_span():
     cx = gc.enumerate_cells(gc.circle(sinks={0}), 3)
-    petals = [gc.circuit_cycle(cx, CircuitSpec((0,)), p,
-                               parking={q: ("V", 0) for q in range(3) if q != p})
+    petals = [gc.circuit_cycle_chain(
+                  cx.graph, CircuitSpec((0,)), p,
+                  parking={q: ("V", 0) for q in range(3) if q != p})
               for p in range(3)]
     assert all(len(z) == 1 for z in petals)
     assert gc.class_span_rank(petals, cx, 1) == 3 == gc.homology(cx).betti(1)
@@ -130,7 +132,8 @@ def test_sink_circle_petals_span():
 
 def test_banana_circuit_with_parked_particle(small_complexes):
     cx = small_complexes("banana4-n2")
-    z = gc.circuit_cycle(cx, CircuitSpec((2, 5)), 0, parking={1: ("E", 3, 0)})
+    z = gc.circuit_cycle_chain(cx.graph, CircuitSpec((2, 5)), 0,
+                               parking={1: ("E", 3, 0)})
     assert gc.is_cycle(z)
     assert len(z) == 4
 
@@ -138,12 +141,13 @@ def test_banana_circuit_with_parked_particle(small_complexes):
 def test_circuit_blocked_by_parking(small_complexes):
     cx = small_complexes("banana4-n2")
     with pytest.raises(CycleConstructionError):
-        gc.circuit_cycle(cx, CircuitSpec((2, 5)), 0, parking={1: ("E", 1, 0)})
+        gc.circuit_cycle_chain(cx.graph, CircuitSpec((2, 5)), 0,
+                               parking={1: ("E", 1, 0)})
 
 
 def test_rotation_classes_span_circle_components():
     cx = gc.enumerate_cells(gc.circle(), 3)
-    rots = [gc.circuit_cycle(cx, CircuitSpec((0,)), order)
+    rots = [gc.circuit_cycle_chain(cx.graph, CircuitSpec((0,)), order)
             for order in ((0, 1, 2), (0, 2, 1))]
     for z in rots:
         assert len(z) == 6
@@ -154,7 +158,7 @@ def test_rotation_classes_span_circle_components():
 def test_multi_edge_circuit():
     g = gc.Graph(2, [(0, 1), (0, 1)])  # circle subdivided into two edges
     cx = gc.enumerate_cells(g, 1)
-    z = gc.circuit_cycle(cx, CircuitSpec((0, 3)), 0)
+    z = gc.circuit_cycle_chain(cx.graph, CircuitSpec((0, 3)), 0)
     assert gc.is_cycle(z)
     assert gc.class_span_rank([z], cx, 1) == 1
 
@@ -162,11 +166,11 @@ def test_multi_edge_circuit():
 def test_circuit_spec_validation(small_complexes):
     cx = small_complexes("banana4-n2")
     with pytest.raises(CycleConstructionError):
-        gc.circuit_cycle(cx, CircuitSpec((0, 2)), 0)  # does not chain up
+        gc.circuit_cycle_chain(cx.graph, CircuitSpec((0, 2)), 0)  # does not chain up
     with pytest.raises(CycleConstructionError):
-        gc.circuit_cycle(cx, CircuitSpec((0, 1)), 0)  # repeats an edge
+        gc.circuit_cycle_chain(cx.graph, CircuitSpec((0, 1)), 0)  # repeats an edge
     with pytest.raises(CycleConstructionError):
-        gc.circuit_cycle(cx, CircuitSpec((2, 5)), (0, 1))  # rotation off loop
+        gc.circuit_cycle_chain(cx.graph, CircuitSpec((2, 5)), (0, 1))  # rotation off loop
 
 
 # -- crossing (h) cycles ---------------------------------------------------
@@ -174,7 +178,7 @@ def test_circuit_spec_validation(small_complexes):
 def test_h_cycle_on_h_graph(small_complexes):
     cx = small_complexes("h-n2")
     spec = HSpec(0, 1, (0,), v_sides=(2, 4), w_sides=(6, 8))
-    z = gc.h_cycle(cx, spec, (0, 1))
+    z = gc.h_cycle_chain(cx.graph, spec, (0, 1))
     assert len(z) == 16
     assert gc.is_cycle(z)
     assert not gc.is_boundary(z, cx)
@@ -183,7 +187,7 @@ def test_h_cycle_on_h_graph(small_complexes):
 def test_h_cycle_between_sinks(small_complexes):
     # both endpoints sinks: the generator of the two-sink interval
     cx = small_complexes("intervalsinks-n2")
-    z = gc.h_cycle(cx, HSpec(0, 1, (0,)), (0, 1))
+    z = gc.h_cycle_chain(cx.graph, HSpec(0, 1, (0,)), (0, 1))
     assert len(z) == 4
     assert gc.is_cycle(z)
     assert gc.class_span_rank([z], cx, 1) == 1 == gc.homology(cx).betti(1)
@@ -195,7 +199,7 @@ def test_h_cycle_through_interior_sink():
     g = gc.wedge(gc.star(3), 1, gc.star(3), 1).with_sinks({1})
     cx = gc.enumerate_cells(g, 2)
     spec = HSpec(0, 4, (0, 7), v_sides=(2, 4), w_sides=(8, 10))
-    z = gc.h_cycle(cx, spec, (0, 1))
+    z = gc.h_cycle_chain(cx.graph, spec, (0, 1))
     assert gc.is_cycle(z)
     assert not gc.is_boundary(z, cx)
     assert any(s[0] == "MF" for cell in z.terms for _, s in cell)
@@ -207,9 +211,11 @@ def test_h_cycle_degenerate_spec():
     g = gc.h_graph()
     cx = gc.enumerate_cells(g, 2)
     with pytest.raises(CycleConstructionError):
-        gc.h_cycle(cx, HSpec(0, 1, (0,), v_sides=(2, 4), w_sides=(1, 6)), (0, 1))
+        gc.h_cycle_chain(
+            cx.graph, HSpec(0, 1, (0,), v_sides=(2, 4), w_sides=(1, 6)), (0, 1))
     with pytest.raises(CycleConstructionError):
-        gc.h_cycle(cx, HSpec(0, 1, (2,), v_sides=(0, 4), w_sides=(6, 8)), (0, 1))
+        gc.h_cycle_chain(
+            cx.graph, HSpec(0, 1, (2,), v_sides=(0, 4), w_sides=(6, 8)), (0, 1))
 
 
 # -- products -------------------------------------------------------------
@@ -290,7 +296,7 @@ def test_push_in_chain_map_exhaustive(small_complexes):
 def test_push_in_star_cycle(small_complexes):
     cx = small_complexes("star3-n2")
     _, spec = star3_spec()
-    z = gc.star_cycle(cx, spec, (0, 1))
+    z = gc.star_cycle_chain(cx.graph, spec, (0, 1))
     pushed = gc.push_in(z, 0, 2)
     assert len(pushed) == 12
     assert gc.is_cycle(pushed)
@@ -358,12 +364,20 @@ def test_loop_augmented_one_loop():
     assert r.checks["support"] == 288
 
 
-def test_loop_augmented_cap():
-    from graphconf.model import CapExceededError
-    r = gc.loop_augmented_nonproduct(2, materialize=False)
-    assert r.chain is None and r.degree == 4
-    with pytest.raises(CapExceededError):
-        gc.loop_augmented_nonproduct(2, materialize=True)
+def test_loop_augmented_degree_certificate():
+    # the cycle sits in the top degree of its complex, so it bounds only
+    # if it is zero; for k <= 1 the enumerated complex is the oracle
+    for k, support in ((0, 144), (1, 288), (2, 576), (3, 1152)):
+        r = gc.loop_augmented_nonproduct(k)
+        assert len(r.chain) == r.checks["support"] == support
+        assert gc.is_cycle(r.chain) and r.checks["is_cycle"]
+        assert r.chain.degree == r.degree == k + 2
+        assert r.degree == gc.dimension_bound(r.graph, r.num_particles)
+        assert r.checks["is_boundary"] is False
+        if k <= 1:
+            cx = gc.enumerate_cells(r.graph, r.num_particles)
+            assert all(cell in cx.index for cell in r.chain.terms)
+            assert gc.is_boundary(r.chain, cx) is False
 
 
 # -- local star bases and enumeration -----------------------------------------
@@ -389,10 +403,31 @@ def test_local_star_classes_are_ambient_cycles():
         assert all(elem[1] <= 2 for elem in support if elem[0] == "e")
 
 
+def test_local_star_classes_share_a_sink():
+    # all edges from vertex 1 run to the one sink 0: the local model has
+    # one sink stub, so every local class maps to an ambient cycle
+    g = gc.banana(4, sinks={0})
+    for actives in ((0, 1), (0, 1, 2)):
+        classes = local_star_classes(g, 1, actives)
+        assert classes
+        assert all(gc.is_cycle(z) for z in classes)
+
+
+@pytest.mark.parametrize("graph,n,b1", [
+    (gc.banana(4, sinks={0}), 3, 9),
+    (gc.banana(3, sinks={0}), 2, 4),
+    (gc.banana(3, sinks={0}), 3, 6),
+])
+def test_enumerate_basic_classes_span_at_shared_sink(graph, n, b1):
+    cx = gc.enumerate_cells(graph, n)
+    bc = gc.enumerate_basic_classes(cx, degree=1)
+    assert gc.class_span_rank(bc.chains, cx, 1) == b1 == gc.homology(cx).betti(1)
+
+
 def test_enumerate_basic_classes_star3(small_complexes):
     cx = small_complexes("star3-n2")
     _, spec = star3_spec()
-    twelve = gc.star_cycle(cx, spec, (0, 1))
+    twelve = gc.star_cycle_chain(cx.graph, spec, (0, 1))
     bc = gc.enumerate_basic_classes(cx, degree=1)
     assert not bc.truncated
     assert any(z == twelve for z in bc.chains)
@@ -430,7 +465,7 @@ def test_enumeration_truncation_flag(small_complexes):
 def test_chain_export_doc(small_complexes):
     cx = small_complexes("star3-n2")
     _, spec = star3_spec()
-    z = gc.star_cycle(cx, spec, (0, 1))
+    z = gc.star_cycle_chain(cx.graph, spec, (0, 1))
     doc = chain_to_doc(z)
     assert doc["degree"] == 1 and doc["support_size"] == 12
     assert len(doc["cells"]) == 12
@@ -441,7 +476,7 @@ def test_cycle_report(small_complexes):
     from graphconf.cycles import cycle_report
     cx = small_complexes("star3-n2")
     _, spec = star3_spec()
-    z = gc.star_cycle(cx, spec, (0, 1))
+    z = gc.star_cycle_chain(cx.graph, spec, (0, 1))
     assert cycle_report(z, cx) == {
         "degree": 1, "support_size": 12, "is_cycle": True,
         "is_boundary": False, "span_contribution": 1,
