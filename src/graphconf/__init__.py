@@ -12,8 +12,7 @@ from .model import (CapExceededError, Chain, CubeComplex, InvariantError,
                     face, make_cell, relabel_cell, relabel_chain)
 from .homology import (HomologySummary, SparseIntMatrix, boundary_matrix,
                        certify_integral_generation, class_span_rank,
-                       connected_components, euler_characteristic, homology,
-                       integer_kernel_basis, is_boundary, is_cycle,
+                       euler_characteristic, homology, is_boundary, is_cycle,
                        rank_over_rationals, smith_normal_form, solve_in_image)
 from .cycles import (BasicClasses, CircuitSpec, CycleConstructionError,
                      EnumerationCaps, HSpec, StarSpec, chain_to_doc,

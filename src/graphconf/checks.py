@@ -9,6 +9,7 @@ for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -17,9 +18,10 @@ from math import factorial
 
 from . import cycles as cyc
 from . import graphs as gr
-from .homology import (SparseIntMatrix, class_span_rank,
-                       euler_characteristic, homology, is_boundary,
-                       is_cycle, rank_over_rationals, smith_normal_form)
+from .homology import (SparseIntMatrix, certify_integral_generation,
+                       class_span_rank, euler_characteristic, homology,
+                       is_boundary, is_cycle, rank_over_rationals,
+                       smith_normal_form)
 from . import model as mdl
 
 
@@ -174,28 +176,33 @@ def surface_checks():
 
 
 def nonproduct_checks():
+    # the group's checks share one complex, enumerated when first needed
+    @functools.cache
+    def banana():
+        return mdl.enumerate_cells(gr.banana(4), 3)
+
     def dimension():
-        cx = mdl.enumerate_cells(gr.banana(4), 3)
+        cx = banana()
         ok = cx.max_dim == 2 == gr.dimension_bound(cx.graph, 3)
         return ok, {"max_dim": cx.max_dim, "counts": list(cx.cell_counts())}
 
     def cycle_check():
-        cx = mdl.enumerate_cells(gr.banana(4), 3)
+        cx = banana()
         z = cyc.nonproduct_cycle(cx)
-        ok = (len(z) == 144 and is_cycle(z)
-              and not is_boundary(z, cx))
-        return ok, {"support": len(z), "is_cycle": is_cycle(z),
-                    "is_boundary": is_boundary(z, cx)}
+        cycle, bounds = is_cycle(z), is_boundary(z, cx)
+        ok = len(z) == 144 and cycle and not bounds
+        return ok, {"support": len(z), "is_cycle": cycle,
+                    "is_boundary": bounds}
 
     def spans():
-        cx = mdl.enumerate_cells(gr.banana(4), 3)
+        cx = banana()
         z = cyc.nonproduct_cycle(cx)
         rank = class_span_rank([z], cx, 2)
         b2 = homology(cx).betti(2)
         return rank == b2 == 1, {"span": rank, "b2": b2}
 
     def no_products():
-        cx = mdl.enumerate_cells(gr.banana(4), 3)
+        cx = banana()
         bc = cyc.enumerate_basic_classes(cx, degree=2)
         rank = class_span_rank(bc.chains, cx, 2)
         return rank == 0, {"span": rank, "candidates": len(bc.chains),
@@ -283,10 +290,12 @@ def tree_corpus_checks():
             h = homology(cx)
             bc = cyc.enumerate_basic_classes(cx, degree=1)
             rank = class_span_rank(bc.chains, cx, 1) if bc.chains else 0
-            ok = h.torsion_free() and rank == h.betti(1)
+            integral = certify_integral_generation(bc.chains, cx, 1)
+            ok = h.torsion_free() and rank == h.betti(1) and integral
             return ok, {"betti": list(h.betti_vector()),
                         "torsion_free": h.torsion_free(),
-                        "span": rank, "candidates": len(bc.chains),
+                        "span": rank, "integral": integral,
+                        "candidates": len(bc.chains),
                         "truncated": bc.truncated}
         return run
 
@@ -294,11 +303,11 @@ def tree_corpus_checks():
         for n in range(1, 4):
             checks.append(Check(
                 f"trees/{name}/n={n}",
-                f"torsion-freeness and degree-1 generation on {name}"
+                f"torsion-freeness and degree-1 generation over Z on {name}"
                 f" with {n} particles",
                 "homology of particles on wedges of stars and circles is"
-                " torsion-free and the first homology is generated by star,"
-                " circle and crossing classes",
+                " torsion-free and the first homology is generated over the"
+                " integers by star, circle and crossing classes",
                 make(g, n)))
     return checks
 
@@ -314,14 +323,17 @@ def general_graph_checks():
                 h = homology(cx)
                 bc = cyc.enumerate_basic_classes(cx, degree=1)
                 rank = class_span_rank(bc.chains, cx, 1)
-                return rank == h.betti(1), {"b1": h.betti(1), "span": rank,
-                                            "candidates": len(bc.chains)}
+                integral = certify_integral_generation(bc.chains, cx, 1)
+                return rank == h.betti(1) and integral, {
+                    "b1": h.betti(1), "span": rank, "integral": integral,
+                    "candidates": len(bc.chains)}
             return run
         checks.append(Check(
             f"general/{key}",
-            f"degree-1 generation for two particles on {key}",
+            f"degree-1 generation over Z for two particles on {key}",
             "the first homology of any graph configuration space is"
-            " generated by star, circle and crossing classes",
+            " generated over the integers by star, circle and crossing"
+            " classes",
             make()))
     return checks
 
@@ -512,8 +524,8 @@ def suite_equivariance(seed=2, cases=1000):
         cx = rng.choice(small)
         perm = list(range(cx.n))
         rng.shuffle(perm)
-        base = homology(cx, torsion=False)
-        relabeled = homology(cx.relabeled(perm), torsion=False)
+        base = homology(cx)
+        relabeled = homology(cx.relabeled(perm))
         if base.betti_vector() != relabeled.betti_vector():
             failures.append(f"betti changed under {perm}")
         done += 1

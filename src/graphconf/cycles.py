@@ -902,16 +902,20 @@ def _embedded_paths(g, v, w, max_edges):
 def _parking_options(g, remaining, blocked, caps, deep_ends=()):
     """Deterministic parkings of the remaining particles over sinks,
     non-blocked sink-free edges, and the deep slots behind the given ends;
-    edge and deep groups run through all orders."""
+    edge and deep groups run through all orders.
+
+    Returns the first ``caps.max_parkings`` parkings and whether the cap
+    cut off any further one.
+    """
     if not remaining:
-        return [dict()]
+        return [dict()], False
     containers = [("V", s) for s in sorted(g.sinks)]
     for e in range(g.num_edges):
         if g.sink_endpoints(e) == 0 and e not in blocked:
             containers.append(("E", e))
     containers.extend(("D", h) for h in deep_ends)
     if not containers:
-        return []
+        return [], False
     options = []
     for combo in itertools.product(range(len(containers)), repeat=len(remaining)):
         groups = {}
@@ -925,15 +929,15 @@ def _parking_options(g, remaining, blocked, caps, deep_ends=()):
                 orderings.append([(ci, perm)
                                   for perm in itertools.permutations(pids)])
         for arrangement in itertools.product(*orderings):
+            if len(options) == caps.max_parkings:
+                return options, True
             parking = {}
             for ci, pids in arrangement:
                 kind, data = containers[ci]
                 for slot, pid in enumerate(pids):
                     parking[pid] = ("V", data) if kind == "V" else (kind, data, slot)
             options.append(parking)
-            if len(options) >= caps.max_parkings:
-                return options
-    return options
+    return options, False
 
 
 def _attach_parked(z, g, parking):
@@ -996,32 +1000,34 @@ def _deep_ends(g, ends):
 
 
 def _candidate_partials(g, n, caps):
-    """Candidate cycle makers: classic two-particle star shuffles, the
-    complete local star bases at the essential vertices, circuit
-    rotations, and path crossings.
+    """Candidate cycles: classic two-particle star shuffles, the complete
+    local star bases at the essential vertices, circuit rotations, and
+    path crossings.
 
-    Each entry is ``(make, actives, blocked_edges, deep_ends)`` where
-    ``make(parking)`` realizes the cycle with the given parked particles.
-    Star, circuit and crossing cycles take parking in their constructor
-    (so particles may park inward on the edges the cycle rests on); the
+    Each entry is ``(z, make, actives, blocked_edges, deep_ends)``: ``z``
+    is the cycle without parked particles, built once (a candidate that
+    cannot be built or is zero is dropped), and ``make(parking)`` realizes
+    it with the given parked particles.  Star,
+    circuit and crossing cycles take parking in their constructor (so
+    particles may park inward on the edges the cycle rests on); the
     prebuilt local classes get parking merged in afterwards, with the
     ``deep_ends`` available for leafward slots on their own edges.
     """
     out = []
     pids = range(n)
 
-    def constructor(fn, *args):
-        return lambda parking: fn(g, *args, parking)
+    def add(fn, spec, actives, blocked):
+        try:
+            z = fn(g, spec, actives)
+        except CycleConstructionError:
+            return
+        if not z.is_zero():
+            out.append((z, lambda parking: fn(g, spec, actives, parking),
+                        actives, blocked, ()))
 
     for spec in star_specs(g):
         for pair in itertools.combinations(pids, 2):
-            try:
-                if star_cycle_chain(g, spec, pair).is_zero():
-                    continue
-            except CycleConstructionError:
-                continue
-            out.append((constructor(star_cycle_chain, spec, pair),
-                        pair, frozenset(), ()))
+            add(star_cycle_chain, spec, pair, frozenset())
     for v in sorted(essential_vertices(g)):
         if g.is_sink(v):
             continue
@@ -1032,7 +1038,7 @@ def _candidate_partials(g, n, caps):
                 for z in local_star_classes(g, v, actives,
                                             max_cells=caps.max_local_cells):
                     out.append((
-                        lambda parking, z=z: _attach_parked(z, g, parking),
+                        z, lambda parking, z=z: _attach_parked(z, g, parking),
                         actives, blocked, deep))
     for spec in circuit_specs(g, caps.max_circuit_edges):
         blocked = frozenset(edge_of_end(h) for h in spec.ends)
@@ -1045,21 +1051,11 @@ def _candidate_partials(g, n, caps):
         else:
             groups = [(p,) for p in pids]
         for actives in groups:
-            try:
-                circuit_cycle_chain(g, spec, actives)
-            except CycleConstructionError:
-                continue
-            out.append((constructor(circuit_cycle_chain, spec, actives),
-                        actives, blocked, ()))
+            add(circuit_cycle_chain, spec, actives, blocked)
     for spec in h_specs(g, caps.max_path_edges):
         blocked = frozenset(edge_of_end(h) for h in spec.path)
         for pair in itertools.combinations(pids, 2):
-            try:
-                h_cycle_chain(g, spec, pair)
-            except CycleConstructionError:
-                continue
-            out.append((constructor(h_cycle_chain, spec, pair),
-                        pair, blocked, ()))
+            add(h_cycle_chain, spec, pair, blocked)
     return out
 
 
@@ -1091,25 +1087,21 @@ def enumerate_basic_classes(cx, degree=1, caps=None):
         return True
 
     if degree == 1:
-        for make, actives, blocked, deep in partials:
+        for z, make, actives, blocked, deep in partials:
             remaining = [p for p in range(n) if p not in actives]
-            for parking in _parking_options(g, remaining, blocked, caps, deep):
+            options, cut = _parking_options(g, remaining, blocked, caps, deep)
+            truncated = truncated or cut
+            for parking in options:
                 try:
-                    full = make(parking)
+                    full = make(parking) if parking else z
                 except CycleConstructionError:
                     continue
                 if not emit(full):
                     return BasicClasses(chains, truncated)
         return BasicClasses(chains, truncated)
 
-    built = []
-    for make, actives, blocked, _ in partials:
-        try:
-            built.append((make({}), actives, blocked))
-        except CycleConstructionError:
-            continue
-    for i, (z1, act1, blk1) in enumerate(built):
-        for z2, act2, blk2 in built[i + 1:]:
+    for i, (z1, _, act1, blk1, _) in enumerate(partials):
+        for z2, _, act2, blk2, _ in partials[i + 1:]:
             if set(act1) & set(act2):
                 continue
             remaining = [p for p in range(n)
@@ -1121,7 +1113,9 @@ def enumerate_basic_classes(cx, degree=1, caps=None):
             blocked = (blk1 | blk2
                        | {elem[1] for elem in chain_support_elements(z)
                           if elem[0] == "e"})
-            for parking in _parking_options(g, remaining, blocked, caps):
+            options, cut = _parking_options(g, remaining, blocked, caps)
+            truncated = truncated or cut
+            for parking in options:
                 try:
                     full = _attach_parked(z, g, parking)
                 except CycleConstructionError:
@@ -1145,17 +1139,3 @@ def chain_to_doc(z):
         ],
     }
 
-
-def cycle_report(z, cx):
-    """Certificate summary for one chain on a complex: degree, support,
-    cycle and boundary status, and the rank its class contributes on top
-    of the boundaries."""
-    from .homology import class_span_rank, is_boundary, is_cycle
-    cycle = is_cycle(z)
-    return {
-        "degree": z.degree,
-        "support_size": len(z.terms),
-        "is_cycle": cycle,
-        "is_boundary": is_boundary(z, cx),
-        "span_contribution": class_span_rank([z], cx, z.degree) if cycle else 0,
-    }

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, inf
 
-from .model import (CapExceededError, SparseEntries, boundary_chain, face)
+from .model import CapExceededError, SparseEntries, boundary_chain
 
 
 class SparseIntMatrix:
@@ -48,11 +48,6 @@ class SparseIntMatrix:
         for (r, c), v in self.data.items():
             rows.setdefault(r, {})[c] = v
         return rows
-
-    def transpose(self):
-        return SparseIntMatrix(
-            self.num_cols, self.num_rows,
-            [(c, r, v) for (r, c), v in self.data.items()])
 
     def __eq__(self, other):
         return (isinstance(other, SparseIntMatrix)
@@ -288,18 +283,6 @@ def solve_in_image(m, vec):
                for r, v in carry.items())
 
 
-def integer_kernel_basis(m):
-    """An integral basis of ``ker m`` (as column vectors, sparse dicts).
-
-    The transpose is eliminated by row operations with identity companion
-    rows carried along; companions of the rows that reduce to zero form
-    the basis, because the operations are unimodular.
-    """
-    carry = {c: {c: 1} for c in range(m.num_cols)}
-    pivots = _diagonalize(m.transpose().rows(), carry=carry, rows_only=True)
-    return [carry[c] for c in range(m.num_cols) if c not in pivots]
-
-
 # -- homology ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -349,45 +332,21 @@ def euler_characteristic(cx):
     return sum((-1) ** k * c for k, c in enumerate(cx.cell_counts()))
 
 
-def connected_components(cx):
-    """Number of components of the 1-skeleton, by union-find."""
-    parent = list(range(len(cx.cells[0])))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    if cx.max_dim >= 1:
-        for cell in cx.cells[1]:
-            a = cx.index[face(cx.graph, cell, 0, 0)][1]
-            b = cx.index[face(cx.graph, cell, 0, 1)][1]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(i) for i in range(len(parent))})
-
-
-def homology(cx, torsion=True, max_nnz=None):
+def homology(cx, max_nnz=None):
     """Betti numbers, torsion coefficients and Euler characteristic.
 
     ``b_k = #k-cells - rank D_k - rank D_{k+1}``; torsion in degree ``k``
-    is the list of invariant factors of ``D_{k+1}`` exceeding 1.  When
-    torsion is requested the ranks are the lengths of the Smith normal
-    forms, one elimination per matrix.
+    is the list of invariant factors of ``D_{k+1}`` exceeding 1.  The
+    ranks are the lengths of the Smith normal forms, one elimination per
+    matrix.
     """
     counts = cx.cell_counts()
     top = cx.max_dim
     ranks = [0] * (top + 2)
     factors = [[] for _ in range(top + 2)]
     for k in range(1, top + 1):
-        mat = boundary_matrix(cx, k, max_nnz=max_nnz)
-        if torsion:
-            factors[k] = smith_normal_form(mat)
-            ranks[k] = len(factors[k])
-        else:
-            ranks[k] = rank_over_rationals(mat)
+        factors[k] = smith_normal_form(boundary_matrix(cx, k, max_nnz=max_nnz))
+        ranks[k] = len(factors[k])
     degrees = []
     for k in range(top + 1):
         betti = counts[k] - ranks[k] - ranks[k + 1]
@@ -460,14 +419,17 @@ def certify_integral_generation(zs, cx, degree):
     """Whether the classes of ``zs`` generate degree-``degree`` homology
     over the integers.
 
-    The lattice spanned by the cycles together with the boundaries must
-    contain an integral basis of the cycle lattice ``ker D_degree``.
-    Intended for small instances.
+    The lattice ``L`` spanned by the cycles and the boundaries lies in the
+    cycle lattice ``Z = ker D_degree``, which is saturated.  So ``L = Z``
+    exactly when ``[zs | D_{degree+1}]`` has the rank of ``Z``,
+    ``#cells - rank D_degree``, and all its invariant factors are 1: one
+    Smith form.
     """
     zs = list(zs)
     for z in zs:
         if z.degree != degree or not is_cycle(z):
             raise ValueError("integral certification needs cycles of the right degree")
-    kernel = integer_kernel_basis(boundary_matrix(cx, degree))
-    generators, _ = _augmented_matrix(zs, cx, degree)
-    return all(solve_in_image(generators, kvec) for kvec in kernel)
+    cycle_rank = len(cx.cells[degree]) - rank_over_rationals(
+        boundary_matrix(cx, degree))
+    factors = smith_normal_form(_augmented_matrix(zs, cx, degree)[0])
+    return len(factors) == cycle_rank and all(f == 1 for f in factors)

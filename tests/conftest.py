@@ -115,6 +115,65 @@ def reference_pick_pivot(rows, cols):
     return best[1], best[2]
 
 
+def reference_transpose(m):
+    """The transpose of a sparse integer matrix."""
+    from graphconf.homology import SparseIntMatrix
+    return SparseIntMatrix(
+        m.num_cols, m.num_rows,
+        [(c, r, v) for (r, c), v in m.data.items()])
+
+
+def reference_kernel_basis(m):
+    """An integral basis of ``ker m`` (as column vectors, sparse dicts).
+
+    The transpose is eliminated by row operations with identity companion
+    rows carried along; companions of the rows that reduce to zero form
+    the basis, because the operations are unimodular.
+    """
+    from graphconf.homology import _diagonalize
+    carry = {c: {c: 1} for c in range(m.num_cols)}
+    pivots = _diagonalize(reference_transpose(m).rows(), carry=carry,
+                          rows_only=True)
+    return [carry[c] for c in range(m.num_cols) if c not in pivots]
+
+
+def reference_integral_generation(zs, cx, degree):
+    """Integral generation as first written: every vector of an integral
+    basis of ``ker D_degree`` must be an integer combination of the cycles
+    and the boundaries, one solve per kernel vector.  Small instances only.
+    """
+    from graphconf.homology import (_augmented_matrix, boundary_matrix,
+                                    is_cycle, solve_in_image)
+    zs = list(zs)
+    for z in zs:
+        if z.degree != degree or not is_cycle(z):
+            raise ValueError("integral certification needs cycles of the right degree")
+    kernel = reference_kernel_basis(boundary_matrix(cx, degree))
+    generators, _ = _augmented_matrix(zs, cx, degree)
+    return all(solve_in_image(generators, kvec) for kvec in kernel)
+
+
+def reference_components(cx):
+    """Number of components of the 1-skeleton, by union-find."""
+    from graphconf.model import face
+    parent = list(range(len(cx.cells[0])))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    if cx.max_dim >= 1:
+        for cell in cx.cells[1]:
+            a = cx.index[face(cx.graph, cell, 0, 0)][1]
+            b = cx.index[face(cx.graph, cell, 0, 1)][1]
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    return len({find(i) for i in range(len(parent))})
+
+
 def brute_force_cells(g, n):
     """All valid cells of n labeled particles from the full syntactic
     state universe, grouped by dimension."""

@@ -99,7 +99,8 @@ def test_criterion_5_four_star_relation():
 def test_criterion_6_tree_corpus_generation():
     """Wedges of up to two factors from {3-star, 4-star, circle}, the
     h-graph, and their one-sink variants: torsion-free with degree-1 span
-    equal to the first Betti number, for up to three particles."""
+    equal to the first Betti number and generation over Z, for up to three
+    particles."""
     corpus = checks.wedge_corpus()
     assert len(corpus) == 18
     checked = 0
@@ -112,9 +113,10 @@ def test_criterion_6_tree_corpus_generation():
             assert not bc.truncated, (name, n)
             rank = gc.class_span_rank(bc.chains, cx, 1) if bc.chains else 0
             assert rank == h.betti(1), (name, n, rank, h.betti(1))
+            assert gc.certify_integral_generation(bc.chains, cx, 1), (name, n)
             checked += 1
     report(6, f"{checked} corpus instances torsion-free with full degree-1"
-              " generation")
+              " generation over Z")
 
 
 def test_criterion_7_general_graph_generation():
@@ -126,8 +128,9 @@ def test_criterion_7_general_graph_generation():
         bc = gc.enumerate_basic_classes(cx, degree=1)
         rank = gc.class_span_rank(bc.chains, cx, 1)
         assert rank == h.betti(1), (key, rank, h.betti(1))
-    report(7, "degree-1 classes generate for two particles on K5, K33 and"
-              " the four-edge banana")
+        assert gc.certify_integral_generation(bc.chains, cx, 1), key
+    report(7, "degree-1 classes generate over Z for two particles on K5,"
+              " K33 and the four-edge banana")
 
 
 def test_criterion_8_property_suites():

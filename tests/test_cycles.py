@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -460,6 +461,29 @@ def test_enumeration_truncation_flag(small_complexes):
     bc = gc.enumerate_basic_classes(cx, degree=1,
                                     caps=EnumerationCaps(max_chains=5))
     assert bc.truncated and len(bc.chains) == 5
+    # a parking cap that cuts the parkings of the third particle says so
+    cx = gc.enumerate_cells(gc.h_graph(), 3)
+    bc = gc.enumerate_basic_classes(cx, degree=1,
+                                    caps=EnumerationCaps(max_parkings=1))
+    assert bc.truncated
+    assert not gc.enumerate_basic_classes(cx, degree=1).truncated
+
+
+def test_each_candidate_is_built_once(small_complexes, monkeypatch):
+    # two particles on K5 leave nothing to park, so every crossing
+    # candidate is the chain its probe built: one constructor call each
+    cycles = importlib.import_module("graphconf.cycles")
+    build = cycles.h_cycle_chain
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cycles, "h_cycle_chain", counted)
+    bc = gc.enumerate_basic_classes(small_complexes("k5-n2"), degree=1)
+    assert len(bc.chains) == 645
+    assert len(calls) == 160
 
 
 def test_chain_export_doc(small_complexes):
@@ -473,15 +497,16 @@ def test_chain_export_doc(small_complexes):
 
 
 def test_cycle_report(small_complexes):
-    from graphconf.cycles import cycle_report
+    # degree, support, cycle and boundary status, and the rank the class
+    # adds on top of the boundaries
     cx = small_complexes("star3-n2")
     _, spec = star3_spec()
     z = gc.star_cycle_chain(cx.graph, spec, (0, 1))
-    assert cycle_report(z, cx) == {
-        "degree": 1, "support_size": 12, "is_cycle": True,
-        "is_boundary": False, "span_contribution": 1,
-    }
+    assert (z.degree, len(z.terms)) == (1, 12)
+    assert gc.is_cycle(z) is True
+    assert gc.is_boundary(z, cx) is False
+    assert gc.class_span_rank([z], cx, z.degree) == 1
     bnd = gc.boundary_chain(
         gc.Chain(cx.graph, 1, {cx.cells[1][0]: 1}))
-    rep = cycle_report(bnd, cx)
-    assert rep["is_boundary"] and rep["span_contribution"] == 0
+    assert gc.is_cycle(bnd) and gc.is_boundary(bnd, cx)
+    assert gc.class_span_rank([bnd], cx, bnd.degree) == 0

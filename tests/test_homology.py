@@ -5,12 +5,12 @@ from math import factorial
 import pytest
 
 import graphconf as gc
-from graphconf.homology import (SparseIntMatrix, integer_kernel_basis,
-                                rank_over_rationals, smith_normal_form,
-                                solve_in_image)
+from graphconf.homology import (SparseIntMatrix, rank_over_rationals,
+                                smith_normal_form, solve_in_image)
 from graphconf.checks import _random_matrix
 from conftest import (fraction_rank, minors_gcd_invariant_factors,
-                      reference_pick_pivot)
+                      reference_components, reference_integral_generation,
+                      reference_kernel_basis, reference_pick_pivot)
 
 
 def random_matrix(rng, max_size=8, lo=-9, hi=9):
@@ -109,7 +109,8 @@ def planted_matrix(rng, size, factors=(2, 6, 12)):
 
 def test_pivot_search_matches_full_scan(monkeypatch):
     # the bounded search returns the full scan's pivot, ties included, in
-    # every search of every routine built on the elimination
+    # every search of every routine built on the elimination (the kernel
+    # basis is the reference one, on the same elimination)
     homology = importlib.import_module("graphconf.homology")
     search = homology._pick_pivot
     picked = []
@@ -132,7 +133,7 @@ def test_pivot_search_matches_full_scan(monkeypatch):
         assert rank_over_rationals(m) == len(factors)
         column = {r: v for (r, c), v in m.data.items() if c == 0}
         assert solve_in_image(m, column)
-        assert len(integer_kernel_basis(m)) == m.num_cols - len(factors)
+        assert len(reference_kernel_basis(m)) == m.num_cols - len(factors)
     # both branches ran: a unit found by the bounded walk, and the full
     # scan when no unit is left
     assert True in picked and False in picked
@@ -165,7 +166,7 @@ def test_integer_kernel_basis():
     for count, lo, hi in ((100, -3, 3), (50, -1, 1)):
         for _ in range(count):
             m = random_matrix(rng, max_size=6, lo=lo, hi=hi)
-            basis = integer_kernel_basis(m)
+            basis = reference_kernel_basis(m)
             assert len(basis) == m.num_cols - rank_over_rationals(m)
             rows = m.rows()
             for vec in basis:
@@ -232,12 +233,12 @@ def test_homology_consistency(small_complexes):
         h = gc.homology(cx)
         assert h.euler == sum((-1) ** k * c for k, c in enumerate(cx.cell_counts()))
         assert h.euler == sum((-1) ** k * b for k, b in enumerate(h.betti_vector()))
-        assert gc.connected_components(cx) == h.betti(0)
+        assert reference_components(cx) == h.betti(0)
 
 
 def test_components_of_interval_two_particles():
     cx = gc.enumerate_cells(gc.interval(), 2)
-    assert gc.connected_components(cx) == 2
+    assert reference_components(cx) == 2
 
 
 def test_summary_doc():
@@ -296,25 +297,33 @@ def test_span_rank_monotone_and_capped(small_complexes):
     assert last == b1
 
 
+def integral_verdicts(chains, cx):
+    """The one-Smith-form certificate on the full, empty and doubled
+    inputs, each asserted equal to the kernel-plus-solve reference."""
+    verdicts = []
+    for zs in (chains, [], [z.scaled(2) for z in chains]):
+        got = gc.certify_integral_generation(zs, cx, 1)
+        assert got == reference_integral_generation(zs, cx, 1)
+        verdicts.append(got)
+    return verdicts
+
+
 def test_integral_generation_certificate(small_complexes):
+    # the empty input misses the rank, the doubled one a unit factor
     cx = small_complexes("star3-n2")
     chains = gc.enumerate_basic_classes(cx, degree=1).chains
-    assert gc.certify_integral_generation(chains, cx, 1)
-    assert not gc.certify_integral_generation([], cx, 1)
-    doubled = [z.scaled(2) for z in chains]
-    assert not gc.certify_integral_generation(doubled, cx, 1)
+    assert integral_verdicts(chains, cx) == [True, False, False]
 
 
 def test_integral_generation_on_small_instances(small_complexes):
     # the enumerated candidates generate over the integers, not just
-    # rationally, on torsion-free instances small enough to certify
-    for key in ("h-n2", "intervalsinks-n2"):
-        cx = small_complexes(key)
+    # rationally, on torsion-free instances small enough for the reference
+    cases = [(key, small_complexes(key))
+             for key in ("h-n2", "intervalsinks-n2", "banana4-n2")]
+    cases.append(("circle-n3", gc.enumerate_cells(gc.circle(), 3)))
+    for key, cx in cases:
         chains = gc.enumerate_basic_classes(cx, degree=1).chains
-        assert gc.certify_integral_generation(chains, cx, 1), key
-    cx = gc.enumerate_cells(gc.circle(), 3)
-    chains = gc.enumerate_basic_classes(cx, degree=1).chains
-    assert gc.certify_integral_generation(chains, cx, 1)
+        assert integral_verdicts(chains, cx) == [True, False, False], key
 
 
 def test_matrix_entry_validation():
