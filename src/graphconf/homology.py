@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import gcd, inf
+from math import gcd, inf, prod
 
 from .model import CapExceededError, SparseEntries, boundary_chain
 
@@ -120,26 +120,29 @@ def _divmod_balanced(a, p):
     return q, r
 
 
-def _diagonalize(rows, carry=None, rows_only=False):
+def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None):
     """Eliminate a dict-of-rows matrix by unimodular row and column
     operations; the one elimination loop behind every routine here.
 
     Returns ``{row: pivot_value}`` with positive pivot values; rows absent
     from the result were reduced to zero, and ``rows`` is consumed.  Row
     operations are mirrored on ``carry``, a dict of sparse companion rows
-    indexed like ``rows``.  With ``rows_only`` no column operation is made:
-    a pivot row is dropped once its column is cleared below it, which
-    leaves the rank and the zero rows right but not the pivot values.
+    indexed like ``rows``; ``max_nnz`` caps the nonzeros after each pivot.
 
-    On input whose entries are all +-1, pivots come first from a lazy heap
-    over columns: a unit in the sparsest column, in its shortest row.  A
-    unit pivot clears its column without remainders.  Other input, and
-    whatever that phase leaves, goes to ``_pick_pivot``, which prefers
-    units, then small values, then low fill-in.  The cost of a Smith form
-    on non-unit input swings with the pivot order, so that order is fixed:
-    the search reads lines in increasing length and stops once no unread
-    entry can compete, but it returns exactly the pivot of a full scan over
-    every entry, ties included.
+    Pivots come from a lazy heap over columns on +-1 input (a unit in the
+    sparsest column, in its shortest row), then from ``_pick_pivot``.  A
+    unit pivot clears its column, and then its row is dropped: clearing it
+    by column operations would change nothing else.  With ``rows_only`` a
+    non-unit pivot clears its column by a remainder cascade, which keeps
+    the rank but not the pivot values.  Otherwise the unit phase ends there
+    and the residual R is eliminated in residues modulo ``modulus``, a
+    multiple of delta, the product of the pivots of a row-only pass over R:
+    an r x r minor of a unimodular transform of R, so a multiple of d_r(R).
+    Each pivot there is made to divide every entry left, so the gcds of the
+    pivots with the modulus are the invariant factors of R in order, and a
+    target in the rational span of R is in its image iff it is modulo the
+    modulus (Domich, Kannan and Trotter 1987; Dumas, Saunders and Villard
+    2001).
     """
     cols = _column_index(rows)
     pivot_of_row = {}
@@ -147,6 +150,8 @@ def _diagonalize(rows, carry=None, rows_only=False):
     if all(abs(v) == 1 for row in rows.values() for v in row.values()):
         heap = [(len(rs), c) for c, rs in cols.items()]
         heapify(heap)
+    nnz = sum(map(len, rows.values())) if max_nnz is not None else 0
+    touched = {}  # row: its length before the current pivot, when capped
 
     def next_pivot():
         while heap:
@@ -163,7 +168,7 @@ def _diagonalize(rows, carry=None, rows_only=False):
         return _pick_pivot(rows, cols)
 
     def row_op(r, r0, q):
-        # row_r -= q * row_r0
+        # row_r -= q * row_r0, in residues modulo ``modulus`` when it is set
         row0 = rows[r0]
         row = rows[r]
         for c, v in row0.items():
@@ -175,12 +180,20 @@ def _diagonalize(rows, carry=None, rows_only=False):
             elif c in row:
                 del row[c]
                 cols[c].discard(r)
+        if modulus:
+            for c in row0.keys() & row.keys():
+                row[c] = _divmod_balanced(row[c], modulus)[1]
+                if not row[c]:
+                    del row[c]
+                    cols[c].discard(r)
         if not row:
             del rows[r]
         if carry is not None and r0 in carry:
             vec = carry.setdefault(r, {})
             for j, v in carry[r0].items():
                 nv = vec.get(j, 0) - q * v
+                if modulus:
+                    nv %= modulus
                 if nv:
                     vec[j] = nv
                 else:
@@ -188,28 +201,19 @@ def _diagonalize(rows, carry=None, rows_only=False):
             if not vec:
                 del carry[r]
 
-    def col_op(c, c0, q):
-        # col_c -= q * col_c0; only rows holding c0 are affected
-        for r in list(cols.get(c0, ())):
-            v0 = rows[r][c0]
-            nv = rows[r].get(c, 0) - q * v0
-            if nv:
-                if c not in rows[r]:
-                    cols.setdefault(c, set()).add(r)
-                rows[r][c] = nv
-            elif c in rows[r]:
-                del rows[r][c]
-                cols[c].discard(r)
-
     while rows:
         r0, c0 = next_pivot()
+        if not (rows_only or modulus) and abs(rows[r0][c0]) != 1:
+            break  # the unit phase is over: ``rows`` holds the residual
         while True:
+            if max_nnz is not None:
+                for r in cols[c0]:
+                    touched.setdefault(r, len(rows[r]))
             if rows[r0][c0] < 0:
                 rows[r0] = {c: -v for c, v in rows[r0].items()}
                 if carry is not None and r0 in carry:
                     carry[r0] = {j: -v for j, v in carry[r0].items()}
             piv = rows[r0][c0]
-            moved = False
             for r in list(cols[c0]):
                 if r == r0:
                     continue
@@ -218,29 +222,49 @@ def _diagonalize(rows, carry=None, rows_only=False):
                     row_op(r, r0, q)
                 if rem:
                     r0 = r  # strictly smaller value: restart the cascade
-                    moved = True
                     break
-            if moved:
-                continue
-            if rows_only:
-                break
-            for c in list(rows[r0]):
-                if c == c0:
+            else:
+                if not modulus:
+                    break
+                for c, v in rows[r0].items():
+                    rem = _divmod_balanced(v, piv)[1]
+                    if rem:
+                        break
+                else:
+                    # the pivot must divide every entry left, modulo modulus
+                    g = gcd(piv, modulus)
+                    bad = [r for r, row in rows.items()
+                           if g > 1 and any(v % g for v in row.values())]
+                    if not bad:
+                        break
+                    row_op(r0, bad[0], -1)
                     continue
-                q, rem = _divmod_balanced(rows[r0][c], piv)
-                if q:
-                    col_op(c, c0, q)
-                if rem:
-                    c0 = c
-                    moved = True
-                    break
-            if not moved:
-                break
+                # column c0 is clear: this column operation changes row r0
+                rows[r0][c] = rem
+                c0 = c
         pivot_of_row[r0] = rows[r0][c0]
         for c in rows.pop(r0):
             cols[c].discard(r0)
             if not cols[c]:
                 del cols[c]
+        if max_nnz is not None:
+            nnz += sum(len(rows.get(r, ())) - n for r, n in touched.items())
+            touched.clear()
+            if nnz > max_nnz:
+                raise CapExceededError(f"elimination fill-in over {max_nnz}")
+    if rows and not (rows_only or modulus):
+        shadow = carry and {r: dict(carry[r]) for r in rows if r in carry}
+        echelon = _diagonalize({r: dict(row) for r, row in rows.items()},
+                               shadow, rows_only=True, max_nnz=max_nnz)
+        if shadow and not shadow.keys() <= echelon.keys():
+            return pivot_of_row  # the target leaves the rational span of R
+        # a multiple of delta above twice every entry and target of R, so
+        # these are residues already and no invariant factor is zero
+        bound = max(abs(v) for vecs in (rows, carry or {}) for r in rows
+                    for v in vecs.get(r, {}).values())
+        mod = 2 * (bound + 1) * prod(echelon.values())
+        found = _diagonalize(rows, carry, modulus=mod, max_nnz=max_nnz)
+        pivot_of_row.update((r, gcd(v, mod)) for r, v in found.items())
     return pivot_of_row
 
 
@@ -250,32 +274,20 @@ def rank_over_rationals(m):
     return len(_diagonalize(m.rows(), rows_only=True))
 
 
-def smith_normal_form(m):
+def smith_normal_form(m, max_nnz=None):
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix, all
-    positive, with r equal to the rank."""
-    pivots = _diagonalize(m.rows())
-    # a unit divides everything: only the factors above 1 need the gcd sweep
-    factors = sorted(v for v in pivots.values() if v > 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                if factors[j] % factors[i]:
-                    g = gcd(factors[i], factors[j])
-                    factors[i], factors[j] = g, factors[i] * factors[j] // g
-                    changed = True
-        factors.sort()
-    return [1] * (len(pivots) - len(factors)) + factors
+    positive, with r equal to the rank; ``max_nnz`` caps the fill-in.  The
+    pivots are units, then a divisibility chain, so sorting orders them."""
+    return sorted(_diagonalize(m.rows(), max_nnz=max_nnz).values())
 
 
 def solve_in_image(m, vec):
     """Whether ``m x = vec`` has an integer solution; ``vec`` is a sparse
     dict indexed by row.
 
-    The matrix is diagonalized with the target carried along the row
-    operations as a one-column companion; solvability is divisibility on
-    the pivot rows plus vanishing on the rows that reduce to zero.
+    The target is carried along the row operations as a one-column
+    companion; solvability is divisibility on the pivot rows plus vanishing
+    on the rows that reduce to zero (modulo delta on the residual).
     """
     carry = {r: {0: v} for r, v in vec.items() if v}
     pivots = _diagonalize(m.rows(), carry=carry)
@@ -345,7 +357,8 @@ def homology(cx, max_nnz=None):
     ranks = [0] * (top + 2)
     factors = [[] for _ in range(top + 2)]
     for k in range(1, top + 1):
-        factors[k] = smith_normal_form(boundary_matrix(cx, k, max_nnz=max_nnz))
+        factors[k] = smith_normal_form(boundary_matrix(cx, k, max_nnz=max_nnz),
+                                       max_nnz=max_nnz)
         ranks[k] = len(factors[k])
     degrees = []
     for k in range(top + 1):

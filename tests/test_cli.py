@@ -152,5 +152,16 @@ def test_exit_codes(capsys):
     code, _, _ = run(capsys, "nosuchcommand")
     assert code == 2
 
+    # every boundary matrix of banana:4 --sinks 0,1 n5 passes a MAX_NNZ of
+    # 6000, but eliminating D_3 (5760 entries) fills in past it
+    cx = gc.enumerate_cells(gc.banana(4, sinks={0, 1}), 5)
+    assert max(len(cx.boundary_entries(k).entries)
+               for k in range(1, cx.max_dim + 1)) <= 6000
+    argv = ("homology", "--graph", "banana:4", "--sinks", "0,1", "-n", "5")
+    code, _, err = run(capsys, *argv, "--caps", ",6000")
+    assert code == 3 and "fill-in" in err
+    code, _, _ = run(capsys, *argv, "--caps", ",20000")
+    assert code == 0
+
     code, _, err = run(capsys, "homology", "--graph", "banana:1", "-n", "2")
     assert code == 2

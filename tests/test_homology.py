@@ -1,13 +1,15 @@
 import importlib
 import random
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 import graphconf as gc
-from graphconf.homology import (SparseIntMatrix, rank_over_rationals,
-                                smith_normal_form, solve_in_image)
-from graphconf.checks import _random_matrix
+from graphconf.homology import (SparseIntMatrix, _diagonalize,
+                                rank_over_rationals, smith_normal_form,
+                                solve_in_image)
+from graphconf.checks import (_random_matrix, _random_unimodular_shuffle,
+                              dense_rank_oracle)
 from conftest import (fraction_rank, minors_gcd_invariant_factors,
                       reference_components, reference_integral_generation,
                       reference_kernel_basis, reference_pick_pivot)
@@ -53,6 +55,18 @@ def test_rank_against_dense_oracle():
 
 # -- Smith normal form ----------------------------------------------------
 
+def snf_oracle_case(seed, index):
+    """The matrix that ``checks.suite_snf_oracle(seed)`` draws as its case
+    ``index``, replaying the suite's draws."""
+    rng = random.Random(seed)
+    for i in range(index + 1):
+        size = 40 if i % 25 == 0 else rng.randint(1, 10)
+        m = _random_matrix(rng, max_size=size)
+        if i < index and m.num_rows <= 12 and m.num_cols <= 12 and i % 5 == 0:
+            _random_unimodular_shuffle(rng, m)
+    return m
+
+
 def test_snf_hand_cases():
     assert smith_normal_form(SparseIntMatrix(2, 2, [(0, 0, 2)])) == [2]
     # gcd 2, determinant -4: invariant factors (2, 2)
@@ -62,11 +76,46 @@ def test_snf_hand_cases():
     # +-1 input whose unit phase leaves the non-unit residual (-2)
     m = SparseIntMatrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)])
     assert smith_normal_form(m) == [1, 2]
-    # the gcd fix-up reaches factors above 2, with and without a unit
+    # residual pivots made into a divisibility chain, with and without a
+    # unit
     assert smith_normal_form(SparseIntMatrix(2, 2, [(0, 0, 6), (1, 1, 4)])) \
         == [2, 12]
     m = SparseIntMatrix(3, 3, [(0, 0, 1), (1, 1, 6), (2, 2, 4)])
     assert smith_normal_form(m) == [1, 2, 12]
+    # a residual whose last factor equals delta, the product of its
+    # row-only pivots, which is zero modulo delta itself
+    m = SparseIntMatrix(2, 2, [(0, 0, 2), (0, 1, 3), (1, 0, 4)])
+    assert prod(_diagonalize(m.rows(), rows_only=True).values()) == 12
+    assert smith_normal_form(m) == [1, 12]
+    # case 950 of the property suite's snf-oracle run (seed 2026 + 7); the
+    # factors are those of the remainder-cascade engine this one replaced
+    m = snf_oracle_case(2033, 950)
+    assert (m.num_rows, m.num_cols, m.nnz) == (36, 38, 117)
+    assert smith_normal_form(m) == [1] * 26 + [2] * 5 + [10, 20, 120, 720]
+    # the 59th draw of seed 24: no factor is pinned, the rank and the
+    # invariance under unimodular operations are
+    rng = random.Random(24)
+    for _ in range(59):
+        m = _random_matrix(rng)
+    assert (m.num_rows, m.num_cols, m.nnz) == (35, 38, 121)
+    factors = smith_normal_form(m)
+    assert len(factors) == dense_rank_oracle(m) == rank_over_rationals(m)
+    for _ in range(3):
+        assert smith_normal_form(_random_unimodular_shuffle(rng, m)) == factors
+
+
+def non_unit_matrix(rng, max_size, values=(2, 3, 4, 6, 8, 9, 10, 12, 30)):
+    """Random entries none of which is a unit, so the unit phase leaves
+    the whole (nonzero) matrix as its residual; a third of the draws get a
+    row that is a multiple of another, for rank deficiency."""
+    nr, nc = rng.randint(1, max_size), rng.randint(1, max_size)
+    a = [[rng.choice((0,) + values) * rng.choice((1, -1)) for _ in range(nc)]
+         for _ in range(nr)]
+    if nr > 1 and rng.random() < 1 / 3:
+        i, j = rng.sample(range(nr), 2)
+        a[j] = [rng.choice((1, 2, -3)) * v for v in a[i]]
+    return SparseIntMatrix(nr, nc, [(r, c, v) for r, row in enumerate(a)
+                                    for c, v in enumerate(row) if v])
 
 
 def test_snf_against_minors_oracle():
@@ -75,6 +124,17 @@ def test_snf_against_minors_oracle():
         for _ in range(count):
             m = random_matrix(rng, max_size=3, lo=lo, hi=hi)
             assert smith_normal_form(m) == minors_gcd_invariant_factors(m)
+    # residual-only inputs, and planted factors behind unit pivots
+    torsion = 0
+    for _ in range(200):
+        m = non_unit_matrix(rng, 4)
+        factors = smith_normal_form(m)
+        assert factors == minors_gcd_invariant_factors(m)
+        torsion += any(f > 1 for f in factors)
+    assert torsion > 100
+    for size in (3, 4, 5):
+        m, diag = planted_matrix(rng, size, factors=(2, 6))
+        assert smith_normal_form(m) == minors_gcd_invariant_factors(m) == diag
 
 
 def test_snf_divisibility_and_rank():
@@ -89,22 +149,32 @@ def test_snf_divisibility_and_rank():
             assert all(f > 0 for f in factors)
 
 
-def planted_matrix(rng, size, factors=(2, 6, 12)):
-    """``diag(1, ..., 1, factors)`` hidden by 4 * size random +-1 row and
-    column operations, with its invariant factors."""
-    diag = [1] * (size - len(factors)) + list(factors)
+def planted_matrix(rng, size, factors=(2, 6, 12), rank=None, image=False):
+    """``diag(1, ..., 1, factors, 0, ...)`` of the given rank (default
+    ``size``) hidden by 4 * size random +-1 row and column operations, with
+    its invariant factors; with ``image``, also the columns of ``U``, the
+    product of the row operations, as sparse dicts."""
+    rank = size if rank is None else rank
+    diag = [1] * (rank - len(factors)) + list(factors)
     a = [[d if i == j else 0 for j in range(size)] for i, d in enumerate(diag)]
+    a += [[0] * size for _ in range(size - rank)]
+    u = [[int(i == j) for j in range(size)] for i in range(size)]
     for _ in range(4 * size):
         i, j = rng.sample(range(size), 2)
         s = rng.choice((1, -1))
         if rng.random() < 0.5:
             a[i] = [x + s * y for x, y in zip(a[i], a[j])]
+            u[i] = [x + s * y for x, y in zip(u[i], u[j])]
         else:
             for row in a:
                 row[i] += s * row[j]
     entries = [(r, c, v) for r, row in enumerate(a) for c, v in enumerate(row)
                if v]
-    return SparseIntMatrix(size, size, entries), diag
+    m = SparseIntMatrix(size, size, entries)
+    if not image:
+        return m, diag
+    cols = [{r: u[r][j] for r in range(size) if u[r][j]} for j in range(size)]
+    return m, diag, cols
 
 
 def test_pivot_search_matches_full_scan(monkeypatch):
@@ -159,6 +229,37 @@ def test_solve_in_image():
     m = SparseIntMatrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)])
     assert solve_in_image(m, {0: 2})
     assert not solve_in_image(m, {0: 1})
+    # a rank-deficient residual: a target off its rational span, one in
+    # the span but not the lattice, and one in the lattice
+    m = SparseIntMatrix(2, 2, [(0, 0, 2), (0, 1, 4), (1, 0, 4), (1, 1, 8)])
+    assert not solve_in_image(m, {0: 2, 1: 2})
+    assert not solve_in_image(m, {0: 1, 1: 2})
+    assert solve_in_image(m, {0: 2, 1: 4})
+    # (-2, 1) is off the span of (2, 3) but equals 3 * (2, 3) modulo 8, so
+    # the rank test, not the modular one, must reject it
+    m = SparseIntMatrix(2, 1, [(0, 0, 2), (1, 0, 3)])
+    assert not solve_in_image(m, {0: -2, 1: 1})
+    assert solve_in_image(m, {0: -4, 1: -6})
+    # the factor equal to delta: (0, 12) = m (3, -2) but (0, 6) is not
+    m = SparseIntMatrix(2, 2, [(0, 0, 2), (0, 1, 3), (1, 0, 4)])
+    assert solve_in_image(m, {1: 12}) and not solve_in_image(m, {1: 6})
+    # planted residuals: U (d_j e_j) is in the image of U diag V and U e_j
+    # is not when d_j > 1; past the rank, U e_j is off the rational span
+    # and so is every multiple of it
+    rng = random.Random(26)
+    for size, rank, factors in ((6, 6, (2, 6)), (8, 6, (3, 3, 9)),
+                                (12, 9, (2, 4, 8)), (20, 17, (2, 2, 6, 12))):
+        m, diag, cols = planted_matrix(rng, size, factors, rank, image=True)
+        assert smith_normal_form(m) == diag
+        for j, col in enumerate(cols):
+            if j < rank:
+                assert solve_in_image(m, {r: diag[j] * v
+                                          for r, v in col.items()})
+                assert solve_in_image(m, col) == (diag[j] == 1)
+            else:
+                assert not solve_in_image(m, col)
+                assert not solve_in_image(m, {r: 720 * v
+                                              for r, v in col.items()})
 
 
 def test_integer_kernel_basis():
