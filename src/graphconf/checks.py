@@ -688,7 +688,8 @@ def suite_dimension_bound(seed=6, cases=1000):
         except mdl.CapExceededError:
             continue
         bound = gr.dimension_bound(g, n)
-        top = max((k for k, group in enumerate(cx.cells) if group), default=0)
+        top = max((k for k, count in enumerate(cx.cell_counts()) if count),
+                  default=0)
         if top > bound:
             failures.append(f"dimension {top} exceeds bound {bound} on {g}")
             if len(failures) > 4:

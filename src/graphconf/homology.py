@@ -398,7 +398,7 @@ def is_boundary(z, cx):
 
 
 def _augmented_matrix(zs, cx, degree):
-    num_rows = len(cx.cells[degree])
+    num_rows = cx.cell_counts()[degree]
     d = (cx.boundary_entries(degree + 1) if degree + 1 <= cx.max_dim
          else SparseEntries(num_rows, 0, ()))
     entries = []
@@ -442,7 +442,7 @@ def certify_integral_generation(zs, cx, degree):
     for z in zs:
         if z.degree != degree or not is_cycle(z):
             raise ValueError("integral certification needs cycles of the right degree")
-    cycle_rank = len(cx.cells[degree]) - rank_over_rationals(
+    cycle_rank = cx.cell_counts()[degree] - rank_over_rationals(
         boundary_matrix(cx, degree))
     factors = smith_normal_form(_augmented_matrix(zs, cx, degree)[0])
     return len(factors) == cycle_rank and all(f == 1 for f in factors)

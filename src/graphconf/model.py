@@ -23,10 +23,18 @@ A cell assigns one state to each participating particle:
 A cell is a tuple of ``(particle, state)`` pairs sorted by particle id.
 Cells may be partial (defined on a subset of particles); the cells of a
 :class:`CubeComplex` with ``n`` particles carry all of ``0..n-1``.  The
-dimension of a cell is its number of move states.  The fast paths rely
-on two facts: a face replaces states but never particle ids, so it keeps
-pid order and is built in place without re-sorting; and the cells of one
-enumeration share each distinct ``(pid, state)`` pair object.
+dimension of a cell is its number of move states.  A face replaces
+states but never particle ids, so it keeps pid order and is built in
+place without re-sorting.
+
+Pair tuples are the public form of a cell: chains, ``cx.cells``,
+``cx.index`` and the export all speak it.  Inside a complex each cell is
+one packed int.  A codebook per ``(graph, n)`` lists every state a
+particle can take in sorted order, and a state's code is its rank, so
+the key ``sum(code(state of p) << b*(n-1-p))`` orders like the pair
+tuple: cell indices, matrices and export bytes do not depend on the
+packing.  The slots ``('E', e, 0..n-1)`` of one edge get consecutive
+codes, so every face of a key is a table lookup plus integer arithmetic.
 
 Independence of the moves within one cell:
 
@@ -43,7 +51,10 @@ Independence of the moves within one cell:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graphs import dimension_bound
 
@@ -341,65 +352,210 @@ class SparseEntries:
     entries: tuple
 
 
+class _Codebook:
+    """Order-preserving int codes for the states of ``n`` particles on one
+    graph, and the tables that pack, unpack and take faces of cell keys.
+
+    ``moves[c]`` is ``None`` for a resting state; for a move it is
+    ``(side-1 code, side-0 code, lo)``: ``lo`` is ``None`` for an ``MF``,
+    and for an ``ME`` it is the code of slot 0 of its edge, with a side-0
+    code of ``None`` at end 0 (slot 0, pushing the occupants up) and ``lo``
+    at end 1 (slot ``lo + occupants``).  ``edge_lo[c]`` is ``lo`` of the
+    edge of an ``E`` code and ``-1`` for any other code.
+    """
+
+    __slots__ = ("graph", "n", "states", "code", "mask", "shifts", "pairs",
+                 "moves", "edge_lo")
+
+    def __init__(self, g, n, vertex_menu, interior_menu, move_states):
+        states = sorted(vertex_menu + move_states
+                        + [("E", e, r) for e in interior_menu for r in range(n)])
+        code = {s: c for c, s in enumerate(states)}
+        width = max(1, (len(states) - 1).bit_length())
+        self.graph, self.n, self.states, self.code = g, n, states, code
+        self.mask = (1 << width) - 1
+        self.shifts = [width * (n - 1 - p) for p in range(n)]
+        # one shared (pid, state) pair per code, for every decoded cell
+        self.pairs = [[(p, s) for s in states] for p in range(n)]
+        self.moves = [None] * len(states)
+        self.edge_lo = [-1] * len(states)
+        # with no particles there are no slots and no faces to take
+        for c, s in enumerate(states if n else ()):
+            if s[0] == "E":
+                self.edge_lo[c] = code[("E", s[1], 0)]
+            elif s[0] == "MF":
+                u, v = g.edges[s[1]]
+                self.moves[c] = (code[("V", v)], code[("V", u)], None)
+            elif s[0] == "ME":
+                lo = code[("E", s[1], 0)]
+                self.moves[c] = (code[("V", g.edges[s[1]][s[2]])],
+                                 lo if s[2] else None, lo)
+
+    def encode(self, cell):
+        """``(dim, key)`` of a complete pair-tuple cell; ``KeyError`` for
+        anything that is not one."""
+        code, shifts, moves = self.code, self.shifts, self.moves
+        try:
+            if len(cell) != self.n:
+                raise KeyError(cell)
+            key = dim = 0
+            for p, (pid, state) in enumerate(cell):
+                c = code[state]
+                if pid != p:
+                    raise KeyError(cell)
+                key |= c << shifts[p]
+                dim += moves[c] is not None
+        except (TypeError, ValueError):
+            raise KeyError(cell) from None
+        return dim, key
+
+    def decode(self, groups, table, make):
+        """Cells of ``groups`` of keys, each ``make([table[p][code of p]
+        for every particle p])``."""
+        mask = self.mask
+        cols = list(zip(table, self.shifts))
+        return [[make([t[(key >> s) & mask] for t, s in cols]) for key in group]
+                for group in groups]
+
+    def boundary(self, cols, rows):
+        """Sorted ``(row, col, sign)`` entries of the boundary from the keys
+        ``cols`` to the sorted keys ``rows``; the same terms as
+        :func:`boundary_of_cell` on the decoded cells."""
+        mask, shifts, moves, edge_lo = (self.mask, self.shifts, self.moves,
+                                        self.edge_lo)
+        units = [1 << s for s in shifts]
+        # a face past the last row reads None instead of raising IndexError
+        padded = [*rows, None]
+        entries = []
+        append = entries.append
+        for j, key in enumerate(cols):
+            codes = [(key >> s) & mask for s in shifts]
+            sign = 1
+            for p, c in enumerate(codes):
+                move = moves[c]
+                if move is None:
+                    continue
+                s = shifts[p]
+                up, down, lo = move
+                key0 = key
+                if lo is None:
+                    if up == down:
+                        # a full traversal of a loop at a sink: the two
+                        # equal faces cancel
+                        sign = -sign
+                        continue
+                elif down is None:
+                    # into slot 0 at the iota end: the occupants move up
+                    down = lo
+                    key0 += sum([units[q] for q, d in enumerate(codes)
+                                 if edge_lo[d] == lo])
+                else:
+                    # into the slot after the occupants at the tau end
+                    down += len([d for d in codes if edge_lo[d] == lo])
+                f1, f0 = key + ((up - c) << s), key0 + ((down - c) << s)
+                i1, i0 = bisect_left(rows, f1), bisect_left(rows, f0)
+                if padded[i1] != f1 or padded[i0] != f0:
+                    cell = self.decode([[key]], self.pairs, tuple)[0][0]
+                    raise InvariantError(
+                        f"a face of {cell} is not a cell of the complex")
+                append((i1, j, sign))
+                append((i0, j, -sign))
+                sign = -sign
+        # columns were appended in order, one entry per (row, column), so a
+        # stable sort by row is the (row, column) order
+        entries.sort(key=itemgetter(0))
+        return tuple(entries)
+
+
+class _CellIndex(Mapping):
+    """Read-only ``cell -> (dim, i)`` over the pair-tuple cells of a
+    complex, found by encoding the cell and bisecting its dimension."""
+
+    __slots__ = ("_cx",)
+
+    def __init__(self, cx):
+        self._cx = cx
+
+    def __getitem__(self, cell):
+        dim, key = self._cx._book.encode(cell)
+        keys = self._cx._keys
+        group = keys[dim] if dim < len(keys) else ()
+        i = bisect_left(group, key)
+        if i == len(group) or group[i] != key:
+            raise KeyError(cell)
+        return dim, i
+
+    def __iter__(self):
+        for group in self._cx.cells:
+            yield from group
+
+    def __len__(self):
+        return sum(self._cx.cell_counts())
+
+
 class CubeComplex:
     """All valid cells of the model for ``n`` particles on one graph,
-    deterministically indexed per dimension."""
+    deterministically indexed per dimension: ``keys[dim]`` holds the sorted
+    packed keys of one codebook.  ``cells`` (pair tuples, decoded on first
+    use) and ``index`` are the public views."""
 
-    __slots__ = ("graph", "n", "cells", "index", "_matrices")
+    __slots__ = ("graph", "n", "index", "_book", "_keys", "_cells",
+                 "_matrices")
 
-    def __init__(self, graph, n, cells):
-        self.graph = graph
-        self.n = n
-        self.cells = cells
-        self.index = {}
-        for dim, group in enumerate(cells):
-            for i, cell in enumerate(group):
-                self.index[cell] = (dim, i)
+    def __init__(self, book, keys):
+        self.graph = book.graph
+        self.n = book.n
+        self.index = _CellIndex(self)
+        self._book = book
+        self._keys = keys
+        self._cells = None
         self._matrices = {}
 
     @property
+    def cells(self):
+        if self._cells is None:
+            self._cells = self._book.decode(self._keys, self._book.pairs, tuple)
+        return self._cells
+
+    @property
     def max_dim(self):
-        return len(self.cells) - 1
+        return len(self._keys) - 1
 
     def cell_counts(self):
-        return tuple(len(group) for group in self.cells)
+        return tuple(len(group) for group in self._keys)
 
     def boundary_entries(self, k):
         """Boundary operator from ``k``-cells to ``(k-1)``-cells in
         coordinate form (row = target cell index, column = source)."""
         if k in self._matrices:
             return self._matrices[k]
-        if not 1 <= k <= self.max_dim:
-            rows = len(self.cells[k - 1]) if 0 <= k - 1 <= self.max_dim else 0
-            cols = len(self.cells[k]) if 0 <= k <= self.max_dim else 0
-            result = SparseEntries(rows, cols, ())
-        else:
-            entries = []
-            append, index = entries.append, self.index
-            for j, cell in enumerate(self.cells[k]):
-                for f, s in boundary_of_cell(self.graph, cell).items():
-                    append((index[f][1], j, s))
-            entries.sort()
-            result = SparseEntries(len(self.cells[k - 1]), len(self.cells[k]),
-                                   tuple(entries))
-        self._matrices[k] = result
+        counts = self.cell_counts()
+        rows = counts[k - 1] if 0 <= k - 1 <= self.max_dim else 0
+        cols = counts[k] if 0 <= k <= self.max_dim else 0
+        entries = ()
+        if 1 <= k <= self.max_dim:
+            entries = self._book.boundary(self._keys[k], self._keys[k - 1])
+        result = self._matrices[k] = SparseEntries(rows, cols, entries)
         return result
 
     def relabeled(self, perm):
         """The same complex with particles renamed; cell sets per dimension
         are identical as sets, so this reindexes rather than re-enumerates."""
-        cells = [sorted(relabel_cell(c, perm) for c in group)
-                 for group in self.cells]
-        return CubeComplex(self.graph, self.n, cells)
+        book = self._book
+        moved = [(s, book.shifts[perm[p]]) for p, s in enumerate(book.shifts)]
+        keys = [sorted(sum(((key >> s) & book.mask) << t for s, t in moved)
+                       for key in group) for group in self._keys]
+        return CubeComplex(book, keys)
 
 
 def enumerate_cells(g, n, max_cells=DEFAULT_MAX_CELLS):
     """Enumerate every valid cell of ``n`` particles on ``g``.
 
     Particles are assigned states one at a time with the exclusivity
-    constraints tracked incrementally; interior occupants of each edge are
-    then expanded into all orderings.  Within each dimension cells are
-    sorted, so two runs produce identical orderings.
+    constraints tracked incrementally, carrying the partial key; interior
+    occupants of each edge are then expanded into all orderings.  Within
+    each dimension keys are sorted, so two runs produce identical
+    orderings.
     """
     if n < 0:
         raise ValueError("particle count must be nonnegative")
@@ -422,60 +578,50 @@ def enumerate_cells(g, n, max_cells=DEFAULT_MAX_CELLS):
                 claims = tuple(v for v in set(g.edges[e]) if not g.is_sink(v))
                 move_menu.append((("MF", e), claims, e))
 
-    # one shared (pid, state) object per distinct pair, for every cell
-    fixed_pairs = [{s: (pid, s) for s in vertex_menu + [m[0] for m in move_menu]}
-                   for pid in range(n)]
-    slot_pairs = [[[(pid, ("E", e, r)) for r in range(n)]
-                   for e in range(g.num_edges)] for pid in range(n)]
+    book = _Codebook(g, n, vertex_menu, interior_menu,
+                     [m[0] for m in move_menu])
+    code, shifts = book.code, book.shifts
+    vertex_items = [(code[s], s[1], g.is_sink(s[1])) for s in vertex_menu]
+    # a particle on an edge interior is packed at slot 0 until emit
+    interior_items = [(code[("E", e, 0)], []) for e in interior_menu] if n else []
+    move_items = [(code[state], claims, mf_edge)
+                  for state, claims, mf_edge in move_menu]
     claimed = set()
     mf_used = set()
-    placement = []  # per particle: ('V', v) | ('I', e) | move state
 
-    def emit():
+    def emit(key, dim, crowded):
         nonlocal total
-        by_edge = {}
-        pairs = [None] * n
-        dim = 0
-        for pid, item in enumerate(placement):
-            if item[0] == "I":
-                by_edge.setdefault(item[1], []).append(pid)
-            else:
-                pairs[pid] = fixed_pairs[pid][item]
-                if is_move_state(item):
-                    dim += 1
-        edge_groups = list(by_edge.items())
-        orderings = [itertools.permutations(group) for _, group in edge_groups]
-        for combo in itertools.product(*orderings):
-            for (e, _), order in zip(edge_groups, combo):
-                for r, pid in enumerate(order):
-                    pairs[pid] = slot_pairs[pid][e][r]
-            total += 1
-            if total > max_cells:
-                raise CapExceededError(
-                    f"more than {max_cells} cells; instance beyond desk scale")
-            cells[dim].append(tuple(pairs))
+        offsets = [0]
+        if crowded:
+            # slot r of an edge's occupant list adds r to its code
+            for _, group in interior_items:
+                if len(group) > 1:
+                    offsets = [o + sum(r << shifts[p] for r, p in enumerate(order))
+                               for o in offsets
+                               for order in itertools.permutations(group)]
+        total += len(offsets)
+        if total > max_cells:
+            raise CapExceededError(
+                f"more than {max_cells} cells; instance beyond desk scale")
+        cells[dim].extend(key + o for o in offsets)
 
-    def assign(pid):
+    def assign(pid, key, dim, crowded):
         if pid == n:
-            emit()
+            emit(key, dim, crowded)
             return
-        for state in vertex_menu:
-            v = state[1]
-            if g.is_sink(v):
-                placement.append(state)
-                assign(pid + 1)
-                placement.pop()
+        shift = shifts[pid]
+        for c, v, sink in vertex_items:
+            if sink:
+                assign(pid + 1, key + (c << shift), dim, crowded)
             elif v not in claimed:
                 claimed.add(v)
-                placement.append(state)
-                assign(pid + 1)
-                placement.pop()
+                assign(pid + 1, key + (c << shift), dim, crowded)
                 claimed.remove(v)
-        for e in interior_menu:
-            placement.append(("I", e))
-            assign(pid + 1)
-            placement.pop()
-        for state, claims, mf_edge in move_menu:
+        for c, group in interior_items:
+            group.append(pid)
+            assign(pid + 1, key + (c << shift), dim, crowded or len(group) > 1)
+            group.pop()
+        for c, claims, mf_edge in move_items:
             if any(v in claimed for v in claims):
                 continue
             if mf_edge is not None and mf_edge in mf_used:
@@ -483,17 +629,15 @@ def enumerate_cells(g, n, max_cells=DEFAULT_MAX_CELLS):
             claimed.update(claims)
             if mf_edge is not None:
                 mf_used.add(mf_edge)
-            placement.append(state)
-            assign(pid + 1)
-            placement.pop()
+            assign(pid + 1, key + (c << shift), dim + 1, crowded)
             if mf_edge is not None:
                 mf_used.remove(mf_edge)
             claimed.difference_update(claims)
 
-    assign(0)
+    assign(0, 0, 0, False)
     for group in cells:
         group.sort()
-    return CubeComplex(g, n, cells)
+    return CubeComplex(book, cells)
 
 
 # -- text export ---------------------------------------------------------
@@ -504,20 +648,12 @@ def state_record(state):
     return " ".join(str(x) for x in state)
 
 
-class _Records(dict):
-    """``[pid, state_record]`` per distinct pair, built on first use."""
-
-    def __missing__(self, pair):
-        record = self[pair] = [pair[0], state_record(pair[1])]
-        return record
-
-
 def complex_to_doc(cx):
-    records = _Records()
+    book = cx._book
+    records = [[[p, state_record(s)] for s in book.states] for p in range(cx.n)]
     doc = {
         "particles": cx.n,
-        "cells": [[[records[p] for p in c] for c in group]
-                  for group in cx.cells],
+        "cells": book.decode(cx._keys, records, list),
         "boundaries": {},
     }
     for k in range(1, cx.max_dim + 1):

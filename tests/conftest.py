@@ -174,6 +174,25 @@ def reference_components(cx):
     return len({find(i) for i in range(len(parent))})
 
 
+def reference_boundary_entries(cx, k):
+    """The boundary assembly as first written: ``boundary_of_cell`` on every
+    pair-tuple ``k``-cell, rows found in a dict over the pair-tuple
+    ``(k-1)``-cells, entries sorted."""
+    from graphconf.model import SparseEntries, boundary_of_cell
+    if not 1 <= k <= cx.max_dim:
+        rows = len(cx.cells[k - 1]) if 0 <= k - 1 <= cx.max_dim else 0
+        cols = len(cx.cells[k]) if 0 <= k <= cx.max_dim else 0
+        return SparseEntries(rows, cols, ())
+    index = {cell: i for i, cell in enumerate(cx.cells[k - 1])}
+    entries = []
+    for j, cell in enumerate(cx.cells[k]):
+        for f, s in boundary_of_cell(cx.graph, cell).items():
+            entries.append((index[f], j, s))
+    entries.sort()
+    return SparseEntries(len(cx.cells[k - 1]), len(cx.cells[k]),
+                         tuple(entries))
+
+
 def brute_force_cells(g, n):
     """All valid cells of n labeled particles from the full syntactic
     state universe, grouped by dimension."""

@@ -5,14 +5,16 @@ from math import factorial
 import pytest
 
 import graphconf as gc
-from graphconf.model import (CapExceededError, boundary_of_cell, cell_is_valid,
+from graphconf.model import (CapExceededError, InvariantError,
+                             boundary_of_cell, cell_is_valid,
                              cell_dimension, complex_to_doc,
                              corner_configurations, face, make_cell,
                              relabel_cell, state_record)
 
 from graphconf.checks import random_connected_graph
 
-from conftest import brute_force_cells, reference_face
+from conftest import (brute_force_cells, reference_boundary_entries,
+                      reference_face)
 
 
 # -- enumeration ----------------------------------------------------------
@@ -206,6 +208,63 @@ def test_boundary_matrix_product_vanishes(small_complexes):
             for rr, vv in d1_cols.get(r, {}).items():
                 out[rr] = out.get(rr, 0) + vv * v
         assert not any(out.values())
+
+
+def test_boundary_entries_match_reference(small_complexes):
+    # packed-key assembly against boundary_of_cell over pair-tuple cells
+    names = ["star3-n2", "star3-n3", "star4-n2", "banana4-n2", "banana4-n3",
+             "k5-n2", "h-n2", "intervalsinks-n2"]
+    pool = [small_complexes(name) for name in names]
+    loop_at_sink = gc.Graph(2, [(0, 0), (0, 1), (1, 1)], sinks={0})
+    star_circle = gc.wedge(gc.star(3), 0, gc.circle(), 0)
+    for n in range(4):
+        pool.append(gc.enumerate_cells(loop_at_sink, n))
+        pool.append(gc.enumerate_cells(gc.interval(sinks={0, 1}), n))
+        pool.append(gc.enumerate_cells(star_circle, n))
+        pool.append(gc.enumerate_cells(gc.h_graph(sinks={5}), n))
+    pool.append(small_complexes("banana4-n3").relabeled({0: 2, 1: 0, 2: 1}))
+    # the full traversal of the loop at the sink has two faces that cancel
+    cx = gc.enumerate_cells(loop_at_sink, 1)
+    assert cx.cell_counts() == (3, 4)
+    assert len(cx.boundary_entries(1).entries) == 2 * 4 - 2
+    for cx in pool:
+        for k in range(cx.max_dim + 2):
+            assert cx.boundary_entries(k) == reference_boundary_entries(cx, k)
+    # a face missing from the complex is a library defect, never a wrong row
+    for i in (0, -1):
+        cx = gc.enumerate_cells(gc.banana(4), 2)
+        del cx._keys[0][i]
+        with pytest.raises(InvariantError, match="not a cell of the complex"):
+            cx.boundary_entries(1)
+
+
+def test_index_contract(small_complexes):
+    cx = small_complexes("banana4-n3")
+    assert cx.index and len(cx.index) == sum(cx.cell_counts())
+    for dim, group in enumerate(cx.cells):
+        for i, cell in enumerate(group):
+            assert cell in cx.index and cx.index[cell] == (dim, i)
+    cell = cx.cells[0][0]
+    outside = [
+        cell[:2],                                    # n - 1 particles
+        ((0, ("E", 0, 3)), (1, ("E", 1, 0)), (2, ("E", 2, 0))),  # slot >= n
+        ((0, ("V", 0)), (1, ("V", 0)), (2, ("E", 0, 0))),  # shared vertex
+        tuple(reversed(cell)),                       # pids out of order
+    ]
+    assert cell_is_valid(cx.graph, outside[0])
+    for bad in outside:
+        assert bad not in cx.index
+        with pytest.raises(KeyError):
+            cx.index[bad]
+        z = gc.Chain(cx.graph, 0, {bad: 1})
+        with pytest.raises(ValueError, match="support outside the complex"):
+            gc.is_boundary(z, cx)
+        with pytest.raises(ValueError, match="support outside the complex"):
+            gc.class_span_rank([z], cx, 0)
+    for junk in ("abc", 3, ((0, ["V", 0]),) * 3):
+        assert junk not in cx.index
+    empty = gc.enumerate_cells(gc.star(3), 0)
+    assert empty.index[()] == (0, 0) and list(empty.index) == [()]
 
 
 # -- corners ----------------------------------------------------------------
