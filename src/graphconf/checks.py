@@ -26,15 +26,6 @@ from . import model as mdl
 
 
 @dataclass
-class CheckResult:
-    check_id: str
-    description: str
-    reference: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-
-@dataclass
 class Check:
     check_id: str
     description: str
@@ -47,8 +38,9 @@ def _result(check):
         passed, details = check.run()
     except mdl.CapExceededError as exc:
         passed, details = False, {"error": f"cap exceeded: {exc}"}
-    return CheckResult(check.check_id, check.description, check.reference,
-                       bool(passed), details)
+    return {"id": check.check_id, "description": check.description,
+            "reference": check.reference, "passed": bool(passed),
+            "details": details}
 
 
 # -- small-model reference table ---------------------------------------------
@@ -289,7 +281,7 @@ def tree_corpus_checks():
             cx = mdl.enumerate_cells(g, n)
             h = homology(cx)
             bc = cyc.enumerate_basic_classes(cx, degree=1)
-            rank = class_span_rank(bc.chains, cx, 1) if bc.chains else 0
+            rank = class_span_rank(bc.chains, cx, 1)
             integral = certify_integral_generation(bc.chains, cx, 1)
             ok = h.torsion_free() and rank == h.betti(1) and integral
             return ok, {"betti": list(h.betti_vector()),
@@ -703,7 +695,7 @@ def dense_rank_oracle(m):
     nonzero pivot in each column, no sparsity or pivoting strategy)."""
     nr, nc = m.num_rows, m.num_cols
     a = [[0] * nc for _ in range(nr)]
-    for (r, c), v in m.data.items():
+    for r, c, v in m.entries:
         a[r][c] = v
     rank = 0
     row = 0
@@ -731,7 +723,7 @@ def dense_rank_oracle(m):
 def fraction_rank_oracle(m):
     """Gaussian elimination over exact fractions, for small matrices."""
     rows = [[Fraction(0)] * m.num_cols for _ in range(m.num_rows)]
-    for (r, c), v in m.data.items():
+    for r, c, v in m.entries:
         rows[r][c] = Fraction(v)
     rank = 0
     lead = 0
@@ -933,13 +925,8 @@ def run_verification(only=None, seed=2026, cases=1000, fuzz_instances=100):
         checks = [c for c in checks if c.check_id.startswith(only)]
     results = [_result(c) for c in checks]
     return {
-        "checks": [
-            {"id": r.check_id, "description": r.description,
-             "reference": r.reference, "passed": r.passed,
-             "details": r.details}
-            for r in results
-        ],
+        "checks": results,
         "total": len(results),
-        "failed": sum(1 for r in results if not r.passed),
-        "passed": all(r.passed for r in results),
+        "failed": sum(1 for r in results if not r["passed"]),
+        "passed": all(r["passed"] for r in results),
     }

@@ -132,7 +132,7 @@ def cmd_span(args):
     summary = homology(cx, max_nnz=max_nnz)
     degree = args.degree
     bc = cyc.enumerate_basic_classes(cx, degree=degree)
-    rank = class_span_rank(bc.chains, cx, degree) if bc.chains else 0
+    rank = class_span_rank(bc.chains, cx, degree)
     betti = summary.betti(degree)
     status = "GENERATED" if rank == betti else "NOT-GENERATED"
     doc = {

@@ -295,7 +295,7 @@ def star_cycle_chain(g, spec, pair, parking=None):
     return z
 
 
-def star4_relation_chain(g, vertex, ends, pair, parking=None):
+def star4_relation_chain(g, vertex, ends, pair):
     """Alternating sum of the four star cycles over the 3-subsets of four
     ends, the omitted index carrying the sign; cancels cell by cell."""
     ends = tuple(ends)
@@ -304,7 +304,7 @@ def star4_relation_chain(g, vertex, ends, pair, parking=None):
     total = Chain(g, 1)
     for i in range(4):
         sub = tuple(d for j, d in enumerate(ends) if j != i)
-        z = star_cycle_chain(g, StarSpec(vertex, sub), pair, parking)
+        z = star_cycle_chain(g, StarSpec(vertex, sub), pair)
         total = total + (z if i % 2 == 0 else -z)
     return total
 

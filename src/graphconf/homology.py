@@ -11,51 +11,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, inf, prod
 
-from .model import CapExceededError, SparseEntries, boundary_chain
-
-
-class SparseIntMatrix:
-    """Sparse integer matrix in coordinate form."""
-
-    __slots__ = ("num_rows", "num_cols", "data")
-
-    def __init__(self, num_rows, num_cols, entries=()):
-        self.num_rows = num_rows
-        self.num_cols = num_cols
-        data = {}
-        if isinstance(entries, dict):
-            entries = [(r, c, v) for (r, c), v in entries.items()]
-        for r, c, v in entries:
-            if not (0 <= r < num_rows and 0 <= c < num_cols):
-                raise ValueError(f"entry ({r},{c}) out of range")
-            if (r, c) in data:
-                raise ValueError(f"duplicate entry at ({r},{c})")
-            if v:
-                data[(r, c)] = int(v)
-        self.data = data
-
-    @classmethod
-    def from_entries(cls, entries: SparseEntries):
-        return cls(entries.num_rows, entries.num_cols, entries.entries)
-
-    @property
-    def nnz(self):
-        return len(self.data)
-
-    def rows(self):
-        """Mutable dict-of-rows copy for elimination."""
-        rows = {}
-        for (r, c), v in self.data.items():
-            rows.setdefault(r, {})[c] = v
-        return rows
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseIntMatrix)
-                and (self.num_rows, self.num_cols) == (other.num_rows, other.num_cols)
-                and self.data == other.data)
-
-    def __repr__(self):
-        return f"SparseIntMatrix({self.num_rows}x{self.num_cols}, nnz={self.nnz})"
+from .model import CapExceededError, SparseIntMatrix, boundary_chain
 
 
 def _column_index(rows):
@@ -333,11 +289,11 @@ class HomologySummary:
 
 
 def boundary_matrix(cx, k, max_nnz=None):
-    entries = cx.boundary_entries(k)
-    if max_nnz is not None and len(entries.entries) > max_nnz:
+    m = cx.boundary_entries(k)
+    if max_nnz is not None and m.nnz > max_nnz:
         raise CapExceededError(
             f"boundary operator in degree {k} has more than {max_nnz} entries")
-    return SparseIntMatrix.from_entries(entries)
+    return m
 
 
 def euler_characteristic(cx):
@@ -398,17 +354,20 @@ def is_boundary(z, cx):
 
 
 def _augmented_matrix(zs, cx, degree):
-    num_rows = cx.cell_counts()[degree]
-    d = (cx.boundary_entries(degree + 1) if degree + 1 <= cx.max_dim
-         else SparseEntries(num_rows, 0, ()))
+    """``[zs | D_{degree+1}]``, its rows the degree-``degree`` cells as
+    counted by the shape of ``D_{degree+1}``; ``ValueError`` unless every
+    chain is a cycle of that degree supported on the complex."""
+    d = cx.boundary_entries(degree + 1)
     entries = []
     for j, z in enumerate(zs):
-        for i, v in _chain_vector(z, cx).items():
-            entries.append((i, j, v))
+        if z.degree != degree:
+            raise ValueError("span input of wrong degree")
+        if not is_cycle(z):
+            raise ValueError("span input is not a cycle")
+        entries += [(i, j, v) for i, v in _chain_vector(z, cx).items()]
     shift = len(zs)
-    for (r, c, v) in d.entries:
-        entries.append((r, c + shift, v))
-    return SparseIntMatrix(num_rows, shift + d.num_cols, entries), d
+    entries += [(r, c + shift, v) for r, c, v in d.entries]
+    return SparseIntMatrix(d.num_rows, shift + d.num_cols, entries)
 
 
 def class_span_rank(zs, cx, degree):
@@ -416,16 +375,10 @@ def class_span_rank(zs, cx, degree):
     degree-``degree`` homology, computed as
     ``rank [zs | D_{degree+1}] - rank D_{degree+1}``."""
     zs = list(zs)
-    for z in zs:
-        if z.degree != degree:
-            raise ValueError("span input of wrong degree")
-        if not is_cycle(z):
-            raise ValueError("span input is not a cycle")
     if not zs:
         return 0
-    aug, d = _augmented_matrix(zs, cx, degree)
-    return rank_over_rationals(aug) - rank_over_rationals(
-        SparseIntMatrix.from_entries(d))
+    return (rank_over_rationals(_augmented_matrix(zs, cx, degree))
+            - rank_over_rationals(boundary_matrix(cx, degree + 1)))
 
 
 def certify_integral_generation(zs, cx, degree):
@@ -438,11 +391,8 @@ def certify_integral_generation(zs, cx, degree):
     ``#cells - rank D_degree``, and all its invariant factors are 1: one
     Smith form.
     """
-    zs = list(zs)
-    for z in zs:
-        if z.degree != degree or not is_cycle(z):
-            raise ValueError("integral certification needs cycles of the right degree")
-    cycle_rank = cx.cell_counts()[degree] - rank_over_rationals(
-        boundary_matrix(cx, degree))
-    factors = smith_normal_form(_augmented_matrix(zs, cx, degree)[0])
-    return len(factors) == cycle_rank and all(f == 1 for f in factors)
+    aug = _augmented_matrix(list(zs), cx, degree)
+    d = boundary_matrix(cx, degree)
+    factors = smith_normal_form(aug)
+    return (len(factors) == d.num_cols - rank_over_rationals(d)
+            and all(f == 1 for f in factors))

@@ -53,7 +53,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .graphs import dimension_bound
@@ -343,13 +342,55 @@ def relabel_chain(z, perm):
 
 # -- the complex ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SparseEntries:
-    """Coordinate-format matrix data shared with the homology engine."""
+class SparseIntMatrix:
+    """Sparse integer matrix, one form from boundary assembly to
+    elimination: ``entries`` holds the nonzero ``(row, col, value)``
+    triples in (row, column) order, the order the export writes.
 
-    num_rows: int
-    num_cols: int
-    entries: tuple
+    The constructor range-checks every entry, zeros included, rejects a
+    repeated ``(row, col)`` and sorts.  :meth:`CubeComplex.boundary_entries`
+    alone skips it: its entries are valid and sorted by construction, and
+    it wraps them without a copy.
+    """
+
+    __slots__ = ("num_rows", "num_cols", "entries")
+
+    def __init__(self, num_rows, num_cols, entries=()):
+        kept = []
+        last_r = last_c = None
+        for r, c, v in sorted(entries):
+            if not (0 <= r < num_rows and 0 <= c < num_cols):
+                raise ValueError(f"entry ({r},{c}) out of range")
+            if c == last_c and r == last_r:
+                raise ValueError(f"duplicate entry at ({r},{c})")
+            last_r, last_c = r, c
+            if v:
+                kept.append((r, c, int(v)))
+        self.num_rows, self.num_cols, self.entries = num_rows, num_cols, tuple(kept)
+
+    @property
+    def nnz(self):
+        return len(self.entries)
+
+    def rows(self):
+        """Mutable dict-of-rows copy for elimination; the entries of one
+        row are one run of ``entries``."""
+        rows = {}
+        last = None
+        for r, c, v in self.entries:
+            if r != last:
+                row = rows[r] = {}
+                last = r
+            row[c] = v
+        return rows
+
+    def __eq__(self, other):
+        return (isinstance(other, SparseIntMatrix)
+                and (self.num_rows, self.num_cols, self.entries)
+                == (other.num_rows, other.num_cols, other.entries))
+
+    def __repr__(self):
+        return f"SparseIntMatrix({self.num_rows}x{self.num_cols}, nnz={self.nnz})"
 
 
 class _Codebook:
@@ -525,8 +566,9 @@ class CubeComplex:
         return tuple(len(group) for group in self._keys)
 
     def boundary_entries(self, k):
-        """Boundary operator from ``k``-cells to ``(k-1)``-cells in
-        coordinate form (row = target cell index, column = source)."""
+        """Boundary operator from ``k``-cells to ``(k-1)``-cells (row =
+        target cell index, column = source), assembled once; outside
+        ``1..max_dim`` it is the zero matrix of its shape."""
         if k in self._matrices:
             return self._matrices[k]
         counts = self.cell_counts()
@@ -535,8 +577,10 @@ class CubeComplex:
         entries = ()
         if 1 <= k <= self.max_dim:
             entries = self._book.boundary(self._keys[k], self._keys[k - 1])
-        result = self._matrices[k] = SparseEntries(rows, cols, entries)
-        return result
+        # valid and sorted by construction: wrapped without a checked copy
+        m = self._matrices[k] = SparseIntMatrix.__new__(SparseIntMatrix)
+        m.num_rows, m.num_cols, m.entries = rows, cols, entries
+        return m
 
     def relabeled(self, perm):
         """The same complex with particles renamed; cell sets per dimension

@@ -120,7 +120,7 @@ def reference_transpose(m):
     from graphconf.homology import SparseIntMatrix
     return SparseIntMatrix(
         m.num_cols, m.num_rows,
-        [(c, r, v) for (r, c), v in m.data.items()])
+        [(c, r, v) for r, c, v in m.entries])
 
 
 def reference_kernel_basis(m):
@@ -149,7 +149,7 @@ def reference_integral_generation(zs, cx, degree):
         if z.degree != degree or not is_cycle(z):
             raise ValueError("integral certification needs cycles of the right degree")
     kernel = reference_kernel_basis(boundary_matrix(cx, degree))
-    generators, _ = _augmented_matrix(zs, cx, degree)
+    generators = _augmented_matrix(zs, cx, degree)
     return all(solve_in_image(generators, kvec) for kvec in kernel)
 
 
@@ -178,19 +178,19 @@ def reference_boundary_entries(cx, k):
     """The boundary assembly as first written: ``boundary_of_cell`` on every
     pair-tuple ``k``-cell, rows found in a dict over the pair-tuple
     ``(k-1)``-cells, entries sorted."""
-    from graphconf.model import SparseEntries, boundary_of_cell
+    from graphconf.model import SparseIntMatrix, boundary_of_cell
     if not 1 <= k <= cx.max_dim:
         rows = len(cx.cells[k - 1]) if 0 <= k - 1 <= cx.max_dim else 0
         cols = len(cx.cells[k]) if 0 <= k <= cx.max_dim else 0
-        return SparseEntries(rows, cols, ())
+        return SparseIntMatrix(rows, cols, ())
     index = {cell: i for i, cell in enumerate(cx.cells[k - 1])}
     entries = []
     for j, cell in enumerate(cx.cells[k]):
         for f, s in boundary_of_cell(cx.graph, cell).items():
             entries.append((index[f], j, s))
     entries.sort()
-    return SparseEntries(len(cx.cells[k - 1]), len(cx.cells[k]),
-                         tuple(entries))
+    return SparseIntMatrix(len(cx.cells[k - 1]), len(cx.cells[k]),
+                           tuple(entries))
 
 
 def brute_force_cells(g, n):
@@ -213,7 +213,7 @@ def brute_force_cells(g, n):
 def fraction_rank(m):
     """Dense rank over exact fractions."""
     rows = [[Fraction(0)] * m.num_cols for _ in range(m.num_rows)]
-    for (r, c), v in m.data.items():
+    for r, c, v in m.entries:
         rows[r][c] = Fraction(v)
     rank = 0
     lead = 0
@@ -237,7 +237,7 @@ def minors_gcd_invariant_factors(m):
     gcd of all k x k minors, and the k-th factor is d_k / d_(k-1).
     Exponential; only for tiny matrices."""
     rows = [[0] * m.num_cols for _ in range(m.num_rows)]
-    for (r, c), v in m.data.items():
+    for r, c, v in m.entries:
         rows[r][c] = v
 
     def det(rs, cs):

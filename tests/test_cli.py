@@ -79,17 +79,26 @@ def test_export_document(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("args,digest", [
-    (("circle", "--sinks", "0", "-n", "3"),
+    (("export", "--graph", "circle", "--sinks", "0", "-n", "3"),
      "6dcc061e6d36a9a5eab4abe8fbc2992bcae82b69915f73ed1e93daa8a9df3d2f"),
-    (("circle", "-n", "3"),
+    (("export", "--graph", "circle", "-n", "3"),
      "c2f00728d7771ddc441f7f116f9ec5885c83e9f11789bf151fe4cb587017e725"),
-    (("h", "-n", "2"),
+    (("export", "--graph", "h", "-n", "2"),
      "cc723784b00b847d004311162d71dc3b2fe795627c2bca1170dcbf356122f8aa"),
+    (("homology", "--graph", "k:4", "-n", "3"),
+     "6ada5d0d210cf6ee4b66e64502bd3f8e04960434337c30229faf792cc433d3e8"),
+    (("span", "--graph", "h", "-n", "3"),
+     "41362e024e38c2602f3f5df5bd7729f61c5f47bf3c0dba88d7f05f054390f3dd"),
+    (("export", "--graph", "k:5", "-n", "2"),
+     "d2691674aec91fdf6abe543c2566effdee9e2e0ec191f71e19fbf7534209be7c"),
+    (("surface-check", "--graph", "banana:4", "-n", "3"),
+     "efaa5488e6542bf01b72ab1ddabe84d519ae60e2dbbcbfb4a06851d02c892a22"),
+    (("homology", "--graph", "banana:4", "--sinks", "0,1", "-n", "5"),
+     "ba3e97946339c0cfc2e04aa73070915b7debb3baf9d0b378dcc1a130f47b3d97"),
 ])
 def test_export_machine_bytes_pinned(capsys, args, digest):
-    # the export format is a file format: its bytes must not drift
-    code, out, _ = run(capsys, "export", "--graph", *args,
-                       "--format", "machine")
+    # machine output is a file format: its bytes must not drift
+    code, out, _ = run(capsys, *args, "--format", "machine")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -201,7 +201,7 @@ def test_pivot_search_matches_full_scan(monkeypatch):
         factors = smith_normal_form(m)
         assert diag is None or factors == diag
         assert rank_over_rationals(m) == len(factors)
-        column = {r: v for (r, c), v in m.data.items() if c == 0}
+        column = {r: v for r, c, v in m.entries if c == 0}
         assert solve_in_image(m, column)
         assert len(reference_kernel_basis(m)) == m.num_cols - len(factors)
     # both branches ran: a unit found by the bounded walk, and the full
@@ -384,6 +384,15 @@ def test_span_rank_basics(small_complexes):
     with pytest.raises(ValueError):
         nz = gc.Chain(cx.graph, 1, {cx.cells[1][0]: 1})
         gc.class_span_rank([nz], cx, 1)  # not a cycle
+    # above the top degree the row count comes from the shape of D_{k+1}
+    z = gc.nonproduct_cycle_chain(cx.graph)
+    assert len(z) == 144 and gc.is_cycle(z)
+    low = gc.enumerate_cells(gc.banana(4), 1)
+    assert low.max_dim == 1
+    for span in (gc.class_span_rank, gc.certify_integral_generation):
+        with pytest.raises(ValueError, match="support outside the complex"):
+            span([z], low, 2)
+    assert gc.certify_integral_generation([], low, 3)  # H_3 = 0
 
 
 def test_span_rank_monotone_and_capped(small_complexes):
@@ -432,6 +441,15 @@ def test_matrix_entry_validation():
         SparseIntMatrix(2, 2, [(0, 0, 1), (0, 0, 2)])
     with pytest.raises(ValueError):
         SparseIntMatrix(2, 2, [(3, 0, 1)])
+    # zeros are checked too, and stored entries are the sorted nonzeros
+    with pytest.raises(ValueError):
+        SparseIntMatrix(2, 2, [(0, 2, 0)])
+    with pytest.raises(ValueError):
+        SparseIntMatrix(2, 2, [(0, 0, 0), (0, 0, 1)])
+    m = SparseIntMatrix(2, 3, [(1, 0, 4), (0, 2, -1), (0, 1, 0), (0, 0, 2)])
+    assert m.entries == ((0, 0, 2), (0, 2, -1), (1, 0, 4)) and m.nnz == 3
+    assert m.rows() == {0: {0: 2, 2: -1}, 1: {0: 4}}
+    assert m == SparseIntMatrix(2, 3, reversed(m.entries))
 
 
 def test_homology_cross_checks_both_eliminations(small_complexes):

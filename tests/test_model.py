@@ -197,10 +197,10 @@ def test_boundary_matrix_product_vanishes(small_complexes):
         entries = cx.boundary_entries(k).entries
         assert all(a[:2] < b[:2] for a, b in zip(entries, entries[1:]))
     d1_cols = {}
-    for (r, c), v in gc.boundary_matrix(cx, 1).data.items():
+    for r, c, v in gc.boundary_matrix(cx, 1).entries:
         d1_cols.setdefault(c, {})[r] = v
     d2_cols = {}
-    for (r, c), v in gc.boundary_matrix(cx, 2).data.items():
+    for r, c, v in gc.boundary_matrix(cx, 2).entries:
         d2_cols.setdefault(c, {})[r] = v
     for col in d2_cols.values():
         out = {}
