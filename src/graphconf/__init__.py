@@ -11,9 +11,9 @@ from .model import (CapExceededError, Chain, CubeComplex, InvariantError,
                     cell_is_valid, corner_configurations, enumerate_cells,
                     face, make_cell, relabel_cell, relabel_chain)
 from .homology import (HomologySummary, SparseIntMatrix, boundary_matrix,
-                       certify_integral_generation, class_span_rank,
-                       euler_characteristic, homology, is_boundary, is_cycle,
-                       rank_over_rationals, smith_normal_form, solve_in_image)
+                       class_span, class_span_rank, euler_characteristic,
+                       homology, is_boundary, is_cycle, rank_over_rationals,
+                       smith_normal_form, solve_in_image)
 from .cycles import (BasicClasses, CircuitSpec, CycleConstructionError,
                      EnumerationCaps, HSpec, StarSpec, chain_to_doc,
                      circuit_cycle_chain, enumerate_basic_classes,

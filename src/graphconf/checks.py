@@ -18,10 +18,9 @@ from math import factorial
 
 from . import cycles as cyc
 from . import graphs as gr
-from .homology import (SparseIntMatrix, certify_integral_generation,
-                       class_span_rank, euler_characteristic, homology,
-                       is_boundary, is_cycle, rank_over_rationals,
-                       smith_normal_form)
+from .homology import (SparseIntMatrix, class_span, class_span_rank,
+                       euler_characteristic, homology, is_boundary, is_cycle,
+                       rank_over_rationals, smith_normal_form)
 from . import model as mdl
 
 
@@ -281,14 +280,13 @@ def tree_corpus_checks():
             cx = mdl.enumerate_cells(g, n)
             h = homology(cx)
             bc = cyc.enumerate_basic_classes(cx, degree=1)
-            rank = class_span_rank(bc.chains, cx, 1)
-            integral = certify_integral_generation(bc.chains, cx, 1)
-            ok = h.torsion_free() and rank == h.betti(1) and integral
-            return ok, {"betti": list(h.betti_vector()),
-                        "torsion_free": h.torsion_free(),
-                        "span": rank, "integral": integral,
-                        "candidates": len(bc.chains),
-                        "truncated": bc.truncated}
+            rank, saturated = class_span(bc.chains, cx, 1)
+            integral = saturated and rank == h.betti(1)
+            return h.torsion_free() and integral, {
+                "betti": list(h.betti_vector()),
+                "torsion_free": h.torsion_free(), "span": rank,
+                "integral": integral, "candidates": len(bc.chains),
+                "truncated": bc.truncated}
         return run
 
     for name, g in wedge_corpus():
@@ -314,9 +312,9 @@ def general_graph_checks():
                 cx = mdl.enumerate_cells(g, 2)
                 h = homology(cx)
                 bc = cyc.enumerate_basic_classes(cx, degree=1)
-                rank = class_span_rank(bc.chains, cx, 1)
-                integral = certify_integral_generation(bc.chains, cx, 1)
-                return rank == h.betti(1) and integral, {
+                rank, saturated = class_span(bc.chains, cx, 1)
+                integral = saturated and rank == h.betti(1)
+                return integral, {
                     "b1": h.betti(1), "span": rank, "integral": integral,
                     "candidates": len(bc.chains)}
             return run

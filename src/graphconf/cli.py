@@ -28,13 +28,18 @@ EXIT_CAP = 3
 
 
 def _load_graph_arg(text, sinks):
-    path = Path(text)
-    if path.exists() or text.endswith(".json"):
-        g = load_graph(path.read_text())
-        if sinks is not None:
-            g = g.with_sinks(sinks)
-        return g
-    return build_graph(parse_graph_spec(text, sinks=sinks or ()))
+    """A family spec, or a graph file when the text ends in ``.json`` or
+    is a file that names no family."""
+    if not text.endswith(".json"):
+        try:
+            spec = parse_graph_spec(text, sinks=sinks or ())
+        except GraphSpecError:
+            if not Path(text).exists():
+                raise
+        else:
+            return build_graph(spec)
+    g = load_graph(Path(text).read_text())
+    return g if sinks is None else g.with_sinks(sinks)
 
 
 def _parse_sinks(text):
@@ -77,16 +82,21 @@ def _homology_table(summary):
     return lines
 
 
-def cmd_homology(args):
+def _graph_complex(args):
+    """Complex, homology and machine-document head of a graph command."""
     g = _load_graph_arg(args.graph, _parse_sinks(args.sinks))
     max_cells, max_nnz = _parse_caps(args.caps)
     cx = enumerate_cells(g, args.n, max_cells=max_cells)
-    summary = homology(cx, max_nnz=max_nnz)
+    head = {"command": args.command, "graph": graph_to_doc(g),
+            "particles": args.n}
+    return cx, homology(cx, max_nnz=max_nnz), head
+
+
+def cmd_homology(args):
+    cx, summary, head = _graph_complex(args)
     doc = {
-        "command": "homology",
-        "graph": graph_to_doc(g),
-        "particles": args.n,
-        "dimension_bound": dimension_bound(g, args.n),
+        **head,
+        "dimension_bound": dimension_bound(cx.graph, args.n),
         "result": summary.to_doc(),
     }
     _emit(doc, args.format, args.out, _homology_table(summary))
@@ -94,19 +104,14 @@ def cmd_homology(args):
 
 
 def cmd_surface_check(args):
-    g = _load_graph_arg(args.graph, _parse_sinks(args.sinks))
-    max_cells, max_nnz = _parse_caps(args.caps)
-    cx = enumerate_cells(g, args.n, max_cells=max_cells)
-    summary = homology(cx, max_nnz=max_nnz)
+    _, summary, head = _graph_complex(args)
     b = summary.betti_vector()
     is_surface = (len(b) >= 3 and b[0] == 1 and b[2] == 1
                   and all(x == 0 for x in b[3:])
                   and b[1] % 2 == 0 and summary.torsion_free())
     genus = b[1] // 2 if is_surface else None
     doc = {
-        "command": "surface-check",
-        "graph": graph_to_doc(g),
-        "particles": args.n,
+        **head,
         "result": {
             "betti": list(b),
             "torsion_free": summary.torsion_free(),
@@ -126,19 +131,14 @@ def cmd_surface_check(args):
 
 
 def cmd_span(args):
-    g = _load_graph_arg(args.graph, _parse_sinks(args.sinks))
-    max_cells, max_nnz = _parse_caps(args.caps)
-    cx = enumerate_cells(g, args.n, max_cells=max_cells)
-    summary = homology(cx, max_nnz=max_nnz)
+    cx, summary, head = _graph_complex(args)
     degree = args.degree
     bc = cyc.enumerate_basic_classes(cx, degree=degree)
     rank = class_span_rank(bc.chains, cx, degree)
     betti = summary.betti(degree)
     status = "GENERATED" if rank == betti else "NOT-GENERATED"
     doc = {
-        "command": "span",
-        "graph": graph_to_doc(g),
-        "particles": args.n,
+        **head,
         "degree": degree,
         "result": {
             "betti": betti,
@@ -155,16 +155,11 @@ def cmd_span(args):
 
 
 def cmd_export(args):
-    g = _load_graph_arg(args.graph, _parse_sinks(args.sinks))
-    max_cells, max_nnz = _parse_caps(args.caps)
-    cx = enumerate_cells(g, args.n, max_cells=max_cells)
-    summary = homology(cx, max_nnz=max_nnz)
+    cx, summary, head = _graph_complex(args)
     bc = cyc.enumerate_basic_classes(cx, degree=1) if cx.max_dim >= 1 \
         else cyc.BasicClasses([], False)
     doc = {
-        "command": "export",
-        "graph": graph_to_doc(g),
-        "particles": args.n,
+        **head,
         "complex": complex_to_doc(cx),
         "homology": summary.to_doc(),
         "basic_classes": [cyc.chain_to_doc(z) for z in bc.chains],
@@ -260,7 +255,8 @@ def main(argv=None):
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (GraphSpecError, cyc.CycleConstructionError, ValueError) as exc:
+    except (GraphSpecError, cyc.CycleConstructionError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

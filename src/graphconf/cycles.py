@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 from .graphs import Graph, GraphSpec, build_graph, dimension_bound, \
     edge_of_end, end_side, essential_vertices, other_end, wedge
-from .model import (Chain, DEFAULT_MAX_CELLS, InvariantError, boundary_chain,
-                    cell_is_valid, cell_movers, enumerate_cells, face,
-                    is_move_state, make_cell, state_record)
+from .model import (Chain, InvariantError, boundary_chain, cell_is_valid,
+                    cell_movers, enumerate_cells, face, is_move_state,
+                    make_cell, state_record)
 
 
 class CycleConstructionError(ValueError):
@@ -774,7 +774,7 @@ def _map_local_state(edge_map, vertex_map, state):
     return ("MF", edge_map[state[1]])
 
 
-def local_star_classes(g, v, actives, max_cells=DEFAULT_MAX_CELLS):
+def local_star_classes(g, v, actives):
     """A complete set of degree-1 classes of the given particles confined
     to the star neighborhood of the essential vertex ``v``.
 
@@ -783,7 +783,7 @@ def local_star_classes(g, v, actives, max_cells=DEFAULT_MAX_CELLS):
     of its first homology; these map verbatim onto cells of the ambient
     graph."""
     sub, edge_map, vertex_map = _local_star(g, v)
-    cx = enumerate_cells(sub, len(actives), max_cells=max_cells)
+    cx = enumerate_cells(sub, len(actives), max_cells=MAX_LOCAL_CELLS)
     actives = tuple(sorted(actives))
     out = []
     for z in one_dim_cycle_basis(cx):
@@ -798,13 +798,15 @@ def local_star_classes(g, v, actives, max_cells=DEFAULT_MAX_CELLS):
 
 # -- enumeration of candidate generating cycles --------------------------------
 
+MAX_PATH_EDGES = 4
+MAX_CIRCUIT_EDGES = 6
+MAX_LOCAL_CELLS = 200_000
+
+
 @dataclass(frozen=True)
 class EnumerationCaps:
     max_chains: int = 4000
     max_parkings: int = 24
-    max_path_edges: int = 4
-    max_circuit_edges: int = 6
-    max_local_cells: int = 200_000
 
 
 @dataclass
@@ -823,14 +825,14 @@ def star_specs(g):
     return specs
 
 
-def circuit_specs(g, max_edges=6):
+def circuit_specs(g):
     """Embedded circuits, one representative per edge set (the edge set of
     an embedded circuit determines it up to rotation and reflection)."""
     specs = [CircuitSpec((2 * e,)) for e in range(g.num_edges) if g.is_loop(e)]
     seen = set()
 
     def extend(start, at, ends, verts, used):
-        if len(ends) >= max_edges:
+        if len(ends) >= MAX_CIRCUIT_EDGES:
             return
         for h in sorted(g.ends_at(at)):
             e = edge_of_end(h)
@@ -853,13 +855,13 @@ def circuit_specs(g, max_edges=6):
     return specs
 
 
-def h_specs(g, max_path_edges=4):
+def h_specs(g):
     """Endpoint pairs (sinks or essential vertices) joined by short embedded
     paths, with canonical side ends at non-sink endpoints."""
     anchors = sorted(set(essential_vertices(g)) | g.sinks)
     specs = []
     for v, w in itertools.combinations(anchors, 2):
-        for path in _embedded_paths(g, v, w, max_path_edges):
+        for path in _embedded_paths(g, v, w):
             v_sides = () if g.is_sink(v) else _side_ends(g, v, path[0])
             w_sides = () if g.is_sink(w) else _side_ends(g, w, other_end(path[-1]))
             if v_sides is None or w_sides is None:
@@ -875,11 +877,11 @@ def _side_ends(g, v, path_end):
     return tuple(free[:2])
 
 
-def _embedded_paths(g, v, w, max_edges):
+def _embedded_paths(g, v, w):
     paths = []
 
     def extend(at, ends, verts):
-        if len(ends) >= max_edges:
+        if len(ends) >= MAX_PATH_EDGES:
             return
         for h in sorted(g.ends_at(at)):
             e = edge_of_end(h)
@@ -999,7 +1001,7 @@ def _deep_ends(g, ends):
     return tuple(sorted(set(out)))
 
 
-def _candidate_partials(g, n, caps):
+def _candidate_partials(g, n):
     """Candidate cycles: classic two-particle star shuffles, the complete
     local star bases at the essential vertices, circuit rotations, and
     path crossings.
@@ -1035,12 +1037,11 @@ def _candidate_partials(g, n, caps):
         deep = _deep_ends(g, g.ends_at(v))
         for m in range(2, n + 1):
             for actives in itertools.combinations(pids, m):
-                for z in local_star_classes(g, v, actives,
-                                            max_cells=caps.max_local_cells):
+                for z in local_star_classes(g, v, actives):
                     out.append((
                         z, lambda parking, z=z: _attach_parked(z, g, parking),
                         actives, blocked, deep))
-    for spec in circuit_specs(g, caps.max_circuit_edges):
+    for spec in circuit_specs(g):
         blocked = frozenset(edge_of_end(h) for h in spec.ends)
         if len(spec.ends) == 1:
             groups = []
@@ -1052,7 +1053,7 @@ def _candidate_partials(g, n, caps):
             groups = [(p,) for p in pids]
         for actives in groups:
             add(circuit_cycle_chain, spec, actives, blocked)
-    for spec in h_specs(g, caps.max_path_edges):
+    for spec in h_specs(g):
         blocked = frozenset(edge_of_end(h) for h in spec.path)
         for pair in itertools.combinations(pids, 2):
             add(h_cycle_chain, spec, pair, blocked)
@@ -1074,7 +1075,7 @@ def enumerate_basic_classes(cx, degree=1, caps=None):
     n = cx.n
     if degree not in (1, 2):
         raise ValueError("only degrees 1 and 2 are enumerated")
-    partials = _candidate_partials(g, n, caps)
+    partials = _candidate_partials(g, n)
     chains = []
     truncated = False
 

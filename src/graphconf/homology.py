@@ -356,43 +356,47 @@ def is_boundary(z, cx):
 def _augmented_matrix(zs, cx, degree):
     """``[zs | D_{degree+1}]``, its rows the degree-``degree`` cells as
     counted by the shape of ``D_{degree+1}``; ``ValueError`` unless every
-    chain is a cycle of that degree supported on the complex."""
+    chain is a cycle of that degree supported on the complex, found by
+    indexing each chain once and checking ``D_degree Z = 0``."""
     d = cx.boundary_entries(degree + 1)
-    entries = []
+    columns = {}  # cell index: [(chain, coefficient)]
     for j, z in enumerate(zs):
         if z.degree != degree:
             raise ValueError("span input of wrong degree")
-        if not is_cycle(z):
-            raise ValueError("span input is not a cycle")
-        entries += [(i, j, v) for i, v in _chain_vector(z, cx).items()]
+        for i, v in _chain_vector(z, cx).items():
+            columns.setdefault(i, []).append((j, v))
+    image = {}
+    for r, c, v in cx.boundary_entries(degree).entries:
+        for j, w in columns.get(c, ()):
+            image[r, j] = image.get((r, j), 0) + v * w
+    if any(image.values()):
+        raise ValueError("span input is not a cycle")
     shift = len(zs)
+    entries = [(i, j, v) for i, col in columns.items() for j, v in col]
     entries += [(r, c + shift, v) for r, c, v in d.entries]
     return SparseIntMatrix(d.num_rows, shift + d.num_cols, entries)
 
 
-def class_span_rank(zs, cx, degree):
-    """Rank over the rationals of the span of the classes of ``zs`` in
-    degree-``degree`` homology, computed as
-    ``rank [zs | D_{degree+1}] - rank D_{degree+1}``."""
-    zs = list(zs)
-    if not zs:
-        return 0
-    return (rank_over_rationals(_augmented_matrix(zs, cx, degree))
-            - rank_over_rationals(boundary_matrix(cx, degree + 1)))
+def class_span(zs, cx, degree):
+    """``(rank, saturated)`` for the classes of ``zs`` in ``H_k``,
+    ``k = degree``, from one Smith form of ``A = [zs | D_{k+1}]``: ``rank``
+    is ``len(factors) - rank D_{k+1}``, the rational rank of their span,
+    and ``saturated`` says that every factor is 1.
 
-
-def certify_integral_generation(zs, cx, degree):
-    """Whether the classes of ``zs`` generate degree-``degree`` homology
-    over the integers.
-
-    The lattice ``L`` spanned by the cycles and the boundaries lies in the
-    cycle lattice ``Z = ker D_degree``, which is saturated.  So ``L = Z``
-    exactly when ``[zs | D_{degree+1}]`` has the rank of ``Z``,
-    ``#cells - rank D_degree``, and all its invariant factors are 1: one
-    Smith form.
+    They generate ``H_k`` over the integers iff ``saturated and rank ==
+    b_k``.  ``L = span(zs) + im D_{k+1}`` lies in ``Z = ker D_k``, which is
+    saturated, of rank ``#C_k - rank D_k = b_k + rank D_{k+1}``, and
+    ``L = Z`` gives both conditions.  Conversely ``rank == b_k`` makes
+    ``Z / L`` finite and ``saturated`` makes ``Z^{C_k} / L`` free; a finite
+    subgroup of a free group is 0, so ``L = Z``.
     """
-    aug = _augmented_matrix(list(zs), cx, degree)
-    d = boundary_matrix(cx, degree)
-    factors = smith_normal_form(aug)
-    return (len(factors) == d.num_cols - rank_over_rationals(d)
-            and all(f == 1 for f in factors))
+    zs = list(zs)
+    factors = smith_normal_form(_augmented_matrix(zs, cx, degree))
+    rank = len(factors) - rank_over_rationals(boundary_matrix(cx, degree + 1))
+    return rank, all(f == 1 for f in factors)
+
+
+def class_span_rank(zs, cx, degree):
+    """The ``rank`` of :func:`class_span`; 0 when ``zs`` is empty."""
+    zs = list(zs)
+    return class_span(zs, cx, degree)[0] if zs else 0

@@ -140,17 +140,62 @@ def reference_kernel_basis(m):
 def reference_integral_generation(zs, cx, degree):
     """Integral generation as first written: every vector of an integral
     basis of ``ker D_degree`` must be an integer combination of the cycles
-    and the boundaries, one solve per kernel vector.  Small instances only.
+    and the boundaries, one solve per kernel vector.  Small instances only:
+    three inputs on a three-particle wedge of two 4-stars take minutes.
+    The cycles are checked on pair tuples, and ``[zs | D_{degree+1}]`` is
+    built from ``cx.index``, not by the library's span matrix.
     """
-    from graphconf.homology import (_augmented_matrix, boundary_matrix,
+    from graphconf.homology import (SparseIntMatrix, boundary_matrix,
                                     is_cycle, solve_in_image)
     zs = list(zs)
     for z in zs:
         if z.degree != degree or not is_cycle(z):
             raise ValueError("integral certification needs cycles of the right degree")
     kernel = reference_kernel_basis(boundary_matrix(cx, degree))
-    generators = _augmented_matrix(zs, cx, degree)
+    d = boundary_matrix(cx, degree + 1)
+    entries = [(cx.index[cell][1], j, v)
+               for j, z in enumerate(zs) for cell, v in z.terms.items()]
+    entries += [(r, c + len(zs), v) for r, c, v in d.entries]
+    generators = SparseIntMatrix(d.num_rows, len(zs) + d.num_cols, entries)
     return all(solve_in_image(generators, kvec) for kvec in kernel)
+
+
+def reference_smith_generation(zs, cx, degree):
+    """Whether the classes of ``zs`` generate degree-``degree`` homology
+    over the integers: the library's certificate before the span routine
+    took it over.
+
+    The lattice ``L`` spanned by the cycles and the boundaries lies in the
+    cycle lattice ``Z = ker D_degree``, which is saturated.  So ``L = Z``
+    exactly when ``[zs | D_{degree+1}]`` has the rank of ``Z``,
+    ``#cells - rank D_degree``, and all its invariant factors are 1: one
+    Smith form.
+    """
+    from graphconf.homology import (_augmented_matrix, boundary_matrix,
+                                    rank_over_rationals, smith_normal_form)
+    aug = _augmented_matrix(list(zs), cx, degree)
+    d = boundary_matrix(cx, degree)
+    factors = smith_normal_form(aug)
+    return (len(factors) == d.num_cols - rank_over_rationals(d)
+            and all(f == 1 for f in factors))
+
+
+def integral_verdicts(chains, cx, kernel=True):
+    """``saturated and rank == b_1`` of :func:`graphconf.class_span` on the
+    full, empty and doubled inputs, each asserted equal to the
+    one-Smith-form certificate and, with ``kernel``, to the
+    kernel-plus-solve reference."""
+    import graphconf as gc
+    b1 = gc.homology(cx).betti(1)
+    verdicts = []
+    for zs in (chains, [], [z.scaled(2) for z in chains]):
+        rank, saturated = gc.class_span(zs, cx, 1)
+        got = saturated and rank == b1
+        assert got == reference_smith_generation(zs, cx, 1)
+        if kernel:
+            assert got == reference_integral_generation(zs, cx, 1)
+        verdicts.append(got)
+    return verdicts
 
 
 def reference_components(cx):

@@ -9,6 +9,7 @@ from math import factorial
 
 import graphconf as gc
 from graphconf import checks
+from conftest import integral_verdicts, reference_smith_generation
 
 
 def report(criterion, text):
@@ -113,7 +114,18 @@ def test_criterion_6_tree_corpus_generation():
             assert not bc.truncated, (name, n)
             rank = gc.class_span_rank(bc.chains, cx, 1) if bc.chains else 0
             assert rank == h.betti(1), (name, n, rank, h.betti(1))
-            assert gc.certify_integral_generation(bc.chains, cx, 1), (name, n)
+            # on three particles the kernel oracle takes up to minutes and
+            # the Smith form of a doubled input seconds: the full input only
+            if n < 3:
+                verdicts = integral_verdicts(bc.chains, cx)
+            else:
+                rank, saturated = gc.class_span(bc.chains, cx, 1)
+                verdicts = [saturated and rank == h.betti(1)]
+                assert verdicts[0] == reference_smith_generation(bc.chains,
+                                                                 cx, 1)
+            assert verdicts[0], (name, n)
+            assert h.betti(1) == 0 or verdicts[1:] in ([], [False, False]), \
+                (name, n, verdicts)
             checked += 1
     report(6, f"{checked} corpus instances torsion-free with full degree-1"
               " generation over Z")
@@ -128,7 +140,9 @@ def test_criterion_7_general_graph_generation():
         bc = gc.enumerate_basic_classes(cx, degree=1)
         rank = gc.class_span_rank(bc.chains, cx, 1)
         assert rank == h.betti(1), (key, rank, h.betti(1))
-        assert gc.certify_integral_generation(bc.chains, cx, 1), key
+        # the kernel oracle takes seconds per input on K33 and K5
+        verdicts = integral_verdicts(bc.chains, cx, kernel=key == "banana4")
+        assert verdicts == [True, False, False], (key, verdicts)
     report(7, "degree-1 classes generate over Z for two particles on K5,"
               " K33 and the four-edge banana")
 

@@ -1,3 +1,5 @@
+import importlib
+
 from graphconf import checks
 
 
@@ -23,6 +25,36 @@ def test_nonproduct_group():
 
 def test_general_group():
     assert run_only("general")["passed"]
+
+
+def test_tree_check_builds_one_span_matrix(monkeypatch):
+    # one [zs | D_2] per check, its cycles checked on the packed D_1 and
+    # not by pair-tuple boundaries
+    homology = importlib.import_module("graphconf.homology")
+    build, boundary = homology._augmented_matrix, homology.boundary_chain
+    calls = {"builds": 0, "inside": False, "boundaries": 0}
+
+    def counted_build(*args):
+        calls["builds"] += 1
+        calls["inside"] = True
+        try:
+            return build(*args)
+        finally:
+            calls["inside"] = False
+
+    def counted_boundary(z):
+        calls["boundaries"] += calls["inside"]
+        return boundary(z)
+
+    monkeypatch.setattr(homology, "_augmented_matrix", counted_build)
+    for name in ("graphconf.homology", "graphconf.model", "graphconf.cycles"):
+        monkeypatch.setattr(importlib.import_module(name), "boundary_chain",
+                            counted_boundary)
+    (check,) = [c for c in checks.tree_corpus_checks()
+                if c.check_id == "trees/h/n=2"]
+    passed, details = check.run()
+    assert passed and details["integral"] and details["span"] == 3
+    assert calls["builds"] == 1 and calls["boundaries"] == 0
 
 
 def test_wedge_corpus_shape():

@@ -120,6 +120,22 @@ def test_graph_file_input(capsys, tmp_path):
     assert doc["graph"]["edges"] == [[0, 1]] * 4
 
 
+def test_missing_graph_file_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "homology", "--graph",
+                         str(tmp_path / "missing.json"), "-n", "2")
+    assert code == 2 and not out
+    assert err.startswith("error:") and "missing.json" in err
+
+
+def test_family_spec_wins_over_a_directory_of_that_name(capsys, tmp_path,
+                                                        monkeypatch):
+    (tmp_path / "h").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, doc, _ = machine(capsys, "homology", "--graph", "h", "-n", "2")
+    assert code == 0
+    assert doc["graph"] == gc.graph_to_doc(gc.h_graph())
+
+
 def test_machine_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "span", "--graph", "star:4", "-n", "2",
                      "--format", "machine")

@@ -10,8 +10,8 @@ from graphconf.homology import (SparseIntMatrix, _diagonalize,
                                 solve_in_image)
 from graphconf.checks import (_random_matrix, _random_unimodular_shuffle,
                               dense_rank_oracle)
-from conftest import (fraction_rank, minors_gcd_invariant_factors,
-                      reference_components, reference_integral_generation,
+from conftest import (fraction_rank, integral_verdicts,
+                      minors_gcd_invariant_factors, reference_components,
                       reference_kernel_basis, reference_pick_pivot)
 
 
@@ -381,18 +381,23 @@ def test_span_rank_basics(small_complexes):
     boundaries = [gc.boundary_chain(gc.Chain(cx.graph, 2, {c: 1}))
                   for c in cx.cells[2][:6]]
     assert gc.class_span_rank(boundaries, cx, 1) == 0
-    with pytest.raises(ValueError):
-        nz = gc.Chain(cx.graph, 1, {cx.cells[1][0]: 1})
-        gc.class_span_rank([nz], cx, 1)  # not a cycle
+    nz = gc.Chain(cx.graph, 1, {cx.cells[1][0]: 1})
+    with pytest.raises(ValueError, match="not a cycle"):
+        gc.class_span_rank([nz], cx, 1)
     # above the top degree the row count comes from the shape of D_{k+1}
     z = gc.nonproduct_cycle_chain(cx.graph)
     assert len(z) == 144 and gc.is_cycle(z)
     low = gc.enumerate_cells(gc.banana(4), 1)
     assert low.max_dim == 1
-    for span in (gc.class_span_rank, gc.certify_integral_generation):
+    for span in (gc.class_span_rank, gc.class_span):
         with pytest.raises(ValueError, match="support outside the complex"):
             span([z], low, 2)
-    assert gc.certify_integral_generation([], low, 3)  # H_3 = 0
+    assert gc.class_span([], low, 3) == (0, True)  # H_3 = 0
+    with pytest.raises(ValueError, match="wrong degree"):
+        gc.class_span([z], cx, 1)
+    # every chain is indexed before any is tested as a cycle
+    with pytest.raises(ValueError, match="support outside the complex"):
+        gc.class_span([nz], low, 1)
 
 
 def test_span_rank_monotone_and_capped(small_complexes):
@@ -405,17 +410,6 @@ def test_span_rank_monotone_and_capped(small_complexes):
         assert last <= r <= b1
         last = r
     assert last == b1
-
-
-def integral_verdicts(chains, cx):
-    """The one-Smith-form certificate on the full, empty and doubled
-    inputs, each asserted equal to the kernel-plus-solve reference."""
-    verdicts = []
-    for zs in (chains, [], [z.scaled(2) for z in chains]):
-        got = gc.certify_integral_generation(zs, cx, 1)
-        assert got == reference_integral_generation(zs, cx, 1)
-        verdicts.append(got)
-    return verdicts
 
 
 def test_integral_generation_certificate(small_complexes):
