@@ -917,10 +917,12 @@ def all_checks(seed=2026, cases=1000, fuzz_instances=100):
 
 def run_verification(only=None, seed=2026, cases=1000, fuzz_instances=100):
     """Run the named checks (optionally filtered by id prefix) and return
-    the report document."""
+    the report document; ``ValueError`` when the prefix matches no check."""
     checks = all_checks(seed=seed, cases=cases, fuzz_instances=fuzz_instances)
     if only:
         checks = [c for c in checks if c.check_id.startswith(only)]
+        if not checks:
+            raise ValueError(f"no check id starts with {only!r}")
     results = [_result(c) for c in checks]
     return {
         "checks": results,

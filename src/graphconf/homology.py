@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import gcd, inf, prod
+from math import gcd, prod
 
 from .model import CapExceededError, SparseIntMatrix, boundary_chain
 
@@ -20,50 +20,6 @@ def _column_index(rows):
         for c in row:
             cols.setdefault(c, set()).add(r)
     return cols
-
-
-def _pick_pivot(rows, cols):
-    """The entry that minimises ``(|v| != 1, |v|, cost, r, c)``, with
-    ``cost = (len(row) - 1) * (len(col) - 1)``, ties included.
-
-    Units are sought line by line in increasing length, rows and columns
-    alike, the shorter next line first.  An entry not yet seen lies in an
-    unread row and an unread column, so its cost is at least the cost an
-    entry would have at the crossing of the next two lines; once that
-    bound exceeds the best unit's cost, no unread entry can beat or tie
-    it.  Without a unit every entry is read.
-    """
-    by_row = sorted((len(row) - 1, r) for r, row in rows.items())
-    by_col = sorted((len(rs) - 1, c) for c, rs in cols.items() if rs)
-    best = (inf,)
-    i = j = 0
-    while i < len(by_row) and j < len(by_col):
-        lr, r0 = by_row[i]
-        lc, c0 = by_col[j]
-        if lr * lc > best[0]:
-            break
-        if lr <= lc:
-            i += 1
-            for c, v in rows[r0].items():
-                if v == 1 or v == -1:
-                    key = (lr * (len(cols[c]) - 1), r0, c)
-                    if key < best:
-                        best = key
-        else:
-            j += 1
-            for r in cols[c0]:
-                v = rows[r][c0]
-                if v == 1 or v == -1:
-                    key = ((len(rows[r]) - 1) * lc, r, c0)
-                    if key < best:
-                        best = key
-    if best[0] == inf:
-        for r, row in rows.items():
-            for c, v in row.items():
-                key = (abs(v), (len(row) - 1) * (len(cols[c]) - 1), r, c)
-                if key < best:
-                    best = key
-    return best[-2:]
 
 
 def _divmod_balanced(a, p):
@@ -85,43 +41,53 @@ def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None):
     operations are mirrored on ``carry``, a dict of sparse companion rows
     indexed like ``rows``; ``max_nnz`` caps the nonzeros after each pivot.
 
-    Pivots come from a lazy heap over columns on +-1 input (a unit in the
-    sparsest column, in its shortest row), then from ``_pick_pivot``.  A
-    unit pivot clears its column, and then its row is dropped: clearing it
-    by column operations would change nothing else.  With ``rows_only`` a
-    non-unit pivot clears its column by a remainder cascade, which keeps
-    the rank but not the pivot values.  Otherwise the unit phase ends there
-    and the residual R is eliminated in residues modulo ``modulus``, a
-    multiple of delta, the product of the pivots of a row-only pass over R:
-    an r x r minor of a unimodular transform of R, so a multiple of d_r(R).
-    Each pivot there is made to divide every entry left, so the gcds of the
-    pivots with the modulus are the invariant factors of R in order, and a
-    target in the rational span of R is in its image iff it is modulo the
-    modulus (Domich, Kannan and Trotter 1987; Dumas, Saunders and Villard
-    2001).
+    Every pivot comes from one lazy queue of columns, keyed ``(least, len,
+    c)``: ``least`` is the least ``|v|`` the column held when queued (1 for
+    every column at the start) and ``len`` its number of entries then.  A
+    popped column whose length changed is queued again with its new
+    length.  Otherwise one pass over it finds its least ``|v|`` entry in
+    its shortest row; that is the pivot unless its value exceeds the key,
+    and then the column is queued again under that value.  So units come
+    first, the sparsest column first, then the least values, with no scan
+    of the whole matrix.  A column that loses its pivot to a column
+    operation is queued again, so every nonempty column stays queued and
+    the queue runs dry only with the matrix.
+
+    A unit pivot clears its column, and then its row is dropped: clearing
+    it by column operations would change nothing else.  With ``rows_only``
+    a non-unit pivot clears its column by a remainder cascade, which keeps
+    the rank but not the pivot values.  Otherwise the unit phase ends when
+    the queue offers a non-unit pivot and no unit is left (a row operation
+    can make a unit in a column queued under a larger value; one pass over
+    the rows left queues such columns again), and the residual R is
+    eliminated in residues modulo ``modulus``, a multiple of delta, the
+    product of the pivots of a row-only pass over R: an r x r minor of a
+    unimodular transform of R, so a multiple of d_r(R).  Each pivot there
+    is made to divide every entry left, so the gcds of the pivots with the
+    modulus are the invariant factors of R in order, and a target in the
+    rational span of R is in its image iff it is modulo the modulus
+    (Domich, Kannan and Trotter 1987; Dumas, Saunders and Villard 2001).
     """
     cols = _column_index(rows)
     pivot_of_row = {}
-    heap = []
-    if all(abs(v) == 1 for row in rows.values() for v in row.values()):
-        heap = [(len(rs), c) for c, rs in cols.items()]
-        heapify(heap)
+    queue = [(1, len(rs), c) for c, rs in cols.items()]
+    heapify(queue)
     nnz = sum(map(len, rows.values())) if max_nnz is not None else 0
     touched = {}  # row: its length before the current pivot, when capped
 
     def next_pivot():
-        while heap:
-            n, c = heappop(heap)
+        while True:
+            key, n, c = heappop(queue)
             rs = cols.get(c)
             if not rs:
                 continue
             if len(rs) != n:
-                heappush(heap, (len(rs), c))
+                heappush(queue, (key, len(rs), c))
                 continue
-            units = [(len(rows[r]), r) for r in rs if abs(rows[r][c]) == 1]
-            if units:
-                return min(units)[1], c
-        return _pick_pivot(rows, cols)
+            least, _, r = min((abs(rows[r][c]), len(rows[r]), r) for r in rs)
+            if least <= key:
+                return r, c
+            heappush(queue, (least, n, c))
 
     def row_op(r, r0, q):
         # row_r -= q * row_r0, in residues modulo ``modulus`` when it is set
@@ -160,7 +126,14 @@ def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None):
     while rows:
         r0, c0 = next_pivot()
         if not (rows_only or modulus) and abs(rows[r0][c0]) != 1:
-            break  # the unit phase is over: ``rows`` holds the residual
+            # units left in columns queued under a larger value go first
+            units = {c for row in rows.values() for c, v in row.items()
+                     if v == 1 or v == -1}
+            if not units:
+                break  # ``rows`` holds the residual
+            for c in units | {c0}:
+                heappush(queue, (1, len(cols[c]), c))
+            continue
         while True:
             if max_nnz is not None:
                 for r in cols[c0]:
@@ -196,7 +169,10 @@ def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None):
                     row_op(r0, bad[0], -1)
                     continue
                 # column c0 is clear: this column operation changes row r0
+                # and moves the pivot to column c; c0 keeps its entry in row
+                # r0, which stays if the cascade moves the pivot off r0
                 rows[r0][c] = rem
+                heappush(queue, (piv, 1, c0))
                 c0 = c
         pivot_of_row[r0] = rows[r0][c0]
         for c in rows.pop(r0):

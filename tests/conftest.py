@@ -102,19 +102,6 @@ def reference_face(g, cell, slot, side):
     return make_cell(rest)
 
 
-def reference_pick_pivot(rows, cols):
-    """The pivot search as first written: a full scan of every entry for
-    the least (|v| != 1, |v|, fill-in, row, column)."""
-    best = None
-    for r, row in rows.items():
-        for c, v in row.items():
-            cost = (len(row) - 1) * (len(cols[c]) - 1)
-            key = (abs(v) != 1, abs(v), cost, r, c)
-            if best is None or key < best[0]:
-                best = (key, r, c)
-    return best[1], best[2]
-
-
 def reference_transpose(m):
     """The transpose of a sparse integer matrix."""
     from graphconf.homology import SparseIntMatrix

@@ -151,6 +151,12 @@ def test_verify_only_baseline(capsys):
     assert doc["report"]["passed"]
 
 
+def test_verify_only_unknown_prefix_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--only", "nosuch")
+    assert code == 2 and not out
+    assert err.startswith("error:") and "nosuch" in err
+
+
 def test_verify_human_lines(capsys):
     code, out, _ = run(capsys, "verify", "--only", "surface")
     assert code == 0

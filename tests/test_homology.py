@@ -1,6 +1,7 @@
 import importlib
 import random
-from math import factorial, prod
+from functools import reduce
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -12,7 +13,7 @@ from graphconf.checks import (_random_matrix, _random_unimodular_shuffle,
                               dense_rank_oracle)
 from conftest import (fraction_rank, integral_verdicts,
                       minors_gcd_invariant_factors, reference_components,
-                      reference_kernel_basis, reference_pick_pivot)
+                      reference_kernel_basis)
 
 
 def random_matrix(rng, max_size=8, lo=-9, hi=9):
@@ -177,36 +178,50 @@ def planted_matrix(rng, size, factors=(2, 6, 12), rank=None, image=False):
     return m, diag, cols
 
 
-def test_pivot_search_matches_full_scan(monkeypatch):
-    # the bounded search returns the full scan's pivot, ties included, in
-    # every search of every routine built on the elimination (the kernel
-    # basis is the reference one, on the same elimination)
+def test_pivot_queue_on_any_input(monkeypatch):
+    # every pivot of every routine built on the elimination comes from the
+    # column queue; the unit phase hands on no unit to the residual pass
     homology = importlib.import_module("graphconf.homology")
-    search = homology._pick_pivot
-    picked = []
+    diagonalize = homology._diagonalize
+    residuals = []
 
-    def checked(rows, cols):
-        got = search(rows, cols)
-        assert got == reference_pick_pivot(rows, cols)
-        picked.append(abs(rows[got[0]][got[1]]) == 1)
-        return got
+    def checked(rows, carry=None, rows_only=False, modulus=0, max_nnz=None):
+        if modulus:
+            residuals.append(dict(rows))
+            assert all(abs(v) != 1 for row in rows.values()
+                       for v in row.values())
+        return diagonalize(rows, carry, rows_only, modulus, max_nnz)
 
-    monkeypatch.setattr(homology, "_pick_pivot", checked)
+    monkeypatch.setattr(homology, "_diagonalize", checked)
     rng = random.Random(25)
     cases = [(_random_matrix(rng), None) for _ in range(60)]
     cases += [planted_matrix(rng, size) for size in (8, 20, 40, 60)]
     cases.append((SparseIntMatrix(
         2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)]), [1, 2]))
+    # column 0 is queued again under 4, its least value; the unit pivot in
+    # column 2 turns its 5 into a unit and keeps its length, so only the
+    # check before the residual pass finds that unit, ahead of the 2 that
+    # column 1 offers
+    unit_late = SparseIntMatrix(3, 3, [(0, 0, 4), (0, 2, 1), (1, 0, 5),
+                                       (1, 1, 2), (1, 2, 1), (2, 1, 3),
+                                       (2, 2, 1)])
+    cases.append((unit_late, [1, 1, 11]))
     for m, diag in cases:
         factors = smith_normal_form(m)
         assert diag is None or factors == diag
-        assert rank_over_rationals(m) == len(factors)
+        if min(m.num_rows, m.num_cols) <= 2 or max(m.num_rows, m.num_cols) <= 5:
+            assert factors == minors_gcd_invariant_factors(m)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        if factors:
+            assert factors[0] == reduce(gcd, (v for _, _, v in m.entries))
+        assert rank_over_rationals(m) == len(factors) == fraction_rank(m)
         column = {r: v for r, c, v in m.entries if c == 0}
         assert solve_in_image(m, column)
         assert len(reference_kernel_basis(m)) == m.num_cols - len(factors)
-    # both branches ran: a unit found by the bounded walk, and the full
-    # scan when no unit is left
-    assert True in picked and False in picked
+    assert residuals  # non-unit pivots came from the queue too
+    residuals.clear()
+    assert smith_normal_form(unit_late) == [1, 1, 11]
+    assert residuals == [{2: {1: 11}}]
 
 
 def test_k5_boundaries_are_unimodular(small_complexes):
