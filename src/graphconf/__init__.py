@@ -15,12 +15,11 @@ from .homology import (HomologySummary, SparseIntMatrix, boundary_matrix,
                        homology, is_boundary, is_cycle, rank_over_rationals,
                        smith_normal_form, solve_in_image)
 from .cycles import (BasicClasses, CircuitSpec, CycleConstructionError,
-                     EnumerationCaps, HSpec, StarSpec, chain_to_doc,
-                     circuit_cycle_chain, enumerate_basic_classes,
-                     h_cycle_chain, loop_augmented_nonproduct,
-                     nonproduct_cycle, nonproduct_cycle_chain, parked_chain,
-                     product_chain, push_in, star4_relation_chain,
-                     star_cycle_chain)
+                     HSpec, StarSpec, chain_to_doc, circuit_cycle_chain,
+                     enumerate_basic_classes, h_cycle_chain,
+                     loop_augmented_nonproduct, nonproduct_cycle,
+                     nonproduct_cycle_chain, parked_chain, product_chain,
+                     push_in, star4_relation_chain, star_cycle_chain)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

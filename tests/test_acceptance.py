@@ -111,7 +111,6 @@ def test_criterion_6_tree_corpus_generation():
             h = gc.homology(cx)
             assert h.torsion_free(), (name, n)
             bc = gc.enumerate_basic_classes(cx, degree=1)
-            assert not bc.truncated, (name, n)
             rank = gc.class_span_rank(bc.chains, cx, 1) if bc.chains else 0
             assert rank == h.betti(1), (name, n, rank, h.betti(1))
             # on three particles the kernel oracle takes up to minutes: the

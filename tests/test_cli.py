@@ -157,6 +157,16 @@ def test_verify_only_unknown_prefix_is_a_usage_error(capsys):
     assert err.startswith("error:") and "nosuch" in err
 
 
+@pytest.mark.parametrize("argv", [("--cases", "0"), ("--cases", "-1"),
+                                  ("--fuzz-instances", "0")])
+def test_verify_without_cases_is_a_usage_error(capsys, argv):
+    # zero cases would report every property suite or the fuzz check as
+    # a vacuous PASS
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and not out
+    assert err.startswith("error:")
+
+
 def test_verify_human_lines(capsys):
     code, out, _ = run(capsys, "verify", "--only", "surface")
     assert code == 0

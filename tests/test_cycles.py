@@ -8,6 +8,7 @@ from graphconf.cycles import (CircuitSpec, CycleConstructionError, HSpec,
                               StarSpec, chain_support_elements, chain_to_doc,
                               local_star_classes, one_dim_cycle_basis)
 from graphconf.model import boundary_chain, make_cell
+from conftest import reference_smith_generation
 
 
 def star3_spec():
@@ -430,7 +431,6 @@ def test_enumerate_basic_classes_star3(small_complexes):
     _, spec = star3_spec()
     twelve = gc.star_cycle_chain(cx.graph, spec, (0, 1))
     bc = gc.enumerate_basic_classes(cx, degree=1)
-    assert not bc.truncated
     assert any(z == twelve for z in bc.chains)
     assert gc.class_span_rank(bc.chains, cx, 1) == 1
 
@@ -455,18 +455,16 @@ def test_enumerate_degree2_finds_products():
     assert gc.class_span_rank(bc.chains, cx, 2) == b2 == 2
 
 
-def test_enumeration_truncation_flag(small_complexes):
-    from graphconf.cycles import EnumerationCaps
-    cx = small_complexes("k5-n2")
-    bc = gc.enumerate_basic_classes(cx, degree=1,
-                                    caps=EnumerationCaps(max_chains=5))
-    assert bc.truncated and len(bc.chains) == 5
-    # a parking cap that cuts the parkings of the third particle says so
-    cx = gc.enumerate_cells(gc.h_graph(), 3)
-    bc = gc.enumerate_basic_classes(cx, degree=1,
-                                    caps=EnumerationCaps(max_parkings=1))
-    assert bc.truncated
-    assert not gc.enumerate_basic_classes(cx, degree=1).truncated
+def test_enumeration_is_complete_on_the_six_loop_rose():
+    # three particles on a rose of six loops build 5653 candidates; all of
+    # them are kept, and they generate H_1 over Z, which the first 4000
+    # alone do not (they span 747 of b_1 = 1051)
+    cx = gc.enumerate_cells(gc.Graph(1, [(0, 0)] * 6), 3)
+    bc = gc.enumerate_basic_classes(cx, degree=1)
+    assert len(bc.chains) == 5653
+    assert gc.class_span(bc.chains, cx, 1) == (1051, True)
+    assert gc.homology(cx).betti(1) == 1051
+    assert reference_smith_generation(bc.chains, cx, 1)
 
 
 def test_each_candidate_is_built_once(small_complexes, monkeypatch):
