@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -330,17 +330,6 @@ def general_graph_checks():
 
 # -- randomized property suites ---------------------------------------------
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.failures
-
-
 def random_connected_graph(rng, max_edges=6, max_vertices=5):
     nv = rng.randint(1, max_vertices)
     edges = []
@@ -394,7 +383,7 @@ def suite_boundary_squares_zero(seed=0, cases=1000, boundary_fn=None):
             if len(failures) > 4:
                 break
         done += 1
-    return SuiteResult("boundary-squares-to-zero", done, failures)
+    return done, failures
 
 
 def _zero_cell_valid_reference(g, cell):
@@ -476,7 +465,7 @@ def suite_validity_oracle(seed=1, cases=1000):
             failures.append(f"validity {got} vs oracle {want} on {cell}")
             if len(failures) > 4:
                 break
-    return SuiteResult("validity-oracle-equivalence", cases, failures)
+    return cases, failures
 
 
 def suite_equivariance(seed=2, cases=1000):
@@ -508,7 +497,7 @@ def suite_equivariance(seed=2, cases=1000):
             failures.append(f"boundary/relabel mismatch on {cell}")
         done += 1
         if len(failures) > 4:
-            return SuiteResult("relabeling-equivariance", done, failures)
+            return done, failures
     small = [cx for cx in pool if sum(cx.cell_counts()) <= 700] or pool[:1]
     for _ in range(betti_cases):
         cx = rng.choice(small)
@@ -519,7 +508,7 @@ def suite_equivariance(seed=2, cases=1000):
         if base.betti_vector() != relabeled.betti_vector():
             failures.append(f"betti changed under {perm}")
         done += 1
-    return SuiteResult("relabeling-equivariance", done, failures)
+    return done, failures
 
 
 def suite_push_in(seed=3, cases=1000):
@@ -554,7 +543,7 @@ def suite_push_in(seed=3, cases=1000):
             failures.append("dropping the pushed particle does not recover"
                             " the chain")
             break
-    return SuiteResult("push-in-chain-map", cases, failures)
+    return cases, failures
 
 
 def _drop_particle(z, s):
@@ -632,7 +621,7 @@ def suite_leibniz(seed=4, cases=1000):
             if len(failures) > 4:
                 break
         done += 1
-    return SuiteResult("product-leibniz", done, failures)
+    return done, failures
 
 
 def suite_subdivision(seed=5, cases=1000):
@@ -662,7 +651,7 @@ def suite_subdivision(seed=5, cases=1000):
             if len(failures) > 4:
                 break
         done += 1
-    return SuiteResult("subdivision-invariance", done, failures)
+    return done, failures
 
 
 def suite_dimension_bound(seed=6, cases=1000):
@@ -685,7 +674,7 @@ def suite_dimension_bound(seed=6, cases=1000):
             if len(failures) > 4:
                 break
         done += 1
-    return SuiteResult("dimension-bound", done, failures)
+    return done, failures
 
 
 def dense_rank_oracle(m):
@@ -807,10 +796,11 @@ def suite_snf_oracle(seed=7, cases=1000):
                     failures.append(f"Smith form not invariant on {m}")
                     if len(failures) > 4:
                         break
-    return SuiteResult("snf-vs-dense-oracle", cases, failures)
+    return cases, failures
 
 
-# (name, suite, reference); suite i runs with seed + i
+# (name, suite, reference); suite i runs with seed + i and returns
+# (cases run, failure messages)
 PROPERTY_SUITES = [
     ("boundary-squares-to-zero", suite_boundary_squares_zero,
      "the composite of two boundary operators vanishes"),
@@ -833,18 +823,12 @@ PROPERTY_SUITES = [
 ]
 
 
-def property_suites(seed=2026, cases=1000):
-    return [fn(seed + i, cases)
-            for i, (_, fn, _) in enumerate(PROPERTY_SUITES)]
-
-
 def property_checks(seed=2026, cases=1000):
     checks = []
     for i, (name, fn, why) in enumerate(PROPERTY_SUITES):
         def run(fn=fn, i=i):
-            result = fn(seed + i, cases)
-            return result.passed, {"cases": result.cases,
-                                   "failures": result.failures[:5]}
+            done, failures = fn(seed + i, cases)
+            return not failures, {"cases": done, "failures": failures[:5]}
         checks.append(Check(f"property/{name}",
                             f"randomized property suite: {name}", why, run))
     return checks

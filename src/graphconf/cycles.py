@@ -20,11 +20,11 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphSpec, build_graph, dimension_bound, \
-    edge_of_end, end_side, essential_vertices, other_end, wedge
+from .graphs import Graph, banana, dimension_bound, edge_of_end, end_side, \
+    essential_vertices, other_end, wedge
 from .model import (Chain, InvariantError, boundary_chain, cell_is_valid,
-                    cell_movers, enumerate_cells, face, is_move_state,
-                    make_cell, state_record)
+                    enumerate_cells, face, is_move_state, make_cell,
+                    state_is_valid, state_record)
 
 
 class CycleConstructionError(ValueError):
@@ -111,20 +111,16 @@ def _station_move(station):
 
 
 def normalize_parking(g, parking):
-    """Validate a parking map ``particle -> ('V', v) | ('E', e, k)``; the
-    ``k`` of an 'E' state only orders the parked particles of one edge."""
+    """Validate a parking map ``particle -> ('V', v) | ('E', e, k)`` of
+    valid states; the ``k`` of an 'E' state only orders the parked
+    particles of one edge."""
     parking = dict(parking or {})
     for pid, st in parking.items():
-        if st[0] == "V":
-            if not (g.is_sink(st[1]) or g.valence(st[1]) >= 2):
-                raise CycleConstructionError(
-                    f"particle {pid} parked on an unusable vertex {st[1]}")
-        elif st[0] == "E":
-            if g.sink_endpoints(st[1]):
-                raise CycleConstructionError(
-                    f"particle {pid} parked inside a sink-incident edge")
-        else:
+        if st[0] not in ("V", "E"):
             raise CycleConstructionError(f"parking state {st} is not static")
+        if not state_is_valid(g, st):
+            raise CycleConstructionError(
+                f"particle {pid} cannot park at {st}")
     return parking
 
 
@@ -189,7 +185,7 @@ class _Walk:
                 old = s
             else:
                 rest.append((p, s))
-        if old is None or is_move_state(old):
+        if old is None:
             raise CycleConstructionError(f"particle {pid} has no static state")
         if old[0] == "E":
             e, r = old[1], old[2]
@@ -201,9 +197,9 @@ class _Walk:
             raise CycleConstructionError(
                 f"itinerary blocked: move {move_state} of particle {pid}"
                 " is not independent of the rest of the configuration")
-        slot = [p for p, _ in cell_movers(cell)].index(pid)
-        f0 = face(g, cell, slot, 0)
-        f1 = face(g, cell, slot, 1)
+        # the walk rests between moves: the moving particle is the only mover
+        f0 = face(g, cell, 0, 0)
+        f1 = face(g, cell, 0, 1)
         if f0 == self.config:
             coef, nxt = 1, f1
         elif f1 == self.config:
@@ -273,7 +269,6 @@ def star_cycle_chain(g, spec, pair, parking=None):
     end a and the other resting at end b carries the sign of the cyclic
     orientation of (a, b) within the spec triple.
     """
-    spec = spec if isinstance(spec, StarSpec) else StarSpec(*spec)
     _check_star_spec(g, spec)
     x, y = pair
     if x == y:
@@ -337,7 +332,6 @@ def circuit_cycle_chain(g, spec, particles, parking=None):
     cyclically in the given order; this realizes the classes that move all
     particles of a circle component at once.
     """
-    spec = spec if isinstance(spec, CircuitSpec) else CircuitSpec(tuple(spec))
     verts = _check_circuit(g, spec)
     if isinstance(particles, int):
         particles = (particles,)
@@ -420,7 +414,6 @@ def h_cycle_chain(g, spec, pair, parking=None):
     Both crossing orders join the same two configurations, so the
     difference closes up.
     """
-    spec = spec if isinstance(spec, HSpec) else HSpec(*spec)
     _check_h_spec(g, spec)
     x, y = pair
     if x == y:
@@ -532,12 +525,13 @@ def parked_chain(g, parking):
 def push_in(z, e, s, leaf_end=None):
     """Insert a new particle ``s`` just inside the leaf end of edge ``e``.
 
-    The particle occupies the outermost interior slot at the leaf end and
-    existing occupants re-rank; if the leaf vertex is a sink the particle
-    sits on it, and if instead the inner endpoint is a sink (the edge then
-    has no interior slots in the model) the particle settles there.  This
-    is a chain map: it commutes with the boundary and sends cycles to
-    cycles.
+    The particle is parked by the parking rule of :func:`_attach_parked`:
+    deep behind the inner end, that is, in the outermost interior slot at
+    the leaf end, with the existing occupants re-ranked; if the leaf
+    vertex is a sink the particle sits on it, and if instead the inner
+    endpoint is a sink (the edge then has no interior slots in the model)
+    the particle settles there.  This is a chain map: it commutes with
+    the boundary and sends cycles to cycles.
     """
     g = z.graph
     if not 0 <= e < g.num_edges:
@@ -554,22 +548,13 @@ def push_in(z, e, s, leaf_end=None):
         raise ValueError(f"end {leaf_end} of edge {e} is not a leaf")
     if s in chain_particles(z):
         raise ValueError(f"particle {s} already present")
-
-    def insert(cell):
-        if g.is_sink(leaf):
-            return make_cell(cell + ((s, ("V", leaf)),))
-        if g.sink_endpoints(e):
-            inner = g.edges[e][1 - leaf_end]
-            return make_cell(cell + ((s, ("V", inner)),))
-        if leaf_end == 0:
-            shifted = tuple(
-                (p, ("E", e, st[2] + 1)) if st[0] == "E" and st[1] == e else (p, st)
-                for p, st in cell)
-            return make_cell(shifted + ((s, ("E", e, 0)),))
-        count = sum(1 for _, st in cell if st[0] == "E" and st[1] == e)
-        return make_cell(cell + ((s, ("E", e, count)),))
-
-    return Chain(g, z.degree, {insert(c): v for c, v in z.terms.items()})
+    if g.is_sink(leaf):
+        state = ("V", leaf)
+    elif g.sink_endpoints(e):
+        state = ("V", g.edges[e][1 - leaf_end])
+    else:
+        state = ("D", 2 * e + 1 - leaf_end, 0)
+    return _attach_parked(z, g, {s: state})
 
 
 # -- the non-product two-cycle --------------------------------------------------
@@ -652,7 +637,7 @@ def loop_augmented_nonproduct(k):
     """
     if k < 0:
         raise ValueError("loop count must be nonnegative")
-    g = build_graph(GraphSpec.named("banana", 4))
+    g = banana(4)
     for _ in range(k):
         g = wedge(g, 0, Graph(2, [(0, 1), (1, 1)]), 0)
     z = nonproduct_cycle_chain(g)
@@ -819,32 +804,17 @@ def star_specs(g):
 
 
 def circuit_specs(g):
-    """Embedded circuits, one representative per edge set (the edge set of
+    """Embedded circuits: the loops, then the closed embedded paths from
+    each vertex in turn, one representative per edge set (the edge set of
     an embedded circuit determines it up to rotation and reflection)."""
     specs = [CircuitSpec((2 * e,)) for e in range(g.num_edges) if g.is_loop(e)]
     seen = set()
-
-    def extend(start, at, ends, verts, used):
-        if len(ends) >= MAX_CIRCUIT_EDGES:
-            return
-        for h in sorted(g.ends_at(at)):
-            e = edge_of_end(h)
-            if g.is_loop(e) or e in used or g.vertex_of_end(h) != at:
-                continue
-            far = g.vertex_of_end(other_end(h))
-            if far == start:
-                if ends:
-                    key = frozenset(used | {e})
-                    if key not in seen:
-                        seen.add(key)
-                        specs.append(CircuitSpec(ends + (h,)))
-                continue
-            if far < start or far in verts:
-                continue
-            extend(start, far, ends + (h,), verts | {far}, used | {e})
-
-    for start in range(g.num_vertices):
-        extend(start, start, (), {start}, frozenset())
+    for v in range(g.num_vertices):
+        for path in _embedded_paths(g, v, v, MAX_CIRCUIT_EDGES):
+            key = frozenset(edge_of_end(h) for h in path)
+            if key not in seen:
+                seen.add(key)
+                specs.append(CircuitSpec(path))
     return specs
 
 
@@ -854,7 +824,7 @@ def h_specs(g):
     anchors = sorted(set(essential_vertices(g)) | g.sinks)
     specs = []
     for v, w in itertools.combinations(anchors, 2):
-        for path in _embedded_paths(g, v, w):
+        for path in _embedded_paths(g, v, w, MAX_PATH_EDGES):
             v_sides = () if g.is_sink(v) else _side_ends(g, v, path[0])
             w_sides = () if g.is_sink(w) else _side_ends(g, w, other_end(path[-1]))
             if v_sides is None or w_sides is None:
@@ -870,11 +840,15 @@ def _side_ends(g, v, path_end):
     return tuple(free[:2])
 
 
-def _embedded_paths(g, v, w):
+def _embedded_paths(g, v, w, max_edges):
+    """Paths of at most ``max_edges`` non-loop edges from ``v`` to ``w``
+    that repeat no edge and no vertex, except that a path from ``v`` back
+    to ``v`` closes at its start; tuples of the ends they leave along, in
+    depth-first order."""
     paths = []
 
     def extend(at, ends, verts):
-        if len(ends) >= MAX_PATH_EDGES:
+        if len(ends) >= max_edges:
             return
         for h in sorted(g.ends_at(at)):
             e = edge_of_end(h)

@@ -197,39 +197,29 @@ _FAMILIES = {
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Either a named family with parameters or an explicit description."""
+    """A named family with parameters; ``Graph(...)`` is the explicit
+    form."""
 
-    family: str | None = None
+    family: str
     params: tuple = ()
-    num_vertices: int | None = None
-    edges: tuple = ()
     sinks: tuple = ()
 
     @classmethod
     def named(cls, family, *params, sinks=()):
         return cls(family=family, params=tuple(params), sinks=tuple(sinks))
 
-    @classmethod
-    def explicit(cls, num_vertices, edges, sinks=()):
-        return cls(num_vertices=num_vertices,
-                   edges=tuple(tuple(e) for e in edges), sinks=tuple(sinks))
-
 
 def build_graph(spec):
     """Build and validate a :class:`Graph` from a :class:`GraphSpec`."""
-    if spec.family is not None:
-        try:
-            builder, arity = _FAMILIES[spec.family]
-        except KeyError:
-            raise GraphSpecError(f"unknown graph family {spec.family!r}") from None
-        if len(spec.params) != arity:
-            raise GraphSpecError(
-                f"family {spec.family!r} takes {arity} parameter(s),"
-                f" got {len(spec.params)}")
-        return builder(*spec.params, sinks=spec.sinks)
-    if spec.num_vertices is None:
-        raise GraphSpecError("spec has neither a family nor an explicit description")
-    return Graph(spec.num_vertices, spec.edges, spec.sinks)
+    try:
+        builder, arity = _FAMILIES[spec.family]
+    except KeyError:
+        raise GraphSpecError(f"unknown graph family {spec.family!r}") from None
+    if len(spec.params) != arity:
+        raise GraphSpecError(
+            f"family {spec.family!r} takes {arity} parameter(s),"
+            f" got {len(spec.params)}")
+    return builder(*spec.params, sinks=spec.sinks)
 
 
 def parse_graph_spec(text, sinks=()):

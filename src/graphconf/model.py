@@ -397,6 +397,8 @@ class _Codebook:
     """Order-preserving int codes for the states of ``n`` particles on one
     graph, and the tables that pack, unpack and take faces of cell keys.
 
+    ``states`` lists, in sorted order, every state that passes
+    :func:`state_is_valid`, with the slots ``('E', e, r)`` for ``r < n``.
     ``moves[c]`` is ``None`` for a resting state; for a move it is
     ``(side-1 code, side-0 code, lo)``: ``lo`` is ``None`` for an ``MF``,
     and for an ``ME`` it is the code of slot 0 of its edge, with a side-0
@@ -408,9 +410,12 @@ class _Codebook:
     __slots__ = ("graph", "n", "states", "code", "mask", "shifts", "pairs",
                  "moves", "edge_lo")
 
-    def __init__(self, g, n, vertex_menu, interior_menu, move_states):
-        states = sorted(vertex_menu + move_states
-                        + [("E", e, r) for e in interior_menu for r in range(n)])
+    def __init__(self, g, n):
+        states = [("V", v) for v in range(g.num_vertices)]
+        for e in range(g.num_edges):
+            states += [("E", e, r) for r in range(n)]
+            states += [("ME", e, 0), ("ME", e, 1), ("MF", e)]
+        states = sorted(s for s in states if state_is_valid(g, s))
         code = {s: c for c, s in enumerate(states)}
         width = max(1, (len(states) - 1).bit_length())
         self.graph, self.n, self.states, self.code = g, n, states, code
@@ -607,29 +612,15 @@ def enumerate_cells(g, n, max_cells=DEFAULT_MAX_CELLS):
     cells = [[] for _ in range(bound + 1)]
     total = 0
 
-    vertex_menu = [("V", v) for v in range(g.num_vertices)
-                   if g.is_sink(v) or g.valence(v) >= 2]
-    interior_menu = [e for e in range(g.num_edges) if g.sink_endpoints(e) == 0]
-    move_menu = []
-    for e in range(g.num_edges):
-        if g.sink_endpoints(e) == 0:
-            for end in (0, 1):
-                v = g.edges[e][end]
-                if not g.is_sink(v) and g.valence(v) >= 2:
-                    move_menu.append((("ME", e, end), (v,), None))
-        else:
-            if all(g.is_sink(v) or g.valence(v) >= 2 for v in g.edges[e]):
-                claims = tuple(v for v in set(g.edges[e]) if not g.is_sink(v))
-                move_menu.append((("MF", e), claims, e))
-
-    book = _Codebook(g, n, vertex_menu, interior_menu,
-                     [m[0] for m in move_menu])
-    code, shifts = book.code, book.shifts
-    vertex_items = [(code[s], s[1], g.is_sink(s[1])) for s in vertex_menu]
+    book = _Codebook(g, n)
+    shifts = book.shifts
+    states = list(enumerate(book.states))
+    vertex_items = [(c, s[1], g.is_sink(s[1])) for c, s in states if s[0] == "V"]
     # a particle on an edge interior is packed at slot 0 until emit
-    interior_items = [(code[("E", e, 0)], []) for e in interior_menu] if n else []
-    move_items = [(code[state], claims, mf_edge)
-                  for state, claims, mf_edge in move_menu]
+    interior_items = [(c, []) for c, s in states if s[0] == "E" and s[2] == 0]
+    move_items = [(c, tuple(_claimed_vertices(g, s)),
+                   s[1] if s[0] == "MF" else None)
+                  for c, s in states if is_move_state(s)]
     claimed = set()
     mf_used = set()
 

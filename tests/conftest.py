@@ -102,6 +102,62 @@ def reference_face(g, cell, slot, side):
     return make_cell(rest)
 
 
+def reference_push_in(z, e, s, leaf_end):
+    """Push-in as first written: a cell-by-cell insertion rule of its own
+    beside the parking rule (the leaf end is given, not inferred)."""
+    from graphconf.model import Chain, make_cell
+    g = z.graph
+    leaf = g.edges[e][leaf_end]
+
+    def insert(cell):
+        if g.is_sink(leaf):
+            return make_cell(cell + ((s, ("V", leaf)),))
+        if g.sink_endpoints(e):
+            inner = g.edges[e][1 - leaf_end]
+            return make_cell(cell + ((s, ("V", inner)),))
+        if leaf_end == 0:
+            shifted = tuple(
+                (p, ("E", e, st[2] + 1)) if st[0] == "E" and st[1] == e else (p, st)
+                for p, st in cell)
+            return make_cell(shifted + ((s, ("E", e, 0)),))
+        count = sum(1 for _, st in cell if st[0] == "E" and st[1] == e)
+        return make_cell(cell + ((s, ("E", e, count)),))
+
+    return Chain(g, z.degree, {insert(c): v for c, v in z.terms.items()})
+
+
+def reference_circuit_specs(g, max_edges):
+    """Circuit search as first written: its own depth-first search, pruned
+    to circuits whose least vertex is the start, one spec per edge set."""
+    from graphconf.cycles import CircuitSpec
+    from graphconf.graphs import edge_of_end, other_end
+    specs = [CircuitSpec((2 * e,)) for e in range(g.num_edges) if g.is_loop(e)]
+    seen = set()
+
+    def extend(start, at, ends, verts, used):
+        if len(ends) >= max_edges:
+            return
+        for h in sorted(g.ends_at(at)):
+            e = edge_of_end(h)
+            if g.is_loop(e) or e in used or g.vertex_of_end(h) != at:
+                continue
+            far = g.vertex_of_end(other_end(h))
+            if far == start:
+                if ends:
+                    key = frozenset(used | {e})
+                    if key not in seen:
+                        seen.add(key)
+                        specs.append(CircuitSpec(ends + (h,)))
+                continue
+            if far < start or far in verts:
+                continue
+            extend(start, far, ends + (h,), verts | {far}, used | {e})
+
+    for start in range(g.num_vertices):
+        extend(start, start, (), {start}, frozenset())
+    return specs
+
+
 def reference_transpose(m):
     """The transpose of a sparse integer matrix."""
     from graphconf.homology import SparseIntMatrix

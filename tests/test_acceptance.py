@@ -141,12 +141,13 @@ def test_criterion_7_general_graph_generation():
 
 
 def test_criterion_8_property_suites():
-    results = checks.property_suites(seed=2026, cases=1000)
+    results = checks.run_verification(only="property/", seed=2026,
+                                      cases=1000)["checks"]
     assert len(results) == 8
     for r in results:
-        assert r.cases >= 1000, r.name
-        assert r.passed, (r.name, r.failures[:3])
-    names = ", ".join(r.name for r in results)
+        assert r["details"]["cases"] >= 1000, r["id"]
+        assert r["passed"], (r["id"], r["details"]["failures"][:3])
+    names = ", ".join(r["id"].removeprefix("property/") for r in results)
     report(8, f"eight randomized suites with >= 1000 cases each: {names}")
 
 

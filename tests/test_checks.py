@@ -69,9 +69,11 @@ def test_wedge_corpus_shape():
 
 
 def test_property_suites_quick_pass():
-    for result in checks.property_suites(seed=99, cases=60):
-        assert result.cases >= 60 or result.passed
-        assert result.passed, result.failures
+    report = run_only("property/", seed=99, cases=60)
+    assert report["total"] == 8
+    for item in report["checks"]:
+        assert item["details"]["cases"] >= 60 or item["passed"]
+        assert item["passed"], item["details"]["failures"]
 
 
 def test_boundary_sign_bug_is_detected():
@@ -88,9 +90,9 @@ def test_boundary_sign_bug_is_detected():
             return bad
         return boundary_of_cell(g, cell)
 
-    result = checks.suite_boundary_squares_zero(seed=5, cases=300,
-                                                boundary_fn=broken_boundary)
-    assert not result.passed
+    _, failures = checks.suite_boundary_squares_zero(
+        seed=5, cases=300, boundary_fn=broken_boundary)
+    assert failures
 
 
 def test_random_connected_graphs_are_connected_and_bounded():

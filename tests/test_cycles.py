@@ -1,14 +1,19 @@
 import importlib
 import itertools
+import random
 
 import pytest
 
 import graphconf as gc
-from graphconf.cycles import (CircuitSpec, CycleConstructionError, HSpec,
-                              StarSpec, chain_support_elements, chain_to_doc,
-                              local_star_classes, one_dim_cycle_basis)
+from graphconf.checks import random_connected_graph, wedge_corpus
+from graphconf.cycles import (MAX_CIRCUIT_EDGES, CircuitSpec,
+                              CycleConstructionError, HSpec, StarSpec,
+                              chain_support_elements, chain_to_doc,
+                              circuit_specs, local_star_classes,
+                              one_dim_cycle_basis)
 from graphconf.model import boundary_chain, make_cell
-from conftest import reference_smith_generation
+from conftest import (reference_circuit_specs, reference_push_in,
+                      reference_smith_generation)
 
 
 def star3_spec():
@@ -59,6 +64,15 @@ def test_star_cycle_with_parked_particle():
     assert len(z) == 12
     assert gc.is_cycle(z)
     assert not gc.is_boundary(z, cx)
+
+
+def test_out_of_range_parking_is_a_construction_error():
+    # the parking is checked against the state rules, so a vertex or edge
+    # the graph does not have is a bad request, not an IndexError
+    spec = StarSpec(0, (0, 2, 4))
+    for state in (("V", 99), ("E", 99, 0)):
+        with pytest.raises(CycleConstructionError):
+            gc.star_cycle_chain(gc.star(3), spec, (0, 1), parking={2: state})
 
 
 def test_star_cycle_errors(small_complexes):
@@ -173,6 +187,19 @@ def test_circuit_spec_validation(small_complexes):
         gc.circuit_cycle_chain(cx.graph, CircuitSpec((0, 1)), 0)  # repeats an edge
     with pytest.raises(CycleConstructionError):
         gc.circuit_cycle_chain(cx.graph, CircuitSpec((2, 5)), (0, 1))  # rotation off loop
+
+
+def test_circuit_specs_match_the_reference_search():
+    # closed embedded paths from every vertex, first spec per edge set, give
+    # the specs of the pruned search in its order
+    graphs = [g for _, g in wedge_corpus()]
+    graphs += [gc.complete(5), gc.complete_bipartite(3, 3), gc.banana(4),
+               gc.Graph(1, [(0, 0)] * 6)]
+    rng = random.Random(5)
+    graphs += [random_connected_graph(rng, max_edges=8) for _ in range(300)]
+    for g in graphs:
+        assert circuit_specs(g) == reference_circuit_specs(
+            g, MAX_CIRCUIT_EDGES), g
 
 
 # -- crossing (h) cycles ---------------------------------------------------
@@ -318,6 +345,33 @@ def test_push_in_sink_leaf_variants():
     z = gc.Chain(g, 0, {make_cell([(0, ("V", 1))]): 1})
     (cell,) = gc.push_in(z, 1, 1).terms
     assert (1, ("V", 1)) in cell
+
+
+@pytest.mark.parametrize("name", ["star3-n2", "star3-n3", "star4-n2", "h-n2",
+                                  "intervalsinks-n2", "star3-leafsink-n2",
+                                  "path-innersink-n2", "h-innersink-n2"])
+def test_push_in_matches_the_insertion_rule(small_complexes, name):
+    # every cell of every degree, pushed in on every leaf edge at each leaf
+    # end, lands where the old cell-by-cell insertion rule put it
+    variants = {
+        "star3-leafsink-n2": lambda: gc.star(3, sinks={1}),
+        "path-innersink-n2": lambda: gc.Graph(3, [(0, 1), (1, 2)], sinks={1}),
+        "h-innersink-n2": lambda: gc.h_graph(sinks={0}),
+    }
+    cx = (gc.enumerate_cells(variants[name](), 2) if name in variants
+          else small_complexes(name))
+    g = cx.graph
+    chains = [gc.Chain(g, k, {cell: i + 1 for i, cell in enumerate(cells)})
+              for k, cells in enumerate(cx.cells)]
+    pushes = 0
+    for e, leaf_end in itertools.product(range(g.num_edges), (0, 1)):
+        if g.valence(g.edges[e][leaf_end]) != 1:
+            continue
+        for z in chains:
+            assert gc.push_in(z, e, cx.n, leaf_end) == \
+                reference_push_in(z, e, cx.n, leaf_end), (name, e, leaf_end)
+            pushes += 1
+    assert pushes
 
 
 def test_push_in_errors(small_complexes):

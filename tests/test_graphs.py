@@ -63,13 +63,13 @@ def test_build_graph_errors():
     with pytest.raises(GraphSpecError):
         gc.build_graph(GraphSpec.named("nosuch"))
     with pytest.raises(GraphSpecError):
-        gc.build_graph(GraphSpec.explicit(4, [(0, 1), (2, 3)]))  # disconnected
+        gc.Graph(4, [(0, 1), (2, 3)])  # disconnected
     with pytest.raises(GraphSpecError):
-        gc.build_graph(GraphSpec.explicit(2, [(0, 1)], sinks=(5,)))
+        gc.Graph(2, [(0, 1)], sinks=(5,))
     with pytest.raises(GraphSpecError):
-        gc.build_graph(GraphSpec.explicit(2, [(0, 3)]))
+        gc.Graph(2, [(0, 3)])
     with pytest.raises(GraphSpecError):
-        gc.build_graph(GraphSpec.explicit(1, []))  # edgeless
+        gc.Graph(1, [])  # edgeless
 
 
 def test_parse_graph_spec():
