@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 from .graphs import Graph, banana, dimension_bound, edge_of_end, end_side, \
     essential_vertices, other_end, wedge
-from .model import (Chain, InvariantError, boundary_chain, cell_is_valid,
-                    enumerate_cells, face, is_move_state, make_cell,
-                    state_is_valid, state_record)
+from .model import (Chain, InvariantError, _claimed_vertices, _face_at,
+                    boundary_chain, cell_is_valid, enumerate_cells, face,
+                    is_move_state, make_cell, state_is_valid, state_record)
 
 
 class CycleConstructionError(ValueError):
@@ -168,7 +168,11 @@ def assemble_configuration(g, parking, rests):
 
 
 class _Walk:
-    """Accumulates 1-cells along an itinerary of elementary moves."""
+    """Accumulates 1-cells along an itinerary of elementary moves.
+
+    The configuration is always a valid 0-cell (a checked start, then
+    faces of checked cells), so a move makes a valid cell exactly when its
+    state is valid and claims no vertex another particle rests on."""
 
     def __init__(self, graph, start):
         self.graph = graph
@@ -178,28 +182,27 @@ class _Walk:
 
     def move(self, pid, move_state):
         g = self.graph
-        rest = []
-        old = None
-        for p, s in self.config:
-            if p == pid:
-                old = s
-            else:
-                rest.append((p, s))
-        if old is None:
+        config = self.config
+        i = next((i for i, (p, _) in enumerate(config) if p == pid), None)
+        if i is None:
             raise CycleConstructionError(f"particle {pid} has no static state")
-        if old[0] == "E":
-            e, r = old[1], old[2]
-            rest = [(p, ("E", s[1], s[2] - 1))
-                    if s[0] == "E" and s[1] == e and s[2] > r else (p, s)
-                    for p, s in rest]
-        cell = make_cell(rest + [(pid, move_state)])
-        if not cell_is_valid(g, cell):
+        valid = state_is_valid(g, move_state)
+        claims = set(_claimed_vertices(g, move_state)) if valid else ()
+        if not valid or any(s[0] == "V" and s[1] in claims
+                            for p, s in config if p != pid):
             raise CycleConstructionError(
                 f"itinerary blocked: move {move_state} of particle {pid}"
                 " is not independent of the rest of the configuration")
+        old = config[i][1]
+        if old[0] == "E":
+            e, r = old[1], old[2]
+            config = tuple((p, ("E", e, s[2] - 1))
+                           if s[0] == "E" and s[1] == e and s[2] > r
+                           else (p, s) for p, s in config)
+        cell = config[:i] + ((pid, move_state),) + config[i + 1:]
         # the walk rests between moves: the moving particle is the only mover
-        f0 = face(g, cell, 0, 0)
-        f1 = face(g, cell, 0, 1)
+        f0 = _face_at(g, cell, i, 0)
+        f1 = _face_at(g, cell, i, 1)
         if f0 == self.config:
             coef, nxt = 1, f1
         elif f1 == self.config:
@@ -759,6 +762,26 @@ def _map_local_state(edge_map, vertex_map, state):
     return ("MF", edge_map[state[1]])
 
 
+def _local_star_basis(g, v, m):
+    """The local star basis of the particles ``0..m-1`` at ``v``, as
+    chains on ``g``; it depends on the subset of particles only through
+    its size."""
+    sub, edge_map, vertex_map = _local_star(g, v)
+    cx = enumerate_cells(sub, m, max_cells=MAX_LOCAL_CELLS)
+    return [Chain(g, 1, {tuple((p, _map_local_state(edge_map, vertex_map, s))
+                               for p, s in cell): coef
+                         for cell, coef in z.terms.items()})
+            for z in one_dim_cycle_basis(cx)]
+
+
+def _placed(z, actives):
+    """``z`` with particle ``p`` renamed ``actives[p]``; ``actives`` is
+    increasing, so every cell keeps its pid order and no sign changes."""
+    return Chain(z.graph, z.degree,
+                 {tuple(zip(actives, (s for _, s in cell))): coef
+                  for cell, coef in z.terms.items()})
+
+
 def local_star_classes(g, v, actives):
     """A complete set of degree-1 classes of the given particles confined
     to the star neighborhood of the essential vertex ``v``.
@@ -767,18 +790,9 @@ def local_star_classes(g, v, actives):
     sink-to-sink edges), so a spanning-forest cycle basis of it is a basis
     of its first homology; these map verbatim onto cells of the ambient
     graph."""
-    sub, edge_map, vertex_map = _local_star(g, v)
-    cx = enumerate_cells(sub, len(actives), max_cells=MAX_LOCAL_CELLS)
     actives = tuple(sorted(actives))
-    out = []
-    for z in one_dim_cycle_basis(cx):
-        terms = {}
-        for cell, coef in z.terms.items():
-            pairs = [(actives[p], _map_local_state(edge_map, vertex_map, s))
-                     for p, s in cell]
-            terms[make_cell(pairs)] = coef
-        out.append(Chain(g, 1, terms))
-    return out
+    return [_placed(z, actives)
+            for z in _local_star_basis(g, v, len(actives))]
 
 
 # -- enumeration of candidate generating cycles --------------------------------
@@ -997,8 +1011,10 @@ def _candidate_partials(g, n):
         blocked = frozenset(edge_of_end(h) for h in g.ends_at(v))
         deep = _deep_ends(g, g.ends_at(v))
         for m in range(2, n + 1):
+            basis = _local_star_basis(g, v, m)
             for actives in itertools.combinations(pids, m):
-                for z in local_star_classes(g, v, actives):
+                for z in basis:
+                    z = _placed(z, actives)
                     out.append((
                         z, lambda parking, z=z: _attach_parked(z, g, parking),
                         actives, blocked, deep))
@@ -1048,9 +1064,12 @@ def enumerate_basic_classes(cx, degree=1):
                     pass
         return BasicClasses(chains)
 
+    # a product's support is the union of its factors' supports
+    supports = [chain_support_elements(z) for z, *_ in partials]
     for i, (z1, _, act1, blk1, _) in enumerate(partials):
-        for z2, _, act2, blk2, _ in partials[i + 1:]:
-            if set(act1) & set(act2):
+        for j in range(i + 1, len(partials)):
+            z2, _, act2, blk2, _ = partials[j]
+            if set(act1) & set(act2) or supports[i] & supports[j]:
                 continue
             remaining = [p for p in range(n)
                          if p not in act1 and p not in act2]
@@ -1059,7 +1078,7 @@ def enumerate_basic_classes(cx, degree=1):
             except ValueError:
                 continue
             blocked = (blk1 | blk2
-                       | {elem[1] for elem in chain_support_elements(z)
+                       | {elem[1] for elem in supports[i] | supports[j]
                           if elem[0] == "e"})
             for parking in _parking_options(g, remaining, blocked):
                 try:

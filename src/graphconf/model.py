@@ -135,11 +135,6 @@ def cell_dimension(cell):
     return sum(1 for _, s in cell if is_move_state(s))
 
 
-def cell_movers(cell):
-    """(particle, state) pairs of the move states, by particle id."""
-    return [(p, s) for p, s in cell if is_move_state(s)]
-
-
 def cell_is_valid(g, cell):
     """Whether all cell invariants hold; accepts partial cells."""
     pids = [p for p, _ in cell]

@@ -78,8 +78,8 @@ def reference_cell_valid(g, cell):
 def reference_face(g, cell, slot, side):
     """The face map as first written: rebuild the cell from its pairs and
     re-sort it by particle id."""
-    from graphconf.model import cell_movers, make_cell
-    movers = cell_movers(cell)
+    from graphconf.model import is_move_state, make_cell
+    movers = [(p, s) for p, s in cell if is_move_state(s)]
     if not 0 <= slot < len(movers):
         raise IndexError(f"cell has {len(movers)} move slots, asked for {slot}")
     pid, state = movers[slot]
@@ -100,6 +100,47 @@ def reference_face(g, cell, slot, side):
     else:
         rest.append((pid, ("E", e, count)))
     return make_cell(rest)
+
+
+def reference_walk_move(walk, pid, move_state):
+    """One walk step as first written: rebuild the moved cell from its
+    pairs, re-sort it, validate the whole cell, and take the faces of its
+    one move slot."""
+    from graphconf.cycles import CycleConstructionError
+    from graphconf.model import cell_is_valid, face, make_cell
+    g = walk.graph
+    rest = []
+    old = None
+    for p, s in walk.config:
+        if p == pid:
+            old = s
+        else:
+            rest.append((p, s))
+    if old is None:
+        raise CycleConstructionError(f"particle {pid} has no static state")
+    if old[0] == "E":
+        e, r = old[1], old[2]
+        rest = [(p, ("E", s[1], s[2] - 1))
+                if s[0] == "E" and s[1] == e and s[2] > r else (p, s)
+                for p, s in rest]
+    cell = make_cell(rest + [(pid, move_state)])
+    if not cell_is_valid(g, cell):
+        raise CycleConstructionError("itinerary blocked")
+    f0 = face(g, cell, 0, 0)
+    f1 = face(g, cell, 0, 1)
+    if f0 == walk.config:
+        coef, nxt = 1, f1
+    elif f1 == walk.config:
+        coef, nxt = -1, f0
+    else:
+        raise CycleConstructionError(
+            "elementary move does not start at the current configuration")
+    c = walk.terms.get(cell, 0) + coef
+    if c:
+        walk.terms[cell] = c
+    else:
+        walk.terms.pop(cell, None)
+    walk.config = nxt
 
 
 def reference_push_in(z, e, s, leaf_end):

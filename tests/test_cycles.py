@@ -1,5 +1,7 @@
+import hashlib
 import importlib
 import itertools
+import json
 import random
 
 import pytest
@@ -8,12 +10,14 @@ import graphconf as gc
 from graphconf.checks import random_connected_graph, wedge_corpus
 from graphconf.cycles import (MAX_CIRCUIT_EDGES, CircuitSpec,
                               CycleConstructionError, HSpec, StarSpec,
+                              _local_star_basis, _Walk,
                               chain_support_elements, chain_to_doc,
                               circuit_specs, local_star_classes,
                               one_dim_cycle_basis)
-from graphconf.model import boundary_chain, make_cell
+from graphconf.model import (boundary_chain, make_cell, relabel_chain,
+                             state_is_valid)
 from conftest import (reference_circuit_specs, reference_push_in,
-                      reference_smith_generation)
+                      reference_smith_generation, reference_walk_move)
 
 
 def star3_spec():
@@ -247,6 +251,52 @@ def test_h_cycle_degenerate_spec():
             cx.graph, HSpec(0, 1, (2,), v_sides=(0, 4), w_sides=(6, 8)), (0, 1))
 
 
+# -- walk steps -----------------------------------------------------------
+
+def _step(walk, step, pid, move_state):
+    try:
+        step(walk, pid, move_state)
+    except CycleConstructionError:
+        return None
+    return walk.terms, walk.config
+
+
+def test_walk_step_matches_full_validation():
+    # every ME and MF move of every particle from seeded random 0-cells:
+    # the step that checks only what the move adds and the step that
+    # validates the whole cell both refuse, or agree on the cell, its
+    # coefficient and the next configuration
+    rng = random.Random(14)
+    outcomes = {"moved": 0, "refused": 0, "claimed": 0}
+    for _ in range(40):
+        g = random_connected_graph(rng, max_edges=5, max_vertices=4)
+        if not g.sinks:
+            g = g.with_sinks({rng.randrange(g.num_vertices)})
+        n = rng.randint(1, 3)
+        cx = gc.enumerate_cells(g, n)
+        moves = [st for e in range(g.num_edges)
+                 for st in (("ME", e, 0), ("ME", e, 1), ("MF", e))]
+        for start in rng.sample(cx.cells[0], min(8, len(cx.cells[0]))):
+            for pid in range(n):
+                for st in moves:
+                    got = _step(_Walk(g, start), _Walk.move, pid, st)
+                    want = _step(_Walk(g, start), reference_walk_move, pid, st)
+                    assert got == want, (g, start, pid, st)
+                    if got is not None:
+                        outcomes["moved"] += 1
+                    elif state_is_valid(g, st):
+                        outcomes["refused"] += 1
+                        ends = (g.edges[st[1]][st[2]],) if st[0] == "ME" \
+                            else g.edges[st[1]]
+                        if any(s[0] == "V" and not g.is_sink(s[1])
+                               and s[1] in ends
+                               for p, s in start if p != pid):
+                            outcomes["claimed"] += 1
+    # the corpus reaches every branch: moves, refusals of valid move
+    # states, and refusals because another particle holds a claimed vertex
+    assert all(outcomes.values()), outcomes
+
+
 # -- products -------------------------------------------------------------
 
 def test_product_with_empty_parked_chain():
@@ -467,6 +517,43 @@ def test_local_star_classes_share_a_sink():
         classes = local_star_classes(g, 1, actives)
         assert classes
         assert all(gc.is_cycle(z) for z in classes)
+
+
+def test_local_star_classes_place_one_basis_per_subset_size():
+    # a loop at the centre and a sink stub at a leaf: every subset of a
+    # size gets the basis of that size, its particles renamed in order
+    g = gc.wedge(gc.star(3), 0, gc.circle(), 0).with_sinks({1})
+    for m in (2, 3):
+        basis = _local_star_basis(g, 0, m)
+        assert basis
+        for actives in itertools.combinations(range(3), m):
+            perm = dict(enumerate(actives))
+            classes = local_star_classes(g, 0, actives)
+            assert classes == [relabel_chain(z, perm) for z in basis]
+            assert all(gc.is_cycle(z) for z in classes)
+
+
+def _candidates_digest(chains):
+    h = hashlib.sha256()
+    for z in chains:
+        h.update(json.dumps(chain_to_doc(z), sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("spec,sinks,n,degree,count,digest", [
+    ("k:5", (), 2, 1, 645,
+     "cade3e928bd3d227634e46e4e23f64228d5890acafed40aa2916d2fabeb498c5"),
+    ("banana:4", (0,), 3, 1, 45,
+     "4423bf73712bb37a676827e47622c24fb55e5c4866baf7e5ac39ced780dfc0df"),
+    ("k:4", (), 3, 2, 24,
+     "aa6843ba434db8e0265df6e3e775791e280f743def03eb86bf1ab2a9e3287e0e"),
+])
+def test_candidate_chains_pinned(spec, sinks, n, degree, count, digest):
+    # every candidate, in order, as the export writes it
+    g = gc.build_graph(gc.parse_graph_spec(spec, sinks=sinks))
+    chains = gc.enumerate_basic_classes(gc.enumerate_cells(g, n), degree).chains
+    assert len(chains) == count
+    assert _candidates_digest(chains) == digest
 
 
 @pytest.mark.parametrize("graph,n,b1", [
