@@ -2,10 +2,13 @@
 
 Commands: ``homology``, ``verify``, ``span``, ``surface-check``, ``export``.
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 cap
-exceeded.  Machine output is one self-describing JSON document per run,
-byte-identical for identical configurations.  The ``truncated`` key of
-``span`` and ``export`` documents is always false: candidate enumeration
-is complete, and the key stays for format stability.
+exceeded.  ``--caps MAX_CELLS[,MAX_NNZ]``: MAX_NNZ bounds each boundary
+matrix that ``homology`` assembles, which holds only the columns that
+clearing keeps, and the fill-in of its elimination.  Machine output is
+one self-describing JSON document per run, byte-identical for identical
+configurations.  The ``truncated`` key of ``span`` and ``export``
+documents is always false: candidate enumeration is complete, and the key
+stays for format stability.
 """
 
 from __future__ import annotations

@@ -763,9 +763,15 @@ def _map_local_state(edge_map, vertex_map, state):
 
 
 def _local_star_basis(g, v, m):
-    """The local star basis of the particles ``0..m-1`` at ``v``, as
-    chains on ``g``; it depends on the subset of particles only through
-    its size."""
+    """The local star basis of the particles ``0..m-1`` at ``v``: a
+    complete set of degree-1 classes confined to the star neighborhood of
+    the essential vertex ``v``, as chains on ``g``.
+
+    The confined model is one-dimensional (one essential vertex, no
+    sink-to-sink edges), so a spanning-forest cycle basis of it is a basis
+    of its first homology, and it maps verbatim onto cells of ``g``.  It
+    depends on a subset of particles only through its size;
+    :func:`_placed` puts it on one subset."""
     sub, edge_map, vertex_map = _local_star(g, v)
     cx = enumerate_cells(sub, m, max_cells=MAX_LOCAL_CELLS)
     return [Chain(g, 1, {tuple((p, _map_local_state(edge_map, vertex_map, s))
@@ -780,19 +786,6 @@ def _placed(z, actives):
     return Chain(z.graph, z.degree,
                  {tuple(zip(actives, (s for _, s in cell))): coef
                   for cell, coef in z.terms.items()})
-
-
-def local_star_classes(g, v, actives):
-    """A complete set of degree-1 classes of the given particles confined
-    to the star neighborhood of the essential vertex ``v``.
-
-    The confined model is one-dimensional (one essential vertex, no
-    sink-to-sink edges), so a spanning-forest cycle basis of it is a basis
-    of its first homology; these map verbatim onto cells of the ambient
-    graph."""
-    actives = tuple(sorted(actives))
-    return [_placed(z, actives)
-            for z in _local_star_basis(g, v, len(actives))]
 
 
 # -- enumeration of candidate generating cycles --------------------------------

@@ -37,9 +37,12 @@ def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None):
     operations; the one elimination loop behind every routine here.
 
     Returns ``{row: pivot_value}`` with positive pivot values; rows absent
-    from the result were reduced to zero, and ``rows`` is consumed.  Row
-    operations are mirrored on ``carry``, a dict of sparse companion rows
-    indexed like ``rows``; ``max_nnz`` caps the nonzeros after each pivot.
+    from the result were reduced to zero.  ``rows`` is consumed down to the
+    residual R defined below, empty when there is none; so in the Smith
+    mode (neither ``rows_only`` nor ``modulus``) the unit-phase pivot rows
+    are the result's rows that are not in ``rows``.  Row operations are
+    mirrored on ``carry``, a dict of sparse companion rows indexed like
+    ``rows``; ``max_nnz`` caps the nonzeros after each pivot.
 
     Every pivot comes from one lazy queue of columns, keyed ``(least, len,
     c)``: ``least`` is the least ``|v|`` the column held when queued (1 for
@@ -195,7 +198,8 @@ def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None):
         bound = max(abs(v) for vecs in (rows, carry or {}) for r in rows
                     for v in vecs.get(r, {}).values())
         mod = 2 * (bound + 1) * prod(echelon.values())
-        found = _diagonalize(rows, carry, modulus=mod, max_nnz=max_nnz)
+        found = _diagonalize({r: dict(row) for r, row in rows.items()},
+                             carry, modulus=mod, max_nnz=max_nnz)
         pivot_of_row.update((r, gcd(v, mod)) for r, v in found.items())
     return pivot_of_row
 
@@ -206,11 +210,11 @@ def rank_over_rationals(m):
     return len(_diagonalize(m.rows(), rows_only=True))
 
 
-def smith_normal_form(m, max_nnz=None):
+def smith_normal_form(m):
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix, all
-    positive, with r equal to the rank; ``max_nnz`` caps the fill-in.  The
-    pivots are units, then a divisibility chain, so sorting orders them."""
-    return sorted(_diagonalize(m.rows(), max_nnz=max_nnz).values())
+    positive, with r equal to the rank.  The pivots are units, then a
+    divisibility chain, so sorting orders them."""
+    return sorted(_diagonalize(m.rows()).values())
 
 
 def solve_in_image(m, vec):
@@ -264,12 +268,9 @@ class HomologySummary:
         }
 
 
-def boundary_matrix(cx, k, max_nnz=None):
-    m = cx.boundary_entries(k)
-    if max_nnz is not None and m.nnz > max_nnz:
-        raise CapExceededError(
-            f"boundary operator in degree {k} has more than {max_nnz} entries")
-    return m
+def boundary_matrix(cx, k):
+    """The full boundary operator ``D_k``, assembled once per complex."""
+    return cx.boundary_entries(k)
 
 
 def euler_characteristic(cx):
@@ -282,19 +283,52 @@ def homology(cx, max_nnz=None):
     ``b_k = #k-cells - rank D_k - rank D_{k+1}``; torsion in degree ``k``
     is the list of invariant factors of ``D_{k+1}`` exceeding 1.  The
     ranks are the lengths of the Smith normal forms, one elimination per
-    matrix.
+    matrix, taken from the top degree down with clearing (Chen and Kerber
+    2011; Bauer, Kerber and Reininghaus 2014): ``D_k`` is assembled and
+    eliminated only on the ``k``-cells that were not unit-phase pivot rows
+    of ``D_{k+1}``.
+
+    This keeps the Smith form of ``D_k``, torsion included.  Let ``B`` be
+    the matrix eliminated in degree ``k+1``, the kept columns of
+    ``D_{k+1}``, so ``D_k B = 0``; let ``P`` and ``Q`` be the rows and
+    columns of its unit-phase pivots, in the order taken.  Each unit pivot
+    clears its column by adding multiples of its row to the rows left, and
+    its row is then dropped.  So the row of the i-th pivot, when taken, is
+    up to sign its row of ``B`` plus an integer combination of the rows of
+    the earlier pivots, and it is zero in their columns: a lower-triangular
+    matrix with +-1 on its diagonal turns ``B[P,Q]`` into an
+    upper-triangular one with +-1 on its diagonal, so ``B[P,Q]`` is
+    unimodular.  From ``D_k[:,P] B[P,Q] + D_k[:,P^c] B[P^c,Q] = 0``,
+    ``D_k[:,P] = -D_k[:,P^c] B[P^c,Q] B[P,Q]^{-1}``, an integral product:
+    the cleared columns are integer combinations of the kept ones, and
+    column operations remove them.  Pivots of the residual phase are not
+    cleared; a gcd of 1 there does not make their minor unimodular.
+
+    ``max_nnz`` caps the entries of each matrix assembled here, so of the
+    cleared ``D_k``, and the fill-in of its elimination.  The cleared
+    matrices are built afresh from the packed cells and not cached;
+    :meth:`CubeComplex.boundary_entries` stays the full operator.
     """
     counts = cx.cell_counts()
     top = cx.max_dim
-    ranks = [0] * (top + 2)
+    book, keys = cx._book, cx._keys
     factors = [[] for _ in range(top + 2)]
-    for k in range(1, top + 1):
-        factors[k] = smith_normal_form(boundary_matrix(cx, k, max_nnz=max_nnz),
-                                       max_nnz=max_nnz)
-        ranks[k] = len(factors[k])
+    cleared = set()
+    for k in range(top, 0, -1):
+        kept = [key for i, key in enumerate(keys[k]) if i not in cleared]
+        entries = book.boundary(kept, keys[k - 1])
+        if max_nnz is not None and len(entries) > max_nnz:
+            raise CapExceededError(f"boundary operator in degree {k} has"
+                                   f" more than {max_nnz} entries")
+        rows = {}
+        for r, c, v in entries:
+            rows.setdefault(r, {})[c] = v
+        pivots = _diagonalize(rows, max_nnz=max_nnz)
+        factors[k] = sorted(pivots.values())
+        cleared = pivots.keys() - rows.keys()
     degrees = []
     for k in range(top + 1):
-        betti = counts[k] - ranks[k] - ranks[k + 1]
+        betti = counts[k] - len(factors[k]) - len(factors[k + 1])
         tors = tuple(d for d in factors[k + 1] if d > 1)
         degrees.append(DegreeData(cells=counts[k], betti=betti, torsion=tors))
     return HomologySummary(degrees=tuple(degrees), euler=euler_characteristic(cx))

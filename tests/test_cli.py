@@ -4,6 +4,7 @@ import json
 import pytest
 
 import graphconf as gc
+import graphconf.model as model
 from graphconf.cli import main
 
 
@@ -175,7 +176,7 @@ def test_verify_human_lines(capsys):
     assert all(l.startswith("[PASS]") for l in lines)
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, monkeypatch):
     code, _, err = run(capsys, "homology", "--graph", "nosuch:1", "-n", "2")
     assert code == 2 and "error" in err
 
@@ -193,14 +194,22 @@ def test_exit_codes(capsys):
     code, _, _ = run(capsys, "nosuchcommand")
     assert code == 2
 
-    # every boundary matrix of banana:4 --sinks 0,1 n5 passes a MAX_NNZ of
-    # 6000, but eliminating D_3 (5760 entries) fills in past it
-    cx = gc.enumerate_cells(gc.banana(4, sinks={0, 1}), 5)
-    assert max(len(cx.boundary_entries(k).entries)
-               for k in range(1, cx.max_dim + 1)) <= 6000
+    # every matrix that homology assembles for banana:4 --sinks 0,1 n5
+    # passes a MAX_NNZ of 5000 (the cleared D_3 has 4326 of D_3's 5760
+    # entries), but eliminating the cleared D_3 fills in past it
+    assembled = []
+    boundary = model._Codebook.boundary
+
+    def recorded(book, cols, rows):
+        entries = boundary(book, cols, rows)
+        assembled.append(len(entries))
+        return entries
+
+    monkeypatch.setattr(model._Codebook, "boundary", recorded)
     argv = ("homology", "--graph", "banana:4", "--sinks", "0,1", "-n", "5")
-    code, _, err = run(capsys, *argv, "--caps", ",6000")
+    code, _, err = run(capsys, *argv, "--caps", ",5000")
     assert code == 3 and "fill-in" in err
+    assert 4326 in assembled and max(assembled) <= 5000
     code, _, _ = run(capsys, *argv, "--caps", ",20000")
     assert code == 0
 

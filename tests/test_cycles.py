@@ -10,10 +10,9 @@ import graphconf as gc
 from graphconf.checks import random_connected_graph, wedge_corpus
 from graphconf.cycles import (MAX_CIRCUIT_EDGES, CircuitSpec,
                               CycleConstructionError, HSpec, StarSpec,
-                              _local_star_basis, _Walk,
+                              _local_star_basis, _placed, _Walk,
                               chain_support_elements, chain_to_doc,
-                              circuit_specs, local_star_classes,
-                              one_dim_cycle_basis)
+                              circuit_specs, one_dim_cycle_basis)
 from graphconf.model import (boundary_chain, make_cell, relabel_chain,
                              state_is_valid)
 from conftest import (reference_circuit_specs, reference_push_in,
@@ -496,6 +495,12 @@ def test_one_dim_cycle_basis_counts():
     for z in basis:
         assert gc.is_cycle(z)
     assert gc.class_span_rank(basis, cx, 1) == h.betti(1)
+
+
+def local_star_classes(g, v, actives):
+    """The local star classes at ``v`` of the increasing particles
+    ``actives``: the basis of their count, placed on them."""
+    return [_placed(z, actives) for z in _local_star_basis(g, v, len(actives))]
 
 
 def test_local_star_classes_are_ambient_cycles():

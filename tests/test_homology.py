@@ -10,7 +10,8 @@ from graphconf.homology import (SparseIntMatrix, _diagonalize,
                                 rank_over_rationals, smith_normal_form,
                                 solve_in_image)
 from graphconf.checks import (_random_matrix, _random_unimodular_shuffle,
-                              dense_rank_oracle)
+                              dense_rank_oracle, random_connected_graph,
+                              wedge_corpus)
 from conftest import (fraction_rank, integral_verdicts,
                       minors_gcd_invariant_factors, reference_components,
                       reference_kernel_basis)
@@ -364,6 +365,157 @@ def test_summary_doc():
     assert doc["euler"] == -1
     assert doc["degrees"][1] == {"degree": 1, "cells": 2, "betti": 2,
                                  "torsion": []}
+
+
+# -- clearing ---------------------------------------------------------------
+
+def full_smith_homology(cx):
+    """``(betti, torsion)`` per degree from one Smith form of every full
+    boundary matrix, with no clearing."""
+    factors = [[]] + [smith_normal_form(cx.boundary_entries(k))
+                      for k in range(1, cx.max_dim + 1)] + [[]]
+    counts = cx.cell_counts()
+    return [(counts[k] - len(factors[k]) - len(factors[k + 1]),
+             tuple(d for d in factors[k + 1] if d > 1))
+            for k in range(cx.max_dim + 1)]
+
+
+def test_clearing_matches_full_smith_forms():
+    complexes = [gc.enumerate_cells(g, n)
+                 for _, g in wedge_corpus() for n in (1, 2, 3)]
+    rng = random.Random(15)
+    for _ in range(60):
+        g = random_connected_graph(rng, max_edges=5, max_vertices=4)
+        if not g.sinks:
+            g = g.with_sinks({rng.randrange(g.num_vertices)})
+        complexes.append(gc.enumerate_cells(g, rng.randint(1, 3)))
+    for cx in complexes:
+        h = gc.homology(cx)
+        assert [(d.betti, d.torsion) for d in h.degrees] \
+            == full_smith_homology(cx), cx.graph
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _unimodular_pair(rng, size, ops):
+    """A random unimodular matrix and its inverse, from ``ops`` +-1 row
+    operations on the identity."""
+    u = [[int(i == j) for j in range(size)] for i in range(size)]
+    inv = [row[:] for row in u]
+    for _ in range(ops):
+        i, j = rng.sample(range(size), 2)
+        s = rng.choice((1, -1))
+        u[i] = [x + s * y for x, y in zip(u[i], u[j])]
+        # (E u)^-1 = u^-1 E^-1: the inverse column operation
+        for row in inv:
+            row[j] -= s * row[i]
+    return u, inv
+
+
+def exact_pair(rng, size, b_diag, a_diag):
+    """``(A, B)`` with ``A B = 0`` and Smith forms ``a_diag`` and
+    ``b_diag``: ``B = U D_B V`` and ``A = W D_A U^-1``, where ``D_A`` has
+    its entries in the columns past the rank of ``B``."""
+    assert len(b_diag) + len(a_diag) <= size
+    u, u_inv = _unimodular_pair(rng, size, 4 * size)
+    v, _ = _unimodular_pair(rng, size, 4 * size)
+    w, _ = _unimodular_pair(rng, size, 4 * size)
+    d_b = [[d if i == j else 0 for j in range(size)]
+           for i, d in enumerate(b_diag + [0] * (size - len(b_diag)))]
+    d_a = [[0] * size for _ in range(size)]
+    for i, d in enumerate(a_diag):
+        d_a[i][len(b_diag) + i] = d
+    b = _matmul(_matmul(u, d_b), v)
+    a = _matmul(_matmul(w, d_a), u_inv)
+    assert not any(any(row) for row in _matmul(a, b))
+    return tuple(SparseIntMatrix(size, size, [
+        (r, c, x) for r, row in enumerate(m) for c, x in enumerate(row) if x])
+        for m in (a, b))
+
+
+class MatrixComplex:
+    """A stand-in for a cube complex, given by its boundary matrices
+    ``d[k]`` (``D_k`` for ``k >= 1``): its cells are their indices, and its
+    codebook assembles the columns asked for, as ``_Codebook.boundary``
+    does, and records them in ``columns[k]``."""
+
+    def __init__(self, counts, d):
+        self._keys = [list(range(c)) for c in counts]
+        self._book = self
+        self._d = d
+        self.max_dim = len(counts) - 1
+        self.columns = {}
+
+    def cell_counts(self):
+        return tuple(map(len, self._keys))
+
+    def boundary_entries(self, k):
+        return self._d[k]
+
+    def boundary(self, cols, rows):
+        k = 1 + next(k for k, keys in enumerate(self._keys) if keys is rows)
+        self.columns[k] = list(cols)
+        place = {c: j for j, c in enumerate(cols)}
+        return tuple(sorted((r, place[c], v) for r, c, v in self._d[k].entries
+                            if c in place))
+
+
+def test_clearing_an_exact_pair_with_a_residual(monkeypatch):
+    # B has planted non-unit invariant factors, so its elimination runs a
+    # residual phase: homology clears exactly the rows of B's unit phase
+    # from A, and keeps the Betti numbers and torsion of the full matrices
+    homology = importlib.import_module("graphconf.homology")
+    diagonalize = homology._diagonalize
+    found, smith = [], []
+
+    def recorded(rows, carry=None, rows_only=False, modulus=0, max_nnz=None):
+        pivots = diagonalize(rows, carry, rows_only, modulus, max_nnz)
+        if modulus:
+            found.append(set(pivots))
+        elif not rows_only:
+            smith.append((set(pivots), set(rows),
+                          found.pop() if found else set()))
+        return pivots
+
+    monkeypatch.setattr(homology, "_diagonalize", recorded)
+    rng = random.Random(16)
+    for size, b_diag, a_diag in ((8, [1, 1, 1, 2, 6], [1, 3]),
+                                 (12, [1] * 5 + [2, 2, 4], [1, 1, 5]),
+                                 (14, [1] * 8 + [3], [1, 1, 2, 2, 6])):
+        for _ in range(5):
+            a, b = exact_pair(rng, size, b_diag, a_diag)
+            cx = MatrixComplex((size, size, size), {1: a, 2: b})
+            smith.clear()
+            h = gc.homology(cx)
+            (pivots, residual, found_b), _ = smith
+            unit = pivots - residual
+            assert found_b and unit and unit.isdisjoint(found_b)
+            assert unit | found_b == pivots
+            assert cx.columns[1] == [c for c in range(size) if c not in unit]
+            assert [(d.betti, d.torsion) for d in h.degrees] \
+                == full_smith_homology(cx)
+            assert h.torsion(0) == tuple(f for f in a_diag if f > 1)
+            assert h.torsion(1) == tuple(f for f in b_diag if f > 1)
+    # a residual pivot of value 1 is not unimodular: B = (2, 3)^T has no
+    # unit entry and one residual pivot, 1; clearing its row from
+    # A = (3, -2) would leave (-2) or (3), where the Smith form is (1)
+    cx = MatrixComplex((1, 2, 1), {
+        1: SparseIntMatrix(1, 2, [(0, 0, 3), (0, 1, -2)]),
+        2: SparseIntMatrix(2, 1, [(0, 0, 2), (1, 0, 3)])})
+    h = gc.homology(cx)
+    assert cx.columns[1] == [0, 1]
+    assert h.betti_vector() == (0, 0, 0) and h.torsion_free()
+
+
+def test_k4_four_particles():
+    # four boundary matrices, each below the top cleared by the unit
+    # pivots of the one above it
+    h = gc.homology(gc.enumerate_cells(gc.complete(4), 4))
+    assert h.betti_vector() == (1, 18, 161, 0, 0)
+    assert h.torsion_free() and h.euler == 144
 
 
 # -- cycles, boundaries, spans ----------------------------------------------
