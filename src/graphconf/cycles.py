@@ -1,12 +1,17 @@
 """Explicit cycles in the cube-complex model.
 
-Every 1-cycle here is produced by the same walk machinery: starting from
-an assembled configuration (a 0-cell), elementary moves replace one
-particle's static state by a move state and step across that 1-cell to
-the other face.  Traversing a closed itinerary accumulates cells with
-signs +1 along the stored orientation and -1 against it, so the result
-has zero boundary by telescoping.  Constructors check the zero-boundary
-contract explicitly and raise ``InvariantError`` when it fails.
+Every star, circuit and crossing 1-cycle is an itinerary replayed by one
+routine, :func:`_walk_cycle`.  A constructor only writes down data: the
+rests of its active particles, which fix the starting configuration (a
+0-cell), and a list of ``(particle, move state)`` steps.  Each step
+replaces one particle's static state by a move state and crosses that
+1-cell to its other face, with sign +1 along the stored orientation and
+-1 against it.  Replaying a step backwards retraces its cell with the
+opposite sign, so a crossing cycle is one walk: one crossing order
+forwards, the other replayed in reverse.  The routine requires the walk
+to return to its start, so the chain has zero boundary by telescoping;
+it checks that contract explicitly and raises ``InvariantError`` when it
+fails.
 
 An "end station" abstracts where a particle rests just off a vertex v on
 a chosen half-edge: on an edge without sink endpoints it is the outermost
@@ -105,19 +110,33 @@ def _station(g, end):
     return ("sink", e, far)
 
 
-def _station_move(station):
-    kind, e, data = station
+def _station_move(g, end):
+    """The move between the vertex of ``end`` and its station."""
+    kind, e, data = _station(g, end)
     return ("ME", e, data) if kind == "slot" else ("MF", e)
+
+
+def _edge_moves(g, end):
+    """The moves that carry a particle along the edge of ``end`` from the
+    vertex of ``end`` to the far endpoint."""
+    e = edge_of_end(end)
+    if g.sink_endpoints(e):
+        return [("MF", e)]
+    return [("ME", e, end_side(end)), ("ME", e, end_side(other_end(end)))]
 
 
 def normalize_parking(g, parking):
     """Validate a parking map ``particle -> ('V', v) | ('E', e, k)`` of
-    valid states; the ``k`` of an 'E' state only orders the parked
-    particles of one edge."""
+    valid states with integer entries; the ``k`` of an 'E' state only
+    orders the parked particles of one edge.  Anything else is a
+    ``CycleConstructionError``."""
     parking = dict(parking or {})
     for pid, st in parking.items():
-        if st[0] not in ("V", "E"):
-            raise CycleConstructionError(f"parking state {st} is not static")
+        kind = st[0] if isinstance(st, (tuple, list)) and st else None
+        if (kind not in ("V", "E") or len(st) != (2 if kind == "V" else 3)
+                or not all(type(x) is int for x in st[1:])):
+            raise CycleConstructionError(
+                f"parking state {st!r} is not a static state")
         if not state_is_valid(g, st):
             raise CycleConstructionError(
                 f"particle {pid} cannot park at {st}")
@@ -168,15 +187,16 @@ def assemble_configuration(g, parking, rests):
 
 
 class _Walk:
-    """Accumulates 1-cells along an itinerary of elementary moves.
+    """Accumulates 1-cells while a configuration takes elementary moves.
 
     The configuration is always a valid 0-cell (a checked start, then
     faces of checked cells), so a move makes a valid cell exactly when its
-    state is valid and claims no vertex another particle rests on."""
+    state is valid and claims no vertex another particle rests on.  A move
+    leaves the configuration by whichever face of its cell it is on, so
+    the same move state steps forwards or back."""
 
     def __init__(self, graph, start):
         self.graph = graph
-        self.start = start
         self.config = start
         self.terms = {}
 
@@ -217,29 +237,19 @@ class _Walk:
             self.terms.pop(cell, None)
         self.config = nxt
 
-    def go_through_end(self, pid, end):
-        """Move ``pid`` between the vertex of ``end`` and its station."""
-        self.move(pid, _station_move(_station(self.graph, end)))
 
-    def traverse_edge(self, pid, end):
-        """Move ``pid`` along the edge of ``end`` from the vertex of ``end``
-        to the far endpoint."""
-        g = self.graph
-        e = edge_of_end(end)
-        if g.sink_endpoints(e) == 0:
-            self.move(pid, ("ME", e, end_side(end)))
-            self.move(pid, ("ME", e, end_side(other_end(end))))
-        else:
-            self.move(pid, ("MF", e))
-
-    def chain(self):
-        if self.config != self.start:
-            raise CycleConstructionError("itinerary is not closed")
-        return Chain(self.graph, 1, self.terms)
-
-
-def _closed(walk):
-    z = walk.chain()
+def _walk_cycle(g, parking, rests, moves):
+    """The 1-cycle of an itinerary: ``moves`` is a list of
+    ``(particle, move state)`` steps replayed from the configuration that
+    :func:`assemble_configuration` builds from ``parking`` and ``rests``;
+    the walk must end where it started."""
+    start = assemble_configuration(g, parking, rests)
+    walk = _Walk(g, start)
+    for pid, move_state in moves:
+        walk.move(pid, move_state)
+    if walk.config != start:
+        raise CycleConstructionError("itinerary is not closed")
+    z = Chain(g, 1, walk.terms)
     if not boundary_chain(z).is_zero():
         raise InvariantError("constructed chain is not a cycle")
     return z
@@ -277,14 +287,11 @@ def star_cycle_chain(g, spec, pair, parking=None):
     if x == y:
         raise CycleConstructionError("star cycle needs two distinct particles")
     d0, d1, d2 = spec.ends
-    start = assemble_configuration(
-        g, parking, {x: ("end", d0), y: ("end", d1)})
-    walk = _Walk(g, start)
-    for pid, frm, to in ((x, d0, d2), (y, d1, d0), (x, d2, d1),
-                         (y, d0, d2), (x, d1, d0), (y, d2, d1)):
-        walk.go_through_end(pid, frm)
-        walk.go_through_end(pid, to)
-    z = _closed(walk)
+    moves = [(pid, _station_move(g, end))
+             for pid, frm, to in ((x, d0, d2), (y, d1, d0), (x, d2, d1),
+                                  (y, d0, d2), (x, d1, d0), (y, d2, d1))
+             for end in (frm, to)]
+    z = _walk_cycle(g, parking, {x: ("end", d0), y: ("end", d1)}, moves)
     stations = [_station(g, d) for d in spec.ends]
     places = {(kind, data if kind == "sink" else (e, data))
               for kind, e, data in stations}
@@ -344,11 +351,9 @@ def circuit_cycle_chain(g, spec, particles, parking=None):
 
     if len(particles) == 1:
         p = particles[0]
-        start = assemble_configuration(g, parking, {p: ("V", verts[0])})
-        walk = _Walk(g, start)
-        for h in spec.ends:
-            walk.traverse_edge(p, h)
-        return _closed(walk)
+        return _walk_cycle(g, parking, {p: ("V", verts[0])},
+                           [(p, st) for h in spec.ends
+                            for st in _edge_moves(g, h)])
 
     if len(spec.ends) != 1:
         raise CycleConstructionError(
@@ -359,20 +364,14 @@ def circuit_cycle_chain(g, spec, particles, parking=None):
     if g.is_sink(u):
         # every particle traverses the loop once; each full traversal is
         # already closed since both endpoints coincide
-        start = assemble_configuration(
-            g, parking, {p: ("V", u) for p in particles})
-        walk = _Walk(g, start)
-        for p in particles:
-            walk.move(p, ("MF", e))
-        return _closed(walk)
+        return _walk_cycle(g, parking, {p: ("V", u) for p in particles},
+                           [(p, ("MF", e)) for p in particles])
     rests = {p: ("E", e, i) for i, p in enumerate(particles[1:])}
     rests[particles[0]] = ("V", u)
-    start = assemble_configuration(g, parking, rests)
-    walk = _Walk(g, start)
-    for j in range(m):
-        walk.move(particles[j], ("ME", e, 1))
-        walk.move(particles[(j + 1) % m], ("ME", e, 0))
-    return _closed(walk)
+    moves = [step for j in range(m)
+             for step in ((particles[j], ("ME", e, 1)),
+                          (particles[(j + 1) % m], ("ME", e, 0)))]
+    return _walk_cycle(g, parking, rests, moves)
 
 
 # -- h cycles -----------------------------------------------------------------
@@ -414,42 +413,27 @@ def h_cycle_chain(g, spec, pair, parking=None):
 
     At a sink endpoint the particles stack on the sink itself; at a
     non-sink endpoint each particle keeps its own designated side end.
-    Both crossing orders join the same two configurations, so the
-    difference closes up.
+    The walk crosses x then y, and returns by the y-then-x crossing
+    replayed in reverse; it closes exactly when both orders meet.
     """
     _check_h_spec(g, spec)
     x, y = pair
     if x == y:
         raise CycleConstructionError("h cycle needs two distinct particles")
 
+    path = [st for h in spec.path for st in _edge_moves(g, h)]
+    crossings = {x: list(path), y: list(path)}
     if g.is_sink(spec.v):
         rests = {x: ("V", spec.v), y: ("V", spec.v)}
-        sides = {}
     else:
         rests = {x: ("end", spec.v_sides[0]), y: ("end", spec.v_sides[1])}
-        sides = {x: spec.v_sides[0], y: spec.v_sides[1]}
-    targets = {x: spec.w_sides[0], y: spec.w_sides[1]} if spec.w_sides else {}
-    start = assemble_configuration(g, parking, rests)
-
-    def crossing(walk, pid):
-        if sides:
-            walk.go_through_end(pid, sides[pid])
-        for h in spec.path:
-            walk.traverse_edge(pid, h)
-        if targets:
-            walk.go_through_end(pid, targets[pid])
-
-    first = _Walk(g, start)
-    crossing(first, x)
-    crossing(first, y)
-    second = _Walk(g, start)
-    crossing(second, y)
-    crossing(second, x)
-    if first.config != second.config:
-        raise CycleConstructionError("the two crossing orders do not meet")
-    z = Chain(g, 1, first.terms) - Chain(g, 1, second.terms)
-    if not boundary_chain(z).is_zero():
-        raise InvariantError("h cycle is not a cycle")
+        for pid, side in zip((x, y), spec.v_sides):
+            crossings[pid].insert(0, _station_move(g, side))
+    for pid, side in zip((x, y), spec.w_sides):
+        crossings[pid].append(_station_move(g, side))
+    there, back = ([(pid, st) for pid in order for st in crossings[pid]]
+                   for order in ((x, y), (y, x)))
+    z = _walk_cycle(g, parking, rests, there + back[::-1])
     if z.is_zero():
         raise CycleConstructionError("h cycle degenerated to zero")
     return z
@@ -546,6 +530,8 @@ def push_in(z, e, s, leaf_end=None):
             leaf_end = 0
         else:
             raise ValueError(f"edge {e} is not a leaf edge")
+    elif leaf_end not in (0, 1):
+        raise ValueError(f"leaf end must be 0 or 1, got {leaf_end!r}")
     leaf = g.edges[e][leaf_end]
     if g.valence(leaf) != 1:
         raise ValueError(f"end {leaf_end} of edge {e} is not a leaf")

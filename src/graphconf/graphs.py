@@ -30,8 +30,17 @@ class Graph:
                  "_sink_end_count")
 
     def __init__(self, num_vertices, edges, sinks=()):
-        edges = tuple((int(u), int(v)) for (u, v) in edges)
-        sinks = frozenset(int(s) for s in sinks)
+        edges = tuple(tuple(edge) for edge in edges)
+        sinks = tuple(sinks)
+        if any(len(edge) != 2 for edge in edges):
+            raise GraphSpecError("every edge needs exactly two endpoints")
+        # a float or a bool is never read as a vertex number
+        for x in (num_vertices, *sinks, *(x for edge in edges for x in edge)):
+            if type(x) is not int:
+                raise GraphSpecError(
+                    f"vertex count, edge endpoints and sinks must be integers,"
+                    f" got {x!r}")
+        sinks = frozenset(sinks)
         for (u, v) in edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise GraphSpecError(f"edge endpoint out of range: {(u, v)}")
@@ -40,7 +49,7 @@ class Graph:
                 raise GraphSpecError(f"sink {s} is not a vertex")
         if not edges:
             raise GraphSpecError("a graph needs at least one edge")
-        self.num_vertices = int(num_vertices)
+        self.num_vertices = num_vertices
         self.edges = edges
         self.sinks = sinks
         valence = [0] * self.num_vertices

@@ -237,23 +237,17 @@ def boundary_of_cell(g, cell):
 # -- chains ---------------------------------------------------------------
 
 class Chain:
-    """Finitely supported integer combination of cells of one dimension."""
+    """Finitely supported integer combination of cells of one dimension,
+    given as a mapping of cells to coefficients (zeros are dropped)."""
 
     __slots__ = ("graph", "degree", "terms")
 
-    def __init__(self, graph, degree, terms=()):
+    def __init__(self, graph, degree, terms=None):
         self.graph = graph
         self.degree = degree
-        data = {}
-        for cell, coef in (terms.items() if isinstance(terms, dict) else terms):
-            if coef:
-                data[cell] = data.get(cell, 0) + coef
-                if not data[cell]:
-                    del data[cell]
-        for cell in data:
-            if cell_dimension(cell) != degree:
-                raise ValueError("cell dimension does not match chain degree")
-        self.terms = data
+        self.terms = {cell: coef for cell, coef in (terms or {}).items() if coef}
+        if any(cell_dimension(cell) != degree for cell in self.terms):
+            raise ValueError("cell dimension does not match chain degree")
 
     def support(self):
         return set(self.terms)

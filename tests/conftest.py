@@ -167,6 +167,64 @@ def reference_push_in(z, e, s, leaf_end):
     return Chain(g, z.degree, {insert(c): v for c, v in z.terms.items()})
 
 
+def reference_h_cycle_chain(g, spec, pair, parking=None):
+    """The crossing cycle as first written: one walk per crossing order,
+    the two walks must meet, and their difference is checked to be a
+    cycle on its own."""
+    from graphconf.cycles import (CycleConstructionError, _check_h_spec,
+                                  _station, _Walk, assemble_configuration)
+    from graphconf.graphs import edge_of_end, end_side, other_end
+    from graphconf.model import Chain, InvariantError, boundary_chain
+    _check_h_spec(g, spec)
+    x, y = pair
+    if x == y:
+        raise CycleConstructionError("h cycle needs two distinct particles")
+
+    if g.is_sink(spec.v):
+        rests = {x: ("V", spec.v), y: ("V", spec.v)}
+        sides = {}
+    else:
+        rests = {x: ("end", spec.v_sides[0]), y: ("end", spec.v_sides[1])}
+        sides = {x: spec.v_sides[0], y: spec.v_sides[1]}
+    targets = {x: spec.w_sides[0], y: spec.w_sides[1]} if spec.w_sides else {}
+    start = assemble_configuration(g, parking, rests)
+
+    def go_through_end(walk, pid, end):
+        kind, e, data = _station(g, end)
+        walk.move(pid, ("ME", e, data) if kind == "slot" else ("MF", e))
+
+    def traverse_edge(walk, pid, end):
+        e = edge_of_end(end)
+        if g.sink_endpoints(e) == 0:
+            walk.move(pid, ("ME", e, end_side(end)))
+            walk.move(pid, ("ME", e, end_side(other_end(end))))
+        else:
+            walk.move(pid, ("MF", e))
+
+    def crossing(walk, pid):
+        if sides:
+            go_through_end(walk, pid, sides[pid])
+        for h in spec.path:
+            traverse_edge(walk, pid, h)
+        if targets:
+            go_through_end(walk, pid, targets[pid])
+
+    first = _Walk(g, start)
+    crossing(first, x)
+    crossing(first, y)
+    second = _Walk(g, start)
+    crossing(second, y)
+    crossing(second, x)
+    if first.config != second.config:
+        raise CycleConstructionError("the two crossing orders do not meet")
+    z = Chain(g, 1, first.terms) - Chain(g, 1, second.terms)
+    if not boundary_chain(z).is_zero():
+        raise InvariantError("h cycle is not a cycle")
+    if z.is_zero():
+        raise CycleConstructionError("h cycle degenerated to zero")
+    return z
+
+
 def reference_circuit_specs(g, max_edges):
     """Circuit search as first written: its own depth-first search, pruned
     to circuits whose least vertex is the start, one spec per edge set."""

@@ -121,6 +121,20 @@ def test_graph_file_input(capsys, tmp_path):
     assert doc["graph"]["edges"] == [[0, 1]] * 4
 
 
+@pytest.mark.parametrize("text", [
+    '{"vertices": 3, "edges": [[0, 1.5], [1, 2]]}',
+    '{"vertices": 2, "edges": [[0, true]]}',
+    '{"vertices": 2, "edges": [[0, 1, 1]]}',
+])
+def test_graph_file_with_non_integer_numbers_is_a_usage_error(capsys, tmp_path,
+                                                              text):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "homology", "--graph", str(path), "-n", "2")
+    assert code == 2 and not out
+    assert err.startswith("error:") and "edge" in err
+
+
 def test_missing_graph_file_is_a_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "homology", "--graph",
                          str(tmp_path / "missing.json"), "-n", "2")

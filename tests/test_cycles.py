@@ -10,13 +10,15 @@ import graphconf as gc
 from graphconf.checks import random_connected_graph, wedge_corpus
 from graphconf.cycles import (MAX_CIRCUIT_EDGES, CircuitSpec,
                               CycleConstructionError, HSpec, StarSpec,
-                              _local_star_basis, _placed, _Walk,
-                              chain_support_elements, chain_to_doc,
-                              circuit_specs, one_dim_cycle_basis)
+                              _local_star_basis, _parking_options, _placed,
+                              _Walk, chain_support_elements, chain_to_doc,
+                              circuit_specs, h_specs, one_dim_cycle_basis)
+from graphconf.graphs import edge_of_end
 from graphconf.model import (boundary_chain, make_cell, relabel_chain,
                              state_is_valid)
-from conftest import (reference_circuit_specs, reference_push_in,
-                      reference_smith_generation, reference_walk_move)
+from conftest import (reference_circuit_specs, reference_h_cycle_chain,
+                      reference_push_in, reference_smith_generation,
+                      reference_walk_move)
 
 
 def star3_spec():
@@ -71,9 +73,12 @@ def test_star_cycle_with_parked_particle():
 
 def test_out_of_range_parking_is_a_construction_error():
     # the parking is checked against the state rules, so a vertex or edge
-    # the graph does not have is a bad request, not an IndexError
+    # the graph does not have, or a state that is not a whole static state
+    # of integers, is a bad request, not a TypeError or an IndexError
     spec = StarSpec(0, (0, 2, 4))
-    for state in (("V", 99), ("E", 99, 0)):
+    for state in (("V", 99), ("E", 99, 0), 5, (), ("V",), ("E", 1),
+                  ("V", 0, 0), ("X", 0), ("V", "0"), ("E", 1, None),
+                  ("E", 1, 0.5)):
         with pytest.raises(CycleConstructionError):
             gc.star_cycle_chain(gc.star(3), spec, (0, 1), parking={2: state})
 
@@ -248,6 +253,49 @@ def test_h_cycle_degenerate_spec():
     with pytest.raises(CycleConstructionError):
         gc.h_cycle_chain(
             cx.graph, HSpec(0, 1, (2,), v_sides=(0, 4), w_sides=(6, 8)), (0, 1))
+
+
+def _h_cases(g, n, rng=None):
+    # every crossing spec, pair and parking that the enumeration tries, or
+    # with ``rng`` one seeded pair and parking per spec
+    for spec in h_specs(g):
+        blocked = frozenset(edge_of_end(h) for h in spec.path)
+        cases = []
+        for pair in itertools.combinations(range(n), 2):
+            rest = [p for p in range(n) if p not in pair]
+            cases += [(spec, pair, parking)
+                      for parking in _parking_options(g, rest, blocked)]
+        yield from [rng.choice(cases)] if rng and cases else cases
+
+
+def test_h_cycle_matches_the_two_walk_reference():
+    # the one closed walk gives the difference of the two crossing walks,
+    # or both refuse: every case on the wedge corpus (its own sink
+    # variants included) and on banana(4) with zero, one and two sinks; on
+    # K5 and K3,3, with and without a sink, every spec at n = 2, and every
+    # spec with one seeded pair and parking at n = 3 (all of them take 15 s)
+    rng = random.Random(16)
+    b4 = gc.banana(4)
+    cases = []
+    for g in [g for _, g in wedge_corpus()] + [
+            b4, b4.with_sinks({0}), b4.with_sinks({0, 1})]:
+        cases += [(g, c) for n in (2, 3) for c in _h_cases(g, n)]
+    for g in (gc.complete(5), gc.complete_bipartite(3, 3)):
+        for g in (g, g.with_sinks({0})):
+            cases += [(g, c) for n in (2, 3) for c in _h_cases(g, n, rng)]
+    outcomes = {"built": 0, "parked": 0, "refused": 0}
+    for g, (spec, pair, parking) in cases:
+        try:
+            want = reference_h_cycle_chain(g, spec, pair, parking)
+        except CycleConstructionError:
+            with pytest.raises(CycleConstructionError):
+                gc.h_cycle_chain(g, spec, pair, parking)
+            outcomes["refused"] += 1
+            continue
+        got = gc.h_cycle_chain(g, spec, pair, parking)
+        assert got == want, (g, spec, pair, parking)
+        outcomes["parked" if parking else "built"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 # -- walk steps -----------------------------------------------------------
@@ -432,6 +480,10 @@ def test_push_in_errors(small_complexes):
     z = gc.Chain(g, 0, {make_cell([(0, ("E", 1, 0))]): 1})
     with pytest.raises(ValueError):
         gc.push_in(z, 0, 0)  # particle already present
+    for leaf_end in (-1, 2):
+        # -1 would index the leaf from the far end and park on edge 1
+        with pytest.raises(ValueError):
+            gc.push_in(z, 0, 1, leaf_end=leaf_end)
 
 
 # -- the 144-cell cycle -----------------------------------------------------
@@ -559,6 +611,22 @@ def test_candidate_chains_pinned(spec, sinks, n, degree, count, digest):
     chains = gc.enumerate_basic_classes(gc.enumerate_cells(g, n), degree).chains
     assert len(chains) == count
     assert _candidates_digest(chains) == digest
+
+
+def test_candidate_chains_pinned_on_random_graphs():
+    # degrees 1 and 2 on thirty seeded random graphs with up to four edges,
+    # nine of them with sinks: stars, loop rotations, circuits of two and
+    # three edges and crossings, bare and parked
+    rng = random.Random(16)
+    chains = []
+    for _ in range(30):
+        g = random_connected_graph(rng, max_edges=4, max_vertices=4)
+        cx = gc.enumerate_cells(g, rng.randint(2, 3))
+        for degree in (1, 2):
+            chains += gc.enumerate_basic_classes(cx, degree).chains
+    assert len(chains) == 2302
+    assert _candidates_digest(chains) == \
+        "48fbc320db164ca8f09984f4e004371bcfb441a78f70cccfd231cdce3d66f58e"
 
 
 @pytest.mark.parametrize("graph,n,b1", [

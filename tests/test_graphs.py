@@ -160,6 +160,22 @@ def test_serialization_round_trip():
         gc.load_graph("not json {")
 
 
+@pytest.mark.parametrize("doc", [
+    {"vertices": 3, "edges": [[0, 1.5], [1, 2]]},
+    {"vertices": 2, "edges": [[0, True]]},
+    {"vertices": 2, "edges": [[0, 1, 1]]},
+    {"vertices": 2, "edges": [[0]]},
+    {"vertices": 2.5, "edges": [[0, 1]]},
+    {"vertices": True, "edges": [[0, 0]]},
+    {"vertices": 2, "edges": [[0, 1]], "sinks": [1.0]},
+    {"vertices": 2, "edges": [[0, 1]], "sinks": [False]},
+])
+def test_graph_document_numbers_must_be_integers(doc):
+    # no number is truncated by int(): 1.5 is not vertex 1, true is not 1
+    with pytest.raises(GraphSpecError):
+        gc.graph_from_doc(doc)
+
+
 def test_subdivide_edge():
     g = gc.banana(4)
     sub = gc.subdivide_edge(g, 2)
