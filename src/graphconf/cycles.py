@@ -798,8 +798,10 @@ def star_specs(g):
 
 def circuit_specs(g):
     """Embedded circuits: the loops, then the closed embedded paths from
-    each vertex in turn, one representative per edge set (the edge set of
-    an embedded circuit determines it up to rotation and reflection)."""
+    each vertex in turn through no lower vertex, so from the least vertex
+    of each circuit, one representative per edge set (the edge set of an
+    embedded circuit determines it up to rotation and reflection, and the
+    search meets each circuit in both directions)."""
     specs = [CircuitSpec((2 * e,)) for e in range(g.num_edges) if g.is_loop(e)]
     seen = set()
     for v in range(g.num_vertices):
@@ -836,8 +838,9 @@ def _side_ends(g, v, path_end):
 def _embedded_paths(g, v, w, max_edges):
     """Paths of at most ``max_edges`` non-loop edges from ``v`` to ``w``
     that repeat no edge and no vertex, except that a path from ``v`` back
-    to ``v`` closes at its start; tuples of the ends they leave along, in
-    depth-first order."""
+    to ``v`` closes at its start and enters no vertex below ``v`` (a
+    circuit through one is found from its least vertex); tuples of the
+    ends they leave along, in depth-first order."""
     paths = []
 
     def extend(at, ends, verts):
@@ -853,7 +856,7 @@ def _embedded_paths(g, v, w, max_edges):
             if far == w:
                 paths.append(ends + (h,))
                 continue
-            if far in verts:
+            if far in verts or (v == w and far < v):
                 continue
             extend(far, ends + (h,), verts | {far})
 

@@ -32,7 +32,8 @@ def _divmod_balanced(a, p):
     return q, r
 
 
-def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None):
+def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None,
+                 log=None):
     """Eliminate a dict-of-rows matrix by unimodular row and column
     operations; the one elimination loop behind every routine here.
 
@@ -42,7 +43,11 @@ def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None):
     mode (neither ``rows_only`` nor ``modulus``) the unit-phase pivot rows
     are the result's rows that are not in ``rows``.  Row operations are
     mirrored on ``carry``, a dict of sparse companion rows indexed like
-    ``rows``; ``max_nnz`` caps the nonzeros after each pivot.
+    ``rows``; ``max_nnz`` caps the nonzeros after each pivot.  ``log``, a
+    list, receives the row operations of the Smith mode's unit phase in
+    order, each as ``(r, r0, q)`` for ``row_r -= q * row_r0``; the sign
+    flip of a pivot row ``r0`` is ``(r0, r0, 2)``, which negates it.  The
+    residual phase, run on a copy of R, logs nothing.
 
     Every pivot comes from one lazy queue of columns, keyed ``(least, len,
     c)``: ``least`` is the least ``|v|`` the column held when queued (1 for
@@ -113,6 +118,8 @@ def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None):
                     cols[c].discard(r)
         if not row:
             del rows[r]
+        if log is not None:
+            log.append((r, r0, q))
         if carry is not None and r0 in carry:
             vec = carry.setdefault(r, {})
             for j, v in carry[r0].items():
@@ -143,6 +150,8 @@ def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None):
                     touched.setdefault(r, len(rows[r]))
             if rows[r0][c0] < 0:
                 rows[r0] = {c: -v for c, v in rows[r0].items()}
+                if log is not None:
+                    log.append((r0, r0, 2))
                 if carry is not None and r0 in carry:
                     carry[r0] = {j: -v for j, v in carry[r0].items()}
             piv = rows[r0][c0]
@@ -210,25 +219,72 @@ def rank_over_rationals(m):
     return len(_diagonalize(m.rows(), rows_only=True))
 
 
+def _recorded(m):
+    """The record of the Smith elimination of ``m``, made by the first
+    Smith form or solve on it and kept in its ``_elimination`` slot (a
+    matrix is immutable): ``(pivots, log, residual)``, the pivots
+    ``{row: value}`` of :func:`_diagonalize`, the log of its unit-phase
+    row operations, and the residual rows R that phase left."""
+    if m._elimination is None:
+        rows, log = m.rows(), []
+        m._elimination = (_diagonalize(rows, log=log), log, rows)
+    return m._elimination
+
+
 def smith_normal_form(m):
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix, all
     positive, with r equal to the rank.  The pivots are units, then a
-    divisibility chain, so sorting orders them."""
-    return sorted(_diagonalize(m.rows()).values())
+    divisibility chain, so sorting orders them; each call returns a fresh
+    list from the record of the elimination."""
+    return sorted(_recorded(m)[0].values())
 
 
 def solve_in_image(m, vec):
     """Whether ``m x = vec`` has an integer solution; ``vec`` is a sparse
-    dict indexed by row.
+    dict from rows of ``m`` to ints, and ``ValueError`` rejects any other
+    before any elimination.
 
-    The target is carried along the row operations as a one-column
-    companion; solvability is divisibility on the pivot rows plus vanishing
-    on the rows that reduce to zero (modulo delta on the residual).
+    The target is carried through the recorded elimination of ``m``: the
+    logged unit-phase row operations are replayed on it, and then the
+    residual phase alone is run again on a copy of R with the target as a
+    one-column companion.  That is exactly what carrying the target
+    through the whole elimination gives, because the unit phase never
+    reads the carry: ``next_pivot`` and the check for units left read
+    only ``rows`` and ``cols``, so with or without a carry it takes the
+    same pivots, makes the same operations in the same order and leaves
+    the same R, and a replay of those operations makes the same carry.
+    The residual phase does read the carry, in its rational span test and
+    in the bound behind its modulus, so it is not replayed but run again.
+    Solvability is then vanishing on the rows the unit phase reduced to
+    zero (its pivot rows are units and divide anything), and on R,
+    membership in the rational span of R plus divisibility on the pivot
+    rows modulo the residual phase's modulus.
     """
-    carry = {r: {0: v} for r, v in vec.items() if v}
-    pivots = _diagonalize(m.rows(), carry=carry)
-    return all(r in pivots and v[0] % pivots[r] == 0
-               for r, v in carry.items())
+    for r, v in vec.items():
+        if type(r) is not int or not 0 <= r < m.num_rows:
+            raise ValueError(f"target row {r!r} is not a row of the matrix")
+        if type(v) is not int:
+            raise ValueError(f"target value {v!r} is not an integer")
+    pivots, log, residual = _recorded(m)
+    target = {r: v for r, v in vec.items() if v}
+    for r, r0, q in log:
+        v0 = target.get(r0)
+        if v0:
+            v = target.get(r, 0) - q * v0
+            if v:
+                target[r] = v
+            else:
+                del target[r]
+    carry = {}
+    for r, v in target.items():
+        if r in residual:
+            carry[r] = {0: v}
+        elif r not in pivots:
+            return False  # a row the unit phase reduced to zero
+    if not carry:
+        return True
+    found = _diagonalize({r: dict(row) for r, row in residual.items()}, carry)
+    return all(r in found and v[0] % found[r] == 0 for r, v in carry.items())
 
 
 # -- homology ---------------------------------------------------------------

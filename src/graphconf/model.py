@@ -336,15 +336,32 @@ class SparseIntMatrix:
     elimination: ``entries`` holds the nonzero ``(row, col, value)``
     triples in (row, column) order, the order the export writes.
 
-    The constructor range-checks every entry, zeros included, rejects a
-    repeated ``(row, col)`` and sorts.  :meth:`CubeComplex.boundary_entries`
-    alone skips it: its entries are valid and sorted by construction, and
-    it wraps them without a copy.
+    The constructor requires a shape of non-negative ints and entries of
+    ints (a float or a bool is never truncated into one), range-checks
+    every entry, zeros included, rejects a repeated ``(row, col)`` and
+    sorts.  :meth:`CubeComplex.boundary_entries` alone skips it: its
+    entries are valid and sorted by construction, and it wraps them
+    without a copy.
+
+    A matrix is immutable after construction: nothing assigns to it
+    after ``__init__`` or ``boundary_entries``.  That is what lets
+    :mod:`graphconf.homology` keep the record of its Smith elimination in
+    the private slot ``_elimination`` (``None`` until the first Smith form
+    or solve) and answer every later call from it.
     """
 
-    __slots__ = ("num_rows", "num_cols", "entries")
+    __slots__ = ("num_rows", "num_cols", "entries", "_elimination")
 
     def __init__(self, num_rows, num_cols, entries=()):
+        for n in (num_rows, num_cols):
+            if type(n) is not int or n < 0:
+                raise ValueError(f"matrix shape must be non-negative"
+                                 f" integers, got {n!r}")
+        entries = list(entries)
+        for r, c, v in entries:
+            if type(r) is not int or type(c) is not int or type(v) is not int:
+                raise ValueError(f"entry ({r!r},{c!r},{v!r}) is not three"
+                                 f" integers")
         kept = []
         last_r = last_c = None
         for r, c, v in sorted(entries):
@@ -354,8 +371,9 @@ class SparseIntMatrix:
                 raise ValueError(f"duplicate entry at ({r},{c})")
             last_r, last_c = r, c
             if v:
-                kept.append((r, c, int(v)))
+                kept.append((r, c, v))
         self.num_rows, self.num_cols, self.entries = num_rows, num_cols, tuple(kept)
+        self._elimination = None
 
     @property
     def nnz(self):
@@ -574,6 +592,7 @@ class CubeComplex:
         # valid and sorted by construction: wrapped without a checked copy
         m = self._matrices[k] = SparseIntMatrix.__new__(SparseIntMatrix)
         m.num_rows, m.num_cols, m.entries = rows, cols, entries
+        m._elimination = None
         return m
 
     def relabeled(self, perm):

@@ -7,7 +7,7 @@ so that agreement with the library is meaningful.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -450,6 +450,19 @@ def minors_gcd_invariant_factors(m):
         factors.append(dk // prev)
         prev = dk
     return sorted(factors)
+
+
+def minors_solvable(m, target):
+    """Whether ``m x = target`` has an integer solution, by determinantal
+    divisors: exactly when ``m`` and ``[m | target]`` have the same rank r
+    and the same gcd of r x r minors (H. J. S. Smith, 1861).  Exponential;
+    only for tiny matrices."""
+    from graphconf.homology import SparseIntMatrix
+    aug = SparseIntMatrix(m.num_rows, m.num_cols + 1, m.entries + tuple(
+        (r, m.num_cols, v) for r, v in target.items()))
+    a = minors_gcd_invariant_factors(m)
+    b = minors_gcd_invariant_factors(aug)
+    return len(a) == len(b) and prod(a) == prod(b)
 
 
 @pytest.fixture(scope="session")

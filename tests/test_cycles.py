@@ -210,6 +210,16 @@ def test_circuit_specs_match_the_reference_search():
             g, MAX_CIRCUIT_EDGES), g
 
 
+def test_circuit_specs_on_k6_match_the_reference_search():
+    # the search from each vertex enters no lower vertex; on K6, with its
+    # 197 circuits of up to six edges, that still finds every circuit from
+    # its least vertex, first in the reference's order
+    g = gc.complete(6)
+    specs = circuit_specs(g)
+    assert len(specs) == 197
+    assert specs == reference_circuit_specs(g, MAX_CIRCUIT_EDGES)
+
+
 # -- crossing (h) cycles ---------------------------------------------------
 
 def test_h_cycle_on_h_graph(small_complexes):

@@ -13,8 +13,8 @@ from graphconf.checks import (_random_matrix, _random_unimodular_shuffle,
                               dense_rank_oracle, random_connected_graph,
                               wedge_corpus)
 from conftest import (fraction_rank, integral_verdicts,
-                      minors_gcd_invariant_factors, reference_components,
-                      reference_kernel_basis)
+                      minors_gcd_invariant_factors, minors_solvable,
+                      reference_components, reference_kernel_basis)
 
 
 def random_matrix(rng, max_size=8, lo=-9, hi=9):
@@ -186,12 +186,13 @@ def test_pivot_queue_on_any_input(monkeypatch):
     diagonalize = homology._diagonalize
     residuals = []
 
-    def checked(rows, carry=None, rows_only=False, modulus=0, max_nnz=None):
+    def checked(rows, carry=None, rows_only=False, modulus=0, max_nnz=None,
+                log=None):
         if modulus:
             residuals.append(dict(rows))
             assert all(abs(v) != 1 for row in rows.values()
                        for v in row.values())
-        return diagonalize(rows, carry, rows_only, modulus, max_nnz)
+        return diagonalize(rows, carry, rows_only, modulus, max_nnz, log)
 
     monkeypatch.setattr(homology, "_diagonalize", checked)
     rng = random.Random(25)
@@ -221,8 +222,12 @@ def test_pivot_queue_on_any_input(monkeypatch):
         assert solve_in_image(m, column)
         assert len(reference_kernel_basis(m)) == m.num_cols - len(factors)
     assert residuals  # non-unit pivots came from the queue too
+    # the recorded matrix answers without eliminating again; an equal,
+    # fresh one hands the residual pass exactly the late unit's leftover
     residuals.clear()
-    assert smith_normal_form(unit_late) == [1, 1, 11]
+    assert smith_normal_form(unit_late) == [1, 1, 11] and not residuals
+    fresh = SparseIntMatrix(3, 3, unit_late.entries)
+    assert smith_normal_form(fresh) == [1, 1, 11]
     assert residuals == [{2: {1: 11}}]
 
 
@@ -277,6 +282,86 @@ def test_solve_in_image():
                 assert not solve_in_image(m, col)
                 assert not solve_in_image(m, {r: 720 * v
                                               for r, v in col.items()})
+
+
+def test_solve_in_image_rejects_malformed_targets():
+    # checked before any elimination: no record is made
+    m = SparseIntMatrix(2, 2, [(0, 0, 1), (1, 1, 2)])
+    for target in ({0: 3.5}, {0: 2.0}, {0: True}, {7: 1}, {-1: 1}, {2: 0},
+                   {0.0: 1}, {"0": 1}):
+        with pytest.raises(ValueError):
+            solve_in_image(m, target)
+    assert m._elimination is None
+    assert solve_in_image(m, {0: 3, 1: 4}) and not solve_in_image(m, {1: 3})
+
+
+def _targets(rng, m):
+    """Random sparse targets, and integer combinations of the columns of
+    ``m`` (so in its image) with and without one entry moved."""
+    cols = {}
+    for r, c, v in m.entries:
+        cols.setdefault(c, {})[r] = v
+    targets = [{r: rng.randint(-4, 4) for r in rng.sample(
+        range(m.num_rows), rng.randint(0, m.num_rows))} for _ in range(3)]
+    for _ in range(3):
+        t = {}
+        for col in rng.sample(list(cols.values()), min(2, len(cols))):
+            k = rng.randint(-3, 3)
+            for r, v in col.items():
+                t[r] = t.get(r, 0) + k * v
+        targets.append(dict(t))
+        r = rng.randrange(m.num_rows)
+        t[r] = t.get(r, 0) + 1
+        targets.append(t)
+    return targets
+
+
+def test_recorded_elimination_answers_like_a_fresh_matrix():
+    # a Smith form or a solve records the elimination on the matrix, and
+    # every later call reads the record: in either order and repeated, each
+    # answer equals the same call on an equal matrix with no record, and
+    # the minors oracles on small matrices
+    rng = random.Random(27)
+    cases = [random_matrix(rng, max_size=4, lo=-2, hi=2) for _ in range(120)]
+    cases += [non_unit_matrix(rng, 4) for _ in range(60)]
+    planted = [planted_matrix(rng, size, factors, rank, image=True)
+               for size, rank, factors in ((6, 5, (2, 6)), (10, 8, (3, 9)),
+                                           (16, 14, (2, 4, 8)))]
+    cases += [m for m, _, _ in planted]
+    flips = deficient = 0
+    for i, m in enumerate(cases):
+        targets = _targets(rng, m)
+
+        def fresh():
+            return SparseIntMatrix(m.num_rows, m.num_cols, m.entries)
+
+        factors = smith_normal_form(fresh())
+        verdicts = [solve_in_image(fresh(), t) for t in targets]
+        if i % 2:
+            assert smith_normal_form(m) == factors
+        for _ in range(2):
+            assert [solve_in_image(m, t) for t in targets] == verdicts
+            assert smith_normal_form(m) == factors
+        if max(m.num_rows, m.num_cols) <= 4:
+            assert factors == minors_gcd_invariant_factors(m)
+            assert verdicts == [minors_solvable(m, t) for t in targets]
+        pivots, log, residual = m._elimination
+        flips += any(r == r0 for r, r0, _ in log)
+        deficient += len(residual) > len(residual.keys() & pivots.keys())
+    assert flips > 20 and deficient > 10
+    for (m, diag, cols), rank in zip(planted, (5, 8, 14)):
+        assert smith_normal_form(m) == diag
+        for j, col in enumerate(cols[:rank]):
+            assert solve_in_image(m, {r: diag[j] * v for r, v in col.items()})
+            assert solve_in_image(m, col) == (diag[j] == 1)
+        assert not any(solve_in_image(m, col) for col in cols[rank:])
+    # a returned list is the caller's to change
+    m = cases[-1]
+    factors = smith_normal_form(m)
+    want = list(factors)
+    factors[0] = 0
+    factors.append(7)
+    assert smith_normal_form(m) == want
 
 
 def test_integer_kernel_basis():
@@ -471,8 +556,9 @@ def test_clearing_an_exact_pair_with_a_residual(monkeypatch):
     diagonalize = homology._diagonalize
     found, smith = [], []
 
-    def recorded(rows, carry=None, rows_only=False, modulus=0, max_nnz=None):
-        pivots = diagonalize(rows, carry, rows_only, modulus, max_nnz)
+    def recorded(rows, carry=None, rows_only=False, modulus=0, max_nnz=None,
+                 log=None):
+        pivots = diagonalize(rows, carry, rows_only, modulus, max_nnz, log)
         if modulus:
             found.append(set(pivots))
         elif not rows_only:
@@ -608,6 +694,16 @@ def test_matrix_entry_validation():
         SparseIntMatrix(2, 2, [(0, 2, 0)])
     with pytest.raises(ValueError):
         SparseIntMatrix(2, 2, [(0, 0, 0), (0, 0, 1)])
+    # shapes, indices and values are ints: nothing is truncated into one
+    for shape, entries in (((2, 2), [(0, 0, 1.5), (1, 1, 2)]),
+                           ((2, 2), [(0, 0, 2.0)]), ((2, 2), [(0.5, 0, 1)]),
+                           ((2, 2), [(0, 1.0, 1)]), ((2, 2), [(0, 0, True)]),
+                           ((2, 2), [(None, 0, 1), (0, 0, 1)]),
+                           ((2.5, 2), [(2, 0, 1)]), ((2, "2"), []),
+                           ((-1, 2), []), ((2, -3), []), ((True, 1), [])):
+        with pytest.raises(ValueError):
+            SparseIntMatrix(*shape, entries)
+    assert SparseIntMatrix(0, 3).entries == ()
     m = SparseIntMatrix(2, 3, [(1, 0, 4), (0, 2, -1), (0, 1, 0), (0, 0, 2)])
     assert m.entries == ((0, 0, 2), (0, 2, -1), (1, 0, 4)) and m.nnz == 3
     assert m.rows() == {0: {0: 2, 2: -1}, 1: {0: 4}}
