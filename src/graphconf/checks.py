@@ -18,9 +18,10 @@ from math import factorial
 
 from . import cycles as cyc
 from . import graphs as gr
-from .homology import (SparseIntMatrix, class_span, class_span_rank,
-                       euler_characteristic, homology, is_boundary, is_cycle,
-                       rank_over_rationals, smith_normal_form)
+from .homology import (SparseIntMatrix, _diagonalize, class_span,
+                       class_span_rank, euler_characteristic, homology,
+                       is_boundary, is_cycle, rank_over_rationals,
+                       smith_normal_form, solve_in_image)
 from . import model as mdl
 
 
@@ -752,40 +753,51 @@ def _random_unimodular_shuffle(rng, m, ops=6):
             q = rng.randint(-2, 2)
             target = rows.setdefault(a, {})
             for c, v in list(rows.get(b, {}).items()):
-                nv = target.get(c, 0) + q * v
-                if nv:
-                    target[c] = nv
-                else:
-                    target.pop(c, None)
+                target[c] = target.get(c, 0) + q * v
         elif len(cols) >= 2:
             a, b = rng.sample(cols, 2)
             q = rng.randint(-2, 2)
             for row in rows.values():
-                if b in row:
-                    nv = row.get(a, 0) + q * row[b]
-                    if nv:
-                        row[a] = nv
-                    else:
-                        row.pop(a, None)
+                row[a] = row.get(a, 0) + q * row.get(b, 0)
+    # the matrix drops the zeros these sums leave
     entries = [(r, c, v) for r, row in rows.items() for c, v in row.items()]
     return SparseIntMatrix(m.num_rows, m.num_cols, entries)
 
 
 def suite_snf_oracle(seed=7, cases=1000):
-    """Rank agreement between the row-only elimination, the Smith
-    normal form, and dense exact elimination; invariance of the Smith form
-    under unimodular operations."""
+    """Rank agreement between the row-only elimination, the Smith normal
+    form, and dense exact elimination; invariance of the Smith form under
+    unimodular operations; and ``solve_in_image`` on a combination of at
+    most two columns and on it with 1 or 2 added on one row, against
+    whether appending the target as a column keeps the Smith form.  The
+    targets come from a second generator, so the matrices do not change."""
     rng = random.Random(seed)
+    pick = random.Random(f"solve-targets-{seed}")
     failures = []
     for i in range(cases):
         size = 40 if i % 25 == 0 else rng.randint(1, 10)
         m = _random_matrix(rng, max_size=size)
         want = dense_rank_oracle(m)
         factors = smith_normal_form(m)
-        if rank_over_rationals(m) != want or len(factors) != want:
+        if (len(_diagonalize(m.rows(), rows_only=True)) != want
+                or rank_over_rationals(m) != want or len(factors) != want):
             failures.append(f"rank mismatch on {m}")
-            if len(failures) > 4:
-                break
+        target = {}
+        for j in pick.sample(range(m.num_cols), min(2, m.num_cols)):
+            k = pick.randint(-3, 3)
+            for r, c, v in m.entries:
+                if c == j:
+                    target[r] = target.get(r, 0) + k * v
+        moved = dict(target)
+        r = pick.randrange(m.num_rows)
+        moved[r] = moved.get(r, 0) + pick.choice((1, 2))
+        for t in (target, moved):
+            aug = SparseIntMatrix(m.num_rows, m.num_cols + 1, m.entries + tuple(
+                (r, m.num_cols, v) for r, v in t.items()))
+            if solve_in_image(m, t) != (smith_normal_form(aug) == factors):
+                failures.append(f"solve of {t} disagrees on {m}")
+        if len(failures) > 4:
+            break
         if m.num_rows <= 12 and m.num_cols <= 12:
             if fraction_rank_oracle(m) != want:
                 failures.append(f"fraction oracle disagrees on {m}")

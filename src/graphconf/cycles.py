@@ -850,8 +850,8 @@ def _embedded_paths(g, v, w, max_edges):
             e = edge_of_end(h)
             if g.is_loop(e) or g.vertex_of_end(h) != at:
                 continue
-            if e in {edge_of_end(x) for x in ends}:
-                continue
+            if ends and e == edge_of_end(ends[-1]):
+                continue  # no vertex repeats: the one path edge at ``at``
             far = g.vertex_of_end(other_end(h))
             if far == w:
                 paths.append(ends + (h,))

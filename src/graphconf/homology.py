@@ -14,14 +14,6 @@ from math import gcd, prod
 from .model import CapExceededError, SparseIntMatrix, boundary_chain
 
 
-def _column_index(rows):
-    cols = {}
-    for r, row in rows.items():
-        for c in row:
-            cols.setdefault(c, set()).add(r)
-    return cols
-
-
 def _divmod_balanced(a, p):
     """Quotient and remainder with the remainder in (-p/2, p/2]; small
     quotients keep elimination entries from blowing up."""
@@ -32,8 +24,7 @@ def _divmod_balanced(a, p):
     return q, r
 
 
-def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None,
-                 log=None):
+def _diagonalize(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
     """Eliminate a dict-of-rows matrix by unimodular row and column
     operations; the one elimination loop behind every routine here.
 
@@ -41,13 +32,12 @@ def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None,
     from the result were reduced to zero.  ``rows`` is consumed down to the
     residual R defined below, empty when there is none; so in the Smith
     mode (neither ``rows_only`` nor ``modulus``) the unit-phase pivot rows
-    are the result's rows that are not in ``rows``.  Row operations are
-    mirrored on ``carry``, a dict of sparse companion rows indexed like
-    ``rows``; ``max_nnz`` caps the nonzeros after each pivot.  ``log``, a
-    list, receives the row operations of the Smith mode's unit phase in
-    order, each as ``(r, r0, q)`` for ``row_r -= q * row_r0``; the sign
-    flip of a pivot row ``r0`` is ``(r0, r0, 2)``, which negates it.  The
-    residual phase, run on a copy of R, logs nothing.
+    are the result's rows that are not in ``rows``.  ``max_nnz`` caps the
+    nonzeros after each pivot.  ``log``, a list, receives ``(ops, pivots,
+    modulus)`` for each pass: its row operations in order, ``(r, r0, q)``
+    for ``row_r -= q * row_r0`` (``(r0, r0, 2)`` negates pivot row r0),
+    its pivots and its modulus.  The Smith mode logs its unit phase and,
+    when that leaves a residual, the row-only and modular passes over R.
 
     Every pivot comes from one lazy queue of columns, keyed ``(least, len,
     c)``: ``least`` is the least ``|v|`` the column held when queued (1 for
@@ -72,12 +62,15 @@ def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None,
     product of the pivots of a row-only pass over R: an r x r minor of a
     unimodular transform of R, so a multiple of d_r(R).  Each pivot there
     is made to divide every entry left, so the gcds of the pivots with the
-    modulus are the invariant factors of R in order, and a target in the
-    rational span of R is in its image iff it is modulo the modulus
-    (Domich, Kannan and Trotter 1987; Dumas, Saunders and Villard 2001).
+    modulus are the invariant factors of R in order (Domich, Kannan and
+    Trotter 1987; Dumas, Saunders and Villard 2001).
     """
-    cols = _column_index(rows)
+    cols = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
     pivot_of_row = {}
+    ops = None if log is None else []
     queue = [(1, len(rs), c) for c, rs in cols.items()]
     heapify(queue)
     nnz = sum(map(len, rows.values())) if max_nnz is not None else 0
@@ -118,20 +111,8 @@ def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None,
                     cols[c].discard(r)
         if not row:
             del rows[r]
-        if log is not None:
-            log.append((r, r0, q))
-        if carry is not None and r0 in carry:
-            vec = carry.setdefault(r, {})
-            for j, v in carry[r0].items():
-                nv = vec.get(j, 0) - q * v
-                if modulus:
-                    nv %= modulus
-                if nv:
-                    vec[j] = nv
-                else:
-                    vec.pop(j, None)
-            if not vec:
-                del carry[r]
+        if ops is not None:
+            ops.append((r, r0, q))
 
     while rows:
         r0, c0 = next_pivot()
@@ -150,10 +131,8 @@ def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None,
                     touched.setdefault(r, len(rows[r]))
             if rows[r0][c0] < 0:
                 rows[r0] = {c: -v for c, v in rows[r0].items()}
-                if log is not None:
-                    log.append((r0, r0, 2))
-                if carry is not None and r0 in carry:
-                    carry[r0] = {j: -v for j, v in carry[r0].items()}
+                if ops is not None:
+                    ops.append((r0, r0, 2))
             piv = rows[r0][c0]
             for r in list(cols[c0]):
                 if r == r0:
@@ -196,39 +175,53 @@ def _diagonalize(rows, carry=None, rows_only=False, modulus=0, max_nnz=None,
             touched.clear()
             if nnz > max_nnz:
                 raise CapExceededError(f"elimination fill-in over {max_nnz}")
+    if log is not None:
+        log.append((ops, dict(pivot_of_row), modulus))
     if rows and not (rows_only or modulus):
-        shadow = carry and {r: dict(carry[r]) for r in rows if r in carry}
         echelon = _diagonalize({r: dict(row) for r, row in rows.items()},
-                               shadow, rows_only=True, max_nnz=max_nnz)
-        if shadow and not shadow.keys() <= echelon.keys():
-            return pivot_of_row  # the target leaves the rational span of R
-        # a multiple of delta above twice every entry and target of R, so
-        # these are residues already and no invariant factor is zero
-        bound = max(abs(v) for vecs in (rows, carry or {}) for r in rows
-                    for v in vecs.get(r, {}).values())
+                               rows_only=True, max_nnz=max_nnz, log=log)
+        # a multiple of delta above twice every entry of R, so these are
+        # residues already and no invariant factor is zero
+        bound = max(abs(v) for row in rows.values() for v in row.values())
         mod = 2 * (bound + 1) * prod(echelon.values())
         found = _diagonalize({r: dict(row) for r, row in rows.items()},
-                             carry, modulus=mod, max_nnz=max_nnz)
+                             modulus=mod, max_nnz=max_nnz, log=log)
         pivot_of_row.update((r, gcd(v, mod)) for r, v in found.items())
     return pivot_of_row
 
 
-def rank_over_rationals(m):
-    """Exact rank over the rationals: the number of pivots of a row-only
-    elimination."""
-    return len(_diagonalize(m.rows(), rows_only=True))
+def _replay(ops, target, modulus=0):
+    """Apply logged row operations to a sparse target column, in place, in
+    residues modulo ``modulus`` when it is set."""
+    for r, r0, q in ops:
+        v0 = target.get(r0)
+        if v0:
+            v = target.get(r, 0) - q * v0
+            if modulus:
+                v %= modulus
+            if v:
+                target[r] = v
+            else:
+                target.pop(r, None)
+    return target
 
 
 def _recorded(m):
     """The record of the Smith elimination of ``m``, made by the first
-    Smith form or solve on it and kept in its ``_elimination`` slot (a
-    matrix is immutable): ``(pivots, log, residual)``, the pivots
-    ``{row: value}`` of :func:`_diagonalize`, the log of its unit-phase
-    row operations, and the residual rows R that phase left."""
+    Smith form, rank or solve on it and kept in its ``_elimination`` slot
+    (a matrix is immutable): ``(pivots, passes)``, the pivots ``{row:
+    value}`` of :func:`_diagonalize` and its log of every pass."""
     if m._elimination is None:
-        rows, log = m.rows(), []
-        m._elimination = (_diagonalize(rows, log=log), log, rows)
+        log = []
+        m._elimination = (_diagonalize(m.rows(), log=log), log)
     return m._elimination
+
+
+def rank_over_rationals(m):
+    """Exact rank over the rationals: the number of pivots in the record
+    of the Smith elimination, since its modulus makes no invariant factor
+    zero."""
+    return len(_recorded(m)[0])
 
 
 def smith_normal_form(m):
@@ -244,47 +237,38 @@ def solve_in_image(m, vec):
     dict from rows of ``m`` to ints, and ``ValueError`` rejects any other
     before any elimination.
 
-    The target is carried through the recorded elimination of ``m``: the
-    logged unit-phase row operations are replayed on it, and then the
-    residual phase alone is run again on a copy of R with the target as a
-    one-column companion.  That is exactly what carrying the target
-    through the whole elimination gives, because the unit phase never
-    reads the carry: ``next_pivot`` and the check for units left read
-    only ``rows`` and ``cols``, so with or without a carry it takes the
-    same pivots, makes the same operations in the same order and leaves
-    the same R, and a replay of those operations makes the same carry.
-    The residual phase does read the carry, in its rational span test and
-    in the bound behind its modulus, so it is not replayed but run again.
-    Solvability is then vanishing on the rows the unit phase reduced to
-    zero (its pivot rows are units and divide anything), and on R,
-    membership in the rational span of R plus divisibility on the pivot
-    rows modulo the residual phase's modulus.
+    No elimination runs here: the target replays the unimodular row
+    operations of the three recorded passes and is tested after each.
+    After the unit phase it is free on the unit pivot rows and must vanish
+    on the rows reduced to zero; the rest lies on R.  After the row-only
+    pass over R, a copy must vanish on the rows that pass reduced to zero,
+    so the target lies in Sat(R), the integer points of the rational span
+    of R.  Replayed modulo M through the modular pass, it is in the image
+    of R modulo M iff M divides it off the pivot rows and each pivot
+    gcd(v, M) divides it on its row.  That decides membership in L(R), the
+    lattice of R: the last invariant factor of R kills Sat(R)/L(R) and
+    divides delta, so delta Sat(R), and with it M Sat(R), lies in L(R).
+    Sat(R) is saturated, so ``Sat(R) & M Z^m = M Sat(R)``: a ``t`` in
+    Sat(R) with ``t = R x + M y`` has ``M y`` in Sat(R), so in ``M
+    Sat(R)``, and ``t`` is in L(R).  The span test comes first: ``(-2,
+    1)`` is ``3 (2, 3)`` modulo 8, its M, but off the span of ``(2, 3)``.
     """
     for r, v in vec.items():
         if type(r) is not int or not 0 <= r < m.num_rows:
             raise ValueError(f"target row {r!r} is not a row of the matrix")
         if type(v) is not int:
             raise ValueError(f"target value {v!r} is not an integer")
-    pivots, log, residual = _recorded(m)
-    target = {r: v for r, v in vec.items() if v}
-    for r, r0, q in log:
-        v0 = target.get(r0)
-        if v0:
-            v = target.get(r, 0) - q * v0
-            if v:
-                target[r] = v
-            else:
-                del target[r]
-    carry = {}
-    for r, v in target.items():
-        if r in residual:
-            carry[r] = {0: v}
-        elif r not in pivots:
-            return False  # a row the unit phase reduced to zero
-    if not carry:
-        return True
-    found = _diagonalize({r: dict(row) for r, row in residual.items()}, carry)
-    return all(r in found and v[0] % found[r] == 0 for r, v in carry.items())
+    pivots, passes = _recorded(m)
+    (unit, units, _), *residual = passes
+    target = _replay(unit, {r: v for r, v in vec.items() if v})
+    target = {r: v for r, v in target.items() if r not in units}
+    if not residual:
+        return not target  # every row left was reduced to zero
+    (echelon, span, _), (modular, found, modulus) = residual
+    if not _replay(echelon, dict(target)).keys() <= span.keys():
+        return False  # off the rational span of R
+    return all(v % (pivots[r] if r in found else modulus) == 0
+               for r, v in _replay(modular, target, modulus).items())
 
 
 # -- homology ---------------------------------------------------------------

@@ -346,8 +346,8 @@ class SparseIntMatrix:
     A matrix is immutable after construction: nothing assigns to it
     after ``__init__`` or ``boundary_entries``.  That is what lets
     :mod:`graphconf.homology` keep the record of its Smith elimination in
-    the private slot ``_elimination`` (``None`` until the first Smith form
-    or solve) and answer every later call from it.
+    the private slot ``_elimination`` (``None`` until the first Smith form,
+    rank or solve) and answer every later call from it.
     """
 
     __slots__ = ("num_rows", "num_cols", "entries", "_elimination")

@@ -268,15 +268,25 @@ def reference_transpose(m):
 def reference_kernel_basis(m):
     """An integral basis of ``ker m`` (as column vectors, sparse dicts).
 
-    The transpose is eliminated by row operations with identity companion
-    rows carried along; companions of the rows that reduce to zero form
-    the basis, because the operations are unimodular.
+    The transpose is eliminated by row operations, and its logged
+    operations are replayed on identity companion rows; companions of the
+    rows that reduce to zero form the basis, because the operations are
+    unimodular.
     """
     from graphconf.homology import _diagonalize
-    carry = {c: {c: 1} for c in range(m.num_cols)}
-    pivots = _diagonalize(reference_transpose(m).rows(), carry=carry,
-                          rows_only=True)
-    return [carry[c] for c in range(m.num_cols) if c not in pivots]
+    log = []
+    pivots = _diagonalize(reference_transpose(m).rows(), rows_only=True,
+                          log=log)
+    companion = {c: {c: 1} for c in range(m.num_cols)}
+    for r, r0, q in log[0][0]:
+        vec = companion[r]
+        for j, v in list(companion[r0].items()):
+            nv = vec.get(j, 0) - q * v
+            if nv:
+                vec[j] = nv
+            else:
+                del vec[j]
+    return [companion[c] for c in range(m.num_cols) if c not in pivots]
 
 
 def reference_integral_generation(zs, cx, degree):

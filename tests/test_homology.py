@@ -186,13 +186,12 @@ def test_pivot_queue_on_any_input(monkeypatch):
     diagonalize = homology._diagonalize
     residuals = []
 
-    def checked(rows, carry=None, rows_only=False, modulus=0, max_nnz=None,
-                log=None):
+    def checked(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
         if modulus:
             residuals.append(dict(rows))
             assert all(abs(v) != 1 for row in rows.values()
                        for v in row.values())
-        return diagonalize(rows, carry, rows_only, modulus, max_nnz, log)
+        return diagonalize(rows, rows_only, modulus, max_nnz, log)
 
     monkeypatch.setattr(homology, "_diagonalize", checked)
     rng = random.Random(25)
@@ -217,7 +216,8 @@ def test_pivot_queue_on_any_input(monkeypatch):
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
         if factors:
             assert factors[0] == reduce(gcd, (v for _, _, v in m.entries))
-        assert rank_over_rationals(m) == len(factors) == fraction_rank(m)
+        assert rank_over_rationals(m) == len(factors) == fraction_rank(m) \
+            == len(diagonalize(m.rows(), rows_only=True))
         column = {r: v for r, c, v in m.entries if c == 0}
         assert solve_in_image(m, column)
         assert len(reference_kernel_basis(m)) == m.num_cols - len(factors)
@@ -295,6 +295,54 @@ def test_solve_in_image_rejects_malformed_targets():
     assert solve_in_image(m, {0: 3, 1: 4}) and not solve_in_image(m, {1: 3})
 
 
+def test_a_recorded_matrix_answers_with_no_elimination(monkeypatch):
+    # after the first Smith form, the rank, the Smith form and every solve
+    # replay the record; each matrix has a residual, and its targets lie in
+    # the lattice, in the rational span but not the lattice, and off it
+    homology = importlib.import_module("graphconf.homology")
+    diagonalize = homology._diagonalize
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return diagonalize(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "_diagonalize", counted)
+    cases = [
+        # (-2, 1) is 3 (2, 3) modulo 8, the modulus, but off the span
+        (SparseIntMatrix(2, 1, [(0, 0, 2), (1, 0, 3)]), [1],
+         [({0: -4, 1: -6}, True), ({0: -2, 1: 1}, False),
+          ({1: 1}, False)]),
+        # a rank-deficient residual: (1, 2) is in the span, not the lattice
+        (SparseIntMatrix(2, 2, [(0, 0, 2), (0, 1, 4), (1, 0, 4), (1, 1, 8)]),
+         [2], [({0: 2, 1: 4}, True), ({0: 1, 1: 2}, False),
+               ({0: 2, 1: 2}, False)]),
+        # a unit phase, then the residual (-2)
+        (SparseIntMatrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)]),
+         [1, 2], [({0: 2}, True), ({0: 1, 1: 1}, True), ({0: 1}, False)]),
+        # a unit, the residual (6, 4) of rank 1, and a zero row
+        (SparseIntMatrix(4, 3, [(0, 0, 1), (0, 2, 5), (1, 1, 6), (2, 1, 4)]),
+         [1, 2], [({0: 7, 1: 12, 2: 8}, True), ({1: 3, 2: 2}, False),
+                  ({1: 1}, False), ({3: 1}, False), ({0: 1, 3: 2}, False)]),
+        # the modulus is 18, and the target's 36 on row 1, a row of R that
+        # no modular pivot takes, is a multiple of it, not a residue
+        (SparseIntMatrix(7, 2, [(1, 0, 6), (3, 0, 8), (4, 1, -3), (5, 1, 5),
+                                (6, 0, -3)]),
+         [1, 1], [({1: 36, 3: 48, 4: 9, 5: -15, 6: -18}, True),
+                  ({1: 36, 3: 48, 4: 9, 5: -15, 6: -17}, False)]),
+    ]
+    for m, factors, targets in cases:
+        assert smith_normal_form(m) == factors and calls
+        calls.clear()
+        assert rank_over_rationals(m) == len(factors)
+        assert smith_normal_form(m) == factors
+        assert [solve_in_image(m, t) for t, _ in targets] \
+            == [want for _, want in targets]
+        assert not calls
+        assert [minors_solvable(m, t) for t, _ in targets] \
+            == [want for _, want in targets]
+
+
 def _targets(rng, m):
     """Random sparse targets, and integer combinations of the columns of
     ``m`` (so in its image) with and without one entry moved."""
@@ -345,9 +393,15 @@ def test_recorded_elimination_answers_like_a_fresh_matrix():
         if max(m.num_rows, m.num_cols) <= 4:
             assert factors == minors_gcd_invariant_factors(m)
             assert verdicts == [minors_solvable(m, t) for t in targets]
-        pivots, log, residual = m._elimination
-        flips += any(r == r0 for r, r0, _ in log)
-        deficient += len(residual) > len(residual.keys() & pivots.keys())
+        pivots, passes = m._elimination
+        flips += any(r == r0 for ops, _, _ in passes for r, r0, _ in ops)
+        if len(passes) == 3:
+            # the rows of R are the row-only pass's pivot rows and the
+            # rows it reduced to zero, each of which took a row operation
+            (echelon, span, _), (_, found, _) = passes[1:]
+            assert len(found) == len(span)
+            deficient += len({r for r, _, _ in echelon} | span.keys()) \
+                > len(span)
     assert flips > 20 and deficient > 10
     for (m, diag, cols), rank in zip(planted, (5, 8, 14)):
         assert smith_normal_form(m) == diag
@@ -556,9 +610,8 @@ def test_clearing_an_exact_pair_with_a_residual(monkeypatch):
     diagonalize = homology._diagonalize
     found, smith = [], []
 
-    def recorded(rows, carry=None, rows_only=False, modulus=0, max_nnz=None,
-                 log=None):
-        pivots = diagonalize(rows, carry, rows_only, modulus, max_nnz, log)
+    def recorded(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
+        pivots = diagonalize(rows, rows_only, modulus, max_nnz, log)
         if modulus:
             found.append(set(pivots))
         elif not rows_only:
@@ -718,7 +771,8 @@ def test_homology_cross_checks_both_eliminations(small_complexes):
         for k in range(1, cx.max_dim + 1):
             d = gc.boundary_matrix(cx, k)
             assert len(smith_normal_form(d)) == rank_over_rationals(d) \
-                == fraction_rank(d), (key, k)
+                == fraction_rank(d) \
+                == len(_diagonalize(d.rows(), rows_only=True)), (key, k)
     assert gc.homology(small_complexes("h-n2")).betti_vector() == (1, 3, 0)
 
 
