@@ -273,23 +273,25 @@ def wedge_corpus():
     return out + with_sinks
 
 
+def _generation(g, n):
+    """Homology of ``n`` particles on ``g``, and the span rank, integral
+    verdict and number of its degree-1 candidates, as report fields."""
+    cx = mdl.enumerate_cells(g, n)
+    h = homology(cx)
+    bc = cyc.enumerate_basic_classes(cx, degree=1)
+    rank, saturated = class_span(bc.chains, cx, 1)
+    return h, {"span": rank, "integral": saturated and rank == h.betti(1),
+               "candidates": len(bc.chains)}
+
+
 def tree_corpus_checks():
+    def run(g, n):
+        h, details = _generation(g, n)
+        return h.torsion_free() and details["integral"], {
+            **details, "betti": list(h.betti_vector()),
+            "torsion_free": h.torsion_free(), "truncated": False}
+
     checks = []
-
-    def make(g, n):
-        def run():
-            cx = mdl.enumerate_cells(g, n)
-            h = homology(cx)
-            bc = cyc.enumerate_basic_classes(cx, degree=1)
-            rank, saturated = class_span(bc.chains, cx, 1)
-            integral = saturated and rank == h.betti(1)
-            return h.torsion_free() and integral, {
-                "betti": list(h.betti_vector()),
-                "torsion_free": h.torsion_free(), "span": rank,
-                "integral": integral, "candidates": len(bc.chains),
-                "truncated": False}
-        return run
-
     for name, g in wedge_corpus():
         for n in range(1, 4):
             checks.append(Check(
@@ -299,33 +301,26 @@ def tree_corpus_checks():
                 "homology of particles on wedges of stars and circles is"
                 " torsion-free and the first homology is generated over the"
                 " integers by star, circle and crossing classes",
-                make(g, n)))
+                functools.partial(run, g, n)))
     return checks
 
 
 def general_graph_checks():
+    def run(g):
+        h, details = _generation(g, 2)
+        return details["integral"], {**details, "b1": h.betti(1)}
+
     checks = []
     for key, g in (("k5", gr.complete(5)),
                    ("k33", gr.complete_bipartite(3, 3)),
                    ("banana4", gr.banana(4))):
-        def make(g=g):
-            def run():
-                cx = mdl.enumerate_cells(g, 2)
-                h = homology(cx)
-                bc = cyc.enumerate_basic_classes(cx, degree=1)
-                rank, saturated = class_span(bc.chains, cx, 1)
-                integral = saturated and rank == h.betti(1)
-                return integral, {
-                    "b1": h.betti(1), "span": rank, "integral": integral,
-                    "candidates": len(bc.chains)}
-            return run
         checks.append(Check(
             f"general/{key}",
             f"degree-1 generation over Z for two particles on {key}",
             "the first homology of any graph configuration space is"
             " generated over the integers by star, circle and crossing"
             " classes",
-            make()))
+            functools.partial(run, g)))
     return checks
 
 

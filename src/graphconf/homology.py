@@ -36,8 +36,9 @@ def _diagonalize(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
     nonzeros after each pivot.  ``log``, a list, receives ``(ops, pivots,
     modulus)`` for each pass: its row operations in order, ``(r, r0, q)``
     for ``row_r -= q * row_r0`` (``(r0, r0, 2)`` negates pivot row r0),
-    its pivots and its modulus.  The Smith mode logs its unit phase and,
-    when that leaves a residual, the row-only and modular passes over R.
+    its pivots and its modulus.  The Smith mode logs its unit phase, with
+    ``(r0, r0, 1)`` where it drops pivot row r0, and, when that leaves a
+    residual, the row-only and modular passes over R.
 
     Every pivot comes from one lazy queue of columns, keyed ``(least, len,
     c)``: ``least`` is the least ``|v|`` the column held when queued (1 for
@@ -170,6 +171,8 @@ def _diagonalize(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
             cols[c].discard(r0)
             if not cols[c]:
                 del cols[c]
+        if ops is not None and not (rows_only or modulus):
+            ops.append((r0, r0, 1))
         if max_nnz is not None:
             nnz += sum(len(rows.get(r, ())) - n for r, n in touched.items())
             touched.clear()
@@ -190,30 +193,37 @@ def _diagonalize(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
     return pivot_of_row
 
 
-def _replay(ops, target, modulus=0):
-    """Apply logged row operations to a sparse target column, in place, in
-    residues modulo ``modulus`` when it is set."""
+def _replay(ops, rows, modulus=0):
+    """Apply logged row operations in place to sparse rows ``{row: {col:
+    value}}``, in residues modulo ``modulus`` when it is set."""
     for r, r0, q in ops:
-        v0 = target.get(r0)
-        if v0:
-            v = target.get(r, 0) - q * v0
+        row0 = rows.get(r0)
+        if not row0:
+            continue
+        row0 = dict(row0) if r == r0 else row0  # a flip or a drop reads a copy
+        row = rows.setdefault(r, {})
+        for c, v in row0.items():
+            nv = row.get(c, 0) - q * v
             if modulus:
-                v %= modulus
-            if v:
-                target[r] = v
+                nv %= modulus
+            if nv:
+                row[c] = nv
             else:
-                target.pop(r, None)
-    return target
+                row.pop(c, None)
+        if not row:
+            del rows[r]
+    return rows
 
 
 def _recorded(m):
     """The record of the Smith elimination of ``m``, made by the first
     Smith form, rank or solve on it and kept in its ``_elimination`` slot
-    (a matrix is immutable): ``(pivots, passes)``, the pivots ``{row:
-    value}`` of :func:`_diagonalize` and its log of every pass."""
+    (a matrix is immutable): ``(pivots, passes, residual)``, the pivots
+    ``{row: value}`` of :func:`_diagonalize`, its log of every pass, and
+    the residual R its unit phase left, as the rows it leaves."""
     if m._elimination is None:
-        log = []
-        m._elimination = (_diagonalize(m.rows(), log=log), log)
+        log, rows = [], m.rows()
+        m._elimination = (_diagonalize(rows, log=log), log, rows)
     return m._elimination
 
 
@@ -237,38 +247,37 @@ def solve_in_image(m, vec):
     dict from rows of ``m`` to ints, and ``ValueError`` rejects any other
     before any elimination.
 
-    No elimination runs here: the target replays the unimodular row
-    operations of the three recorded passes and is tested after each.
-    After the unit phase it is free on the unit pivot rows and must vanish
-    on the rows reduced to zero; the rest lies on R.  After the row-only
-    pass over R, a copy must vanish on the rows that pass reduced to zero,
-    so the target lies in Sat(R), the integer points of the rational span
-    of R.  Replayed modulo M through the modular pass, it is in the image
-    of R modulo M iff M divides it off the pivot rows and each pivot
-    gcd(v, M) divides it on its row.  That decides membership in L(R), the
-    lattice of R: the last invariant factor of R kills Sat(R)/L(R) and
-    divides delta, so delta Sat(R), and with it M Sat(R), lies in L(R).
-    Sat(R) is saturated, so ``Sat(R) & M Z^m = M Sat(R)``: a ``t`` in
-    Sat(R) with ``t = R x + M y`` has ``M y`` in Sat(R), so in ``M
-    Sat(R)``, and ``t`` is in L(R).  The span test comes first: ``(-2,
-    1)`` is ``3 (2, 3)`` modulo 8, its M, but off the span of ``(2, 3)``.
+    No elimination runs here: the target, one column of sparse rows,
+    replays the row operations of the three recorded passes and is tested
+    after each.  The unit phase drops it on its pivot rows, where it is
+    free; it must vanish on the rows reduced to zero, and the rest lies on
+    R.  After the row-only pass over R, a copy must vanish on the rows that
+    pass reduced to zero, so the target lies in Sat(R), the integer points
+    of the rational span of R.  Replayed modulo M through the modular
+    pass, it is in the image of R modulo M iff M divides it off the pivot
+    rows and each pivot gcd(v, M) divides it on its row.  That decides
+    membership in L(R), the lattice of R: the last invariant factor of R
+    kills Sat(R)/L(R) and divides delta, so delta Sat(R), and with it M
+    Sat(R), lies in L(R).  Sat(R) is saturated, so ``Sat(R) & M Z^m = M
+    Sat(R)``: a ``t`` in Sat(R) with ``t = R x + M y`` has ``M y`` in
+    Sat(R), so in ``M Sat(R)``, and ``t`` is in L(R).  The span test comes
+    first: ``(-2, 1)`` is ``3 (2, 3)`` modulo 8, its M, but off the span.
     """
     for r, v in vec.items():
         if type(r) is not int or not 0 <= r < m.num_rows:
             raise ValueError(f"target row {r!r} is not a row of the matrix")
         if type(v) is not int:
             raise ValueError(f"target value {v!r} is not an integer")
-    pivots, passes = _recorded(m)
-    (unit, units, _), *residual = passes
-    target = _replay(unit, {r: v for r, v in vec.items() if v})
-    target = {r: v for r, v in target.items() if r not in units}
+    pivots, ((unit, _, _), *residual), _ = _recorded(m)
+    target = _replay(unit, {r: {0: v} for r, v in vec.items() if v})
     if not residual:
         return not target  # every row left was reduced to zero
     (echelon, span, _), (modular, found, modulus) = residual
-    if not _replay(echelon, dict(target)).keys() <= span.keys():
+    copy = {r: dict(row) for r, row in target.items()}
+    if not _replay(echelon, copy).keys() <= span.keys():
         return False  # off the rational span of R
-    return all(v % (pivots[r] if r in found else modulus) == 0
-               for r, v in _replay(modular, target, modulus).items())
+    return all(row[0] % (pivots[r] if r in found else modulus) == 0
+               for r, row in _replay(modular, target, modulus).items())
 
 
 # -- homology ---------------------------------------------------------------
@@ -396,42 +405,25 @@ def _chain_vector(z, cx):
 
 def is_boundary(z, cx):
     """Whether ``z`` is the boundary of an integral chain of the complex."""
-    k = z.degree
     vec = _chain_vector(z, cx)
-    if k + 1 > cx.max_dim:
-        return not vec
-    return solve_in_image(boundary_matrix(cx, k + 1), vec)
-
-
-def _augmented_matrix(zs, cx, degree):
-    """``[zs | D_{degree+1}]``, its rows the degree-``degree`` cells as
-    counted by the shape of ``D_{degree+1}``; ``ValueError`` unless every
-    chain is a cycle of that degree supported on the complex, found by
-    indexing each chain once and checking ``D_degree Z = 0``."""
-    d = cx.boundary_entries(degree + 1)
-    columns = {}  # cell index: [(chain, coefficient)]
-    for j, z in enumerate(zs):
-        if z.degree != degree:
-            raise ValueError("span input of wrong degree")
-        for i, v in _chain_vector(z, cx).items():
-            columns.setdefault(i, []).append((j, v))
-    image = {}
-    for r, c, v in cx.boundary_entries(degree).entries:
-        for j, w in columns.get(c, ()):
-            image[r, j] = image.get((r, j), 0) + v * w
-    if any(image.values()):
-        raise ValueError("span input is not a cycle")
-    shift = len(zs)
-    entries = [(i, j, v) for i, col in columns.items() for j, v in col]
-    entries += [(r, c + shift, v) for r, c, v in d.entries]
-    return SparseIntMatrix(d.num_rows, shift + d.num_cols, entries)
+    return solve_in_image(boundary_matrix(cx, z.degree + 1), vec)
 
 
 def class_span(zs, cx, degree):
     """``(rank, saturated)`` for the classes of ``zs`` in ``H_k``,
-    ``k = degree``, from one Smith form of ``A = [zs | D_{k+1}]``: ``rank``
-    is ``len(factors) - rank D_{k+1}``, the rational rank of their span,
-    and ``saturated`` says that every factor is 1.
+    ``k = degree``: the rational rank of their span, and whether every
+    invariant factor of ``A = [zs | D]``, ``D = D_{k+1}``, is 1.
+    ``ValueError`` unless every chain is a cycle of degree ``k`` on the
+    complex, found by indexing each chain once and checking ``D_k Z = 0``.
+
+    ``D`` is eliminated only through its record, shared with its rank,
+    Smith form and solves.  Its unit phase is a unimodular ``U``, and ``U
+    D`` is zero off its pivot rows ``P`` in its pivot columns and
+    unimodular on that block, so column operations split ``U A`` into
+    that block and ``[(U zs) off P | R]``, R the recorded residual: ``A``
+    has ``|P|`` factors 1 and those of the small matrix, ``rank D = |P| +
+    rank R``, and ``rank = len(factors) + |P| - rank D``.  The chains, as
+    sparse rows, replay the unit phase, which drops them on ``P``.
 
     They generate ``H_k`` over the integers iff ``saturated and rank ==
     b_k``.  ``L = span(zs) + im D_{k+1}`` lies in ``Z = ker D_k``, which is
@@ -440,10 +432,26 @@ def class_span(zs, cx, degree):
     ``Z / L`` finite and ``saturated`` makes ``Z^{C_k} / L`` free; a finite
     subgroup of a free group is 0, so ``L = Z``.
     """
-    zs = list(zs)
-    factors = smith_normal_form(_augmented_matrix(zs, cx, degree))
-    rank = len(factors) - rank_over_rationals(boundary_matrix(cx, degree + 1))
-    return rank, all(f == 1 for f in factors)
+    d = boundary_matrix(cx, degree + 1)
+    rows = {}  # cell index: {chain: coefficient}, chains after D's columns
+    for j, z in enumerate(zs, d.num_cols):
+        if z.degree != degree:
+            raise ValueError("span input of wrong degree")
+        for i, v in _chain_vector(z, cx).items():
+            rows.setdefault(i, {})[j] = v
+    image = {}
+    for r, c, v in cx.boundary_entries(degree).entries:
+        for j, w in rows.get(c, {}).items():
+            image[r, j] = image.get((r, j), 0) + v * w
+    if any(image.values()):
+        raise ValueError("span input is not a cycle")
+    rank_d = rank_over_rationals(d)
+    _, ((unit, units, _), *_), residual = _recorded(d)
+    _replay(unit, rows)
+    for r, row in residual.items():
+        rows.setdefault(r, {}).update(row)
+    factors = _diagonalize(rows).values()
+    return len(factors) + len(units) - rank_d, all(f == 1 for f in factors)
 
 
 def class_span_rank(zs, cx, degree):

@@ -249,9 +249,6 @@ class Chain:
         if any(cell_dimension(cell) != degree for cell in self.terms):
             raise ValueError("cell dimension does not match chain degree")
 
-    def support(self):
-        return set(self.terms)
-
     def is_zero(self):
         return not self.terms
 

@@ -312,6 +312,33 @@ def reference_integral_generation(zs, cx, degree):
     return all(solve_in_image(generators, kvec) for kvec in kernel)
 
 
+def reference_augmented_matrix(zs, cx, degree):
+    """``[zs | D_{degree+1}]``, its rows the degree-``degree`` cells as
+    counted by the shape of ``D_{degree+1}``; ``ValueError`` unless every
+    chain is a cycle of that degree supported on the complex, found by
+    indexing each chain once and checking ``D_degree Z = 0``.  The
+    library's span matrix before spans read the record of ``D_{degree+1}``.
+    """
+    from graphconf.homology import SparseIntMatrix, _chain_vector
+    d = cx.boundary_entries(degree + 1)
+    columns = {}  # cell index: [(chain, coefficient)]
+    for j, z in enumerate(zs):
+        if z.degree != degree:
+            raise ValueError("span input of wrong degree")
+        for i, v in _chain_vector(z, cx).items():
+            columns.setdefault(i, []).append((j, v))
+    image = {}
+    for r, c, v in cx.boundary_entries(degree).entries:
+        for j, w in columns.get(c, ()):
+            image[r, j] = image.get((r, j), 0) + v * w
+    if any(image.values()):
+        raise ValueError("span input is not a cycle")
+    shift = len(zs)
+    entries = [(i, j, v) for i, col in columns.items() for j, v in col]
+    entries += [(r, c + shift, v) for r, c, v in d.entries]
+    return SparseIntMatrix(d.num_rows, shift + d.num_cols, entries)
+
+
 def reference_smith_generation(zs, cx, degree):
     """Whether the classes of ``zs`` generate degree-``degree`` homology
     over the integers: the library's certificate before the span routine
@@ -323,9 +350,9 @@ def reference_smith_generation(zs, cx, degree):
     ``#cells - rank D_degree``, and all its invariant factors are 1: one
     Smith form.
     """
-    from graphconf.homology import (_augmented_matrix, boundary_matrix,
-                                    rank_over_rationals, smith_normal_form)
-    aug = _augmented_matrix(list(zs), cx, degree)
+    from graphconf.homology import (boundary_matrix, rank_over_rationals,
+                                    smith_normal_form)
+    aug = reference_augmented_matrix(list(zs), cx, degree)
     d = boundary_matrix(cx, degree)
     factors = smith_normal_form(aug)
     return (len(factors) == d.num_cols - rank_over_rationals(d)

@@ -27,26 +27,46 @@ def test_general_group():
     assert run_only("general")["passed"]
 
 
-def test_tree_check_builds_one_span_matrix(monkeypatch):
-    # one [zs | D_2] per check, its cycles checked on the packed D_1 and
-    # not by pair-tuple boundaries
+def test_tree_check_spans_through_the_record_of_d2(monkeypatch):
+    # the span reads D_2's one recorded elimination: it builds no matrix,
+    # takes no Smith form, hands D_2's rows to the elimination once, and
+    # checks its cycles on the packed D_1, not by pair-tuple boundaries
     homology = importlib.import_module("graphconf.homology")
-    build, boundary = homology._augmented_matrix, homology.boundary_chain
-    calls = {"builds": 0, "inside": False, "boundaries": 0}
+    model = importlib.import_module("graphconf.model")
+    span, init = checks.class_span, model.SparseIntMatrix.__init__
+    snf, diagonalize = homology.smith_normal_form, homology._diagonalize
+    boundary = homology.boundary_chain
+    calls = {"inside": False, "matrices": 0, "snf": 0, "boundaries": 0}
+    seen = []
 
-    def counted_build(*args):
-        calls["builds"] += 1
+    def counted_span(*args):
         calls["inside"] = True
         try:
-            return build(*args)
+            return span(*args)
         finally:
             calls["inside"] = False
+
+    def counted_init(self, *args):
+        calls["matrices"] += calls["inside"]
+        init(self, *args)
+
+    def counted_snf(m):
+        calls["snf"] += calls["inside"]
+        return snf(m)
+
+    def seen_rows(rows, *args, **kwargs):
+        if calls["inside"]:
+            seen.append({r: dict(row) for r, row in rows.items()})
+        return diagonalize(rows, *args, **kwargs)
 
     def counted_boundary(z):
         calls["boundaries"] += calls["inside"]
         return boundary(z)
 
-    monkeypatch.setattr(homology, "_augmented_matrix", counted_build)
+    monkeypatch.setattr(checks, "class_span", counted_span)
+    monkeypatch.setattr(model.SparseIntMatrix, "__init__", counted_init)
+    monkeypatch.setattr(homology, "smith_normal_form", counted_snf)
+    monkeypatch.setattr(homology, "_diagonalize", seen_rows)
     for name in ("graphconf.homology", "graphconf.model", "graphconf.cycles"):
         monkeypatch.setattr(importlib.import_module(name), "boundary_chain",
                             counted_boundary)
@@ -54,7 +74,10 @@ def test_tree_check_builds_one_span_matrix(monkeypatch):
                 if c.check_id == "trees/h/n=2"]
     passed, details = check.run()
     assert passed and details["integral"] and details["span"] == 3
-    assert calls["builds"] == 1 and calls["boundaries"] == 0
+    assert calls == {"inside": False, "matrices": 0, "snf": 0,
+                     "boundaries": 0}
+    d2 = model.enumerate_cells(checks.gr.h_graph(), 2).boundary_entries(2)
+    assert d2.nnz and sum(rows == d2.rows() for rows in seen) == 1
 
 
 def test_wedge_corpus_shape():

@@ -1,6 +1,7 @@
 import importlib
 import random
 from functools import reduce
+from types import SimpleNamespace
 from math import factorial, gcd, prod
 
 import pytest
@@ -14,7 +15,8 @@ from graphconf.checks import (_random_matrix, _random_unimodular_shuffle,
                               wedge_corpus)
 from conftest import (fraction_rank, integral_verdicts,
                       minors_gcd_invariant_factors, minors_solvable,
-                      reference_components, reference_kernel_basis)
+                      reference_augmented_matrix, reference_components,
+                      reference_kernel_basis)
 
 
 def random_matrix(rng, max_size=8, lo=-9, hi=9):
@@ -393,15 +395,20 @@ def test_recorded_elimination_answers_like_a_fresh_matrix():
         if max(m.num_rows, m.num_cols) <= 4:
             assert factors == minors_gcd_invariant_factors(m)
             assert verdicts == [minors_solvable(m, t) for t in targets]
-        pivots, passes = m._elimination
-        flips += any(r == r0 for ops, _, _ in passes for r, r0, _ in ops)
-        if len(passes) == 3:
+        pivots, passes, residual = m._elimination
+        flips += any(r == r0 and q == 2
+                     for ops, _, _ in passes for r, r0, q in ops)
+        # the unit phase logs the drop of each of its pivot rows
+        unit, units, _ = passes[0]
+        assert [r for r, r0, q in unit if r == r0 and q == 1] == list(units)
+        assert bool(residual) == (len(passes) == 3)
+        if residual:
             # the rows of R are the row-only pass's pivot rows and the
             # rows it reduced to zero, each of which took a row operation
             (echelon, span, _), (_, found, _) = passes[1:]
             assert len(found) == len(span)
-            deficient += len({r for r, _, _ in echelon} | span.keys()) \
-                > len(span)
+            assert residual.keys() == {r for r, _, _ in echelon} | span.keys()
+            deficient += len(residual) > len(span)
     assert flips > 20 and deficient > 10
     for (m, diag, cols), rank in zip(planted, (5, 8, 14)):
         assert smith_normal_form(m) == diag
@@ -555,9 +562,10 @@ def _unimodular_pair(rng, size, ops):
 
 
 def exact_pair(rng, size, b_diag, a_diag):
-    """``(A, B)`` with ``A B = 0`` and Smith forms ``a_diag`` and
+    """``(A, B, U)`` with ``A B = 0`` and Smith forms ``a_diag`` and
     ``b_diag``: ``B = U D_B V`` and ``A = W D_A U^-1``, where ``D_A`` has
-    its entries in the columns past the rank of ``B``."""
+    its entries in the columns past the rank of ``B``; ``U`` is a list of
+    rows."""
     assert len(b_diag) + len(a_diag) <= size
     u, u_inv = _unimodular_pair(rng, size, 4 * size)
     v, _ = _unimodular_pair(rng, size, 4 * size)
@@ -570,16 +578,17 @@ def exact_pair(rng, size, b_diag, a_diag):
     b = _matmul(_matmul(u, d_b), v)
     a = _matmul(_matmul(w, d_a), u_inv)
     assert not any(any(row) for row in _matmul(a, b))
-    return tuple(SparseIntMatrix(size, size, [
+    return (*(SparseIntMatrix(size, size, [
         (r, c, x) for r, row in enumerate(m) for c, x in enumerate(row) if x])
-        for m in (a, b))
+        for m in (a, b)), u)
 
 
 class MatrixComplex:
     """A stand-in for a cube complex, given by its boundary matrices
     ``d[k]`` (``D_k`` for ``k >= 1``): its cells are their indices, and its
     codebook assembles the columns asked for, as ``_Codebook.boundary``
-    does, and records them in ``columns[k]``."""
+    does, and records them in ``columns[k]``.  Its ``k``-cell ``i`` is
+    ``(k, i)``, which ``index`` maps to itself."""
 
     def __init__(self, counts, d):
         self._keys = [list(range(c)) for c in counts]
@@ -587,6 +596,8 @@ class MatrixComplex:
         self._d = d
         self.max_dim = len(counts) - 1
         self.columns = {}
+        self.index = {(k, i): (k, i)
+                      for k, c in enumerate(counts) for i in range(c)}
 
     def cell_counts(self):
         return tuple(map(len, self._keys))
@@ -625,7 +636,7 @@ def test_clearing_an_exact_pair_with_a_residual(monkeypatch):
                                  (12, [1] * 5 + [2, 2, 4], [1, 1, 5]),
                                  (14, [1] * 8 + [3], [1, 1, 2, 2, 6])):
         for _ in range(5):
-            a, b = exact_pair(rng, size, b_diag, a_diag)
+            a, b, _ = exact_pair(rng, size, b_diag, a_diag)
             cx = MatrixComplex((size, size, size), {1: a, 2: b})
             smith.clear()
             h = gc.homology(cx)
@@ -647,6 +658,53 @@ def test_clearing_an_exact_pair_with_a_residual(monkeypatch):
     h = gc.homology(cx)
     assert cx.columns[1] == [0, 1]
     assert h.betti_vector() == (0, 0, 0) and h.torsion_free()
+
+
+def test_span_through_a_residual_matches_the_smith_form():
+    # no real complex leaves a residual after the unit phase, so planted
+    # exact pairs reach that branch of the span: with F the Smith form of
+    # [zs | B], it must give len(F) - rank B, saturated iff F is all ones
+    rng = random.Random(19)
+    for size, b_diag, a_diag in ((8, [1, 1, 2, 6], [1, 3]),
+                                 (12, [1] * 5 + [2, 2, 4], [1, 5]),
+                                 (14, [1] * 6 + [3, 9], [2, 2, 4])):
+        for _ in range(4):
+            a, b, u = exact_pair(rng, size, b_diag, a_diag)
+            cx = MatrixComplex((size, size, size), {1: a, 2: b})
+
+            def cycle(j, scale=1):
+                # U e_j, in ker A for j < rank B and past the ranks of both
+                return SimpleNamespace(degree=1, terms={
+                    (1, r): scale * u[r][j] for r in range(size) if u[r][j]})
+
+            j = len(b_diag) - 1  # its factor exceeds 1
+            lattice = cycle(j, b_diag[j])  # a column of U D_B: a boundary
+            span = cycle(j)  # in the rational span of B, not its lattice
+            off = cycle(size - 1)  # off the span of B
+            for zs in ([lattice], [span], [off], [lattice, span, off]):
+                factors = smith_normal_form(
+                    reference_augmented_matrix(zs, cx, 1))
+                assert gc.class_span(zs, cx, 1) == (
+                    len(factors) - len(b_diag), all(f == 1 for f in factors))
+            assert b._elimination[2]  # the residual R was reached
+            assert gc.class_span([span], cx, 1) == (0, False)
+            assert gc.class_span([lattice, off], cx, 1)[0] == 1
+    # the same oracle on complexes of random graphs with sinks, where the
+    # chains only replay the unit phase
+    rng = random.Random(20)
+    for _ in range(40):
+        g = random_connected_graph(rng, max_edges=5, max_vertices=4)
+        if not g.sinks:
+            g = g.with_sinks({rng.randrange(g.num_vertices)})
+        cx = gc.enumerate_cells(g, rng.randint(1, 3))
+        d = gc.boundary_matrix(cx, 2)
+        rank_d = rank_over_rationals(SparseIntMatrix(
+            d.num_rows, d.num_cols, d.entries))
+        chains = gc.enumerate_basic_classes(cx, degree=1).chains
+        for zs in (chains, [], [z.scaled(2) for z in chains]):
+            factors = smith_normal_form(reference_augmented_matrix(zs, cx, 1))
+            assert gc.class_span(zs, cx, 1) == (
+                len(factors) - rank_d, all(f == 1 for f in factors)), g
 
 
 def test_k4_four_particles():
