@@ -3,8 +3,8 @@
 Commands: ``homology``, ``verify``, ``span``, ``surface-check``, ``export``.
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 cap
 exceeded.  ``--caps MAX_CELLS[,MAX_NNZ]``: MAX_NNZ bounds each boundary
-matrix that ``homology`` assembles, which holds only the columns that
-clearing keeps, and the fill-in of its elimination.  Machine output is
+operator, which holds only the columns that clearing keeps, and the
+fill-in of its elimination, not a span's candidates.  Machine output is
 one self-describing JSON document per run, byte-identical for identical
 configurations.  The ``truncated`` key of ``span`` and ``export``
 documents is always false: candidate enumeration is complete, and the key

@@ -215,15 +215,17 @@ def _replay(ops, rows, modulus=0):
     return rows
 
 
-def _recorded(m):
+def _recorded(m, max_nnz=None):
     """The record of the Smith elimination of ``m``, made by the first
     Smith form, rank or solve on it and kept in its ``_elimination`` slot
     (a matrix is immutable): ``(pivots, passes, residual)``, the pivots
     ``{row: value}`` of :func:`_diagonalize`, its log of every pass, and
-    the residual R its unit phase left, as the rows it leaves."""
+    the residual R its unit phase left, as the rows it leaves.
+    ``max_nnz`` caps the fill-in of the elimination that makes it."""
     if m._elimination is None:
         log, rows = [], m.rows()
-        m._elimination = (_diagonalize(rows, log=log), log, rows)
+        pivots = _diagonalize(rows, max_nnz=max_nnz, log=log)
+        m._elimination = (pivots, log, rows)
     return m._elimination
 
 
@@ -318,8 +320,42 @@ class HomologySummary:
 
 
 def boundary_matrix(cx, k):
-    """The full boundary operator ``D_k``, assembled once per complex."""
+    """The full boundary operator ``D_k``, assembled on every call."""
     return cx.boundary_entries(k)
+
+
+def _operator(cx, k):
+    """``D_k`` as every elimination on the complex reads it, assembled
+    once and kept in ``cx._matrices``, where :func:`_recorded` keeps its
+    record: without the ``k``-cells that were unit-phase pivot rows of
+    the operator one degree up, which is built and recorded first.
+
+    This clearing (Chen and Kerber 2011; Bauer, Kerber and Reininghaus
+    2014) keeps the image of ``D_k``.  Let ``B`` be the operator of degree
+    ``k+1``, so ``D_k B = 0``, and ``P`` and ``Q`` the rows and columns of
+    its unit-phase pivots, in the order taken.  Each unit pivot clears its
+    column by adding multiples of its row to the rows left, and its row is
+    then dropped.  So the row of the i-th pivot, when taken, is up to sign
+    its row of ``B`` plus an integer combination of the rows of the
+    earlier pivots, and it is zero in their columns: a lower-triangular
+    matrix with +-1 on its diagonal turns ``B[P,Q]`` into an
+    upper-triangular one with +-1 on its diagonal, so ``B[P,Q]`` is
+    unimodular.  From ``D_k[:,P] B[P,Q] + D_k[:,P^c] B[P^c,Q] = 0``,
+    ``D_k[:,P] = -D_k[:,P^c] B[P^c,Q] B[P,Q]^{-1}``, an integral product:
+    the cleared columns are integer combinations of the kept ones.  So
+    column operations remove them, and the Smith form, torsion included,
+    is unchanged.  Pivots of the residual phase are not cleared; a gcd of
+    1 there does not make their minor unimodular.  Equal images give equal
+    span ``(rank, saturated)`` and equal solvability.
+    """
+    m = cx._matrices.get(k)
+    if m is None:
+        cleared = ()
+        if k < cx.max_dim:
+            pivots, _, residual = _recorded(_operator(cx, k + 1))
+            cleared = pivots.keys() - residual.keys()
+        m = cx._matrices[k] = cx.boundary_entries(k, cleared)
+    return m
 
 
 def euler_characteristic(cx):
@@ -327,60 +363,24 @@ def euler_characteristic(cx):
 
 
 def homology(cx, max_nnz=None):
-    """Betti numbers, torsion coefficients and Euler characteristic.
-
-    ``b_k = #k-cells - rank D_k - rank D_{k+1}``; torsion in degree ``k``
-    is the list of invariant factors of ``D_{k+1}`` exceeding 1.  The
-    ranks are the lengths of the Smith normal forms, one elimination per
-    matrix, taken from the top degree down with clearing (Chen and Kerber
-    2011; Bauer, Kerber and Reininghaus 2014): ``D_k`` is assembled and
-    eliminated only on the ``k``-cells that were not unit-phase pivot rows
-    of ``D_{k+1}``.
-
-    This keeps the Smith form of ``D_k``, torsion included.  Let ``B`` be
-    the matrix eliminated in degree ``k+1``, the kept columns of
-    ``D_{k+1}``, so ``D_k B = 0``; let ``P`` and ``Q`` be the rows and
-    columns of its unit-phase pivots, in the order taken.  Each unit pivot
-    clears its column by adding multiples of its row to the rows left, and
-    its row is then dropped.  So the row of the i-th pivot, when taken, is
-    up to sign its row of ``B`` plus an integer combination of the rows of
-    the earlier pivots, and it is zero in their columns: a lower-triangular
-    matrix with +-1 on its diagonal turns ``B[P,Q]`` into an
-    upper-triangular one with +-1 on its diagonal, so ``B[P,Q]`` is
-    unimodular.  From ``D_k[:,P] B[P,Q] + D_k[:,P^c] B[P^c,Q] = 0``,
-    ``D_k[:,P] = -D_k[:,P^c] B[P^c,Q] B[P,Q]^{-1}``, an integral product:
-    the cleared columns are integer combinations of the kept ones, and
-    column operations remove them.  Pivots of the residual phase are not
-    cleared; a gcd of 1 there does not make their minor unimodular.
-
-    ``max_nnz`` caps the entries of each matrix assembled here, so of the
-    cleared ``D_k``, and the fill-in of its elimination.  The cleared
-    matrices are built afresh from the packed cells and not cached;
-    :meth:`CubeComplex.boundary_entries` stays the full operator.
-    """
+    """Betti numbers, torsion coefficients and Euler characteristic:
+    ``b_k = #k-cells - rank D_k - rank D_{k+1}``, and the torsion in degree
+    ``k`` is the invariant factors of ``D_{k+1}`` exceeding 1, read from
+    the records of the operators of :func:`_operator`, top degree first.
+    ``max_nnz`` caps the entries of each operator, also one recorded
+    before, and the fill-in of the elimination that records it."""
     counts = cx.cell_counts()
-    top = cx.max_dim
-    book, keys = cx._book, cx._keys
-    factors = [[] for _ in range(top + 2)]
-    cleared = set()
-    for k in range(top, 0, -1):
-        kept = [key for i, key in enumerate(keys[k]) if i not in cleared]
-        entries = book.boundary(kept, keys[k - 1])
-        if max_nnz is not None and len(entries) > max_nnz:
+    factors = [[] for _ in range(len(counts) + 1)]
+    for k in range(len(counts) - 1, 0, -1):
+        m = _operator(cx, k)
+        if max_nnz is not None and m.nnz > max_nnz:
             raise CapExceededError(f"boundary operator in degree {k} has"
                                    f" more than {max_nnz} entries")
-        rows = {}
-        for r, c, v in entries:
-            rows.setdefault(r, {})[c] = v
-        pivots = _diagonalize(rows, max_nnz=max_nnz)
-        factors[k] = sorted(pivots.values())
-        cleared = pivots.keys() - rows.keys()
-    degrees = []
-    for k in range(top + 1):
-        betti = counts[k] - len(factors[k]) - len(factors[k + 1])
-        tors = tuple(d for d in factors[k + 1] if d > 1)
-        degrees.append(DegreeData(cells=counts[k], betti=betti, torsion=tors))
-    return HomologySummary(degrees=tuple(degrees), euler=euler_characteristic(cx))
+        factors[k] = sorted(_recorded(m, max_nnz)[0].values())
+    return HomologySummary(degrees=tuple(
+        DegreeData(cells=c, betti=c - len(factors[k]) - len(factors[k + 1]),
+                   torsion=tuple(d for d in factors[k + 1] if d > 1))
+        for k, c in enumerate(counts)), euler=euler_characteristic(cx))
 
 
 # -- cycles and spans -------------------------------------------------------
@@ -406,7 +406,7 @@ def _chain_vector(z, cx):
 def is_boundary(z, cx):
     """Whether ``z`` is the boundary of an integral chain of the complex."""
     vec = _chain_vector(z, cx)
-    return solve_in_image(boundary_matrix(cx, z.degree + 1), vec)
+    return solve_in_image(_operator(cx, z.degree + 1), vec)
 
 
 def class_span(zs, cx, degree):
@@ -416,14 +416,15 @@ def class_span(zs, cx, degree):
     ``ValueError`` unless every chain is a cycle of degree ``k`` on the
     complex, found by indexing each chain once and checking ``D_k Z = 0``.
 
-    ``D`` is eliminated only through its record, shared with its rank,
-    Smith form and solves.  Its unit phase is a unimodular ``U``, and ``U
-    D`` is zero off its pivot rows ``P`` in its pivot columns and
-    unimodular on that block, so column operations split ``U A`` into
-    that block and ``[(U zs) off P | R]``, R the recorded residual: ``A``
-    has ``|P|`` factors 1 and those of the small matrix, ``rank D = |P| +
-    rank R``, and ``rank = len(factors) + |P| - rank D``.  The chains, as
-    sparse rows, replay the unit phase, which drops them on ``P``.
+    ``D`` is the cleared operator of :func:`_operator`, read through the
+    one record that :func:`homology` and every solve share.  Its unit
+    phase is a unimodular ``U``, and ``U D`` is zero off its pivot rows
+    ``P`` in its pivot columns and unimodular on that block, so column
+    operations split ``U A`` into that block and ``[(U zs) off P | R]``,
+    R the recorded residual: ``A`` has ``|P|`` factors 1 and those of the
+    small matrix, ``rank D = |P| + rank R``, and ``rank = len(factors) +
+    |P| - rank D``.  The chains, as sparse rows, replay the unit phase,
+    which drops them on ``P``.
 
     They generate ``H_k`` over the integers iff ``saturated and rank ==
     b_k``.  ``L = span(zs) + im D_{k+1}`` lies in ``Z = ker D_k``, which is
@@ -432,7 +433,7 @@ def class_span(zs, cx, degree):
     ``Z / L`` finite and ``saturated`` makes ``Z^{C_k} / L`` free; a finite
     subgroup of a free group is 0, so ``L = Z``.
     """
-    d = boundary_matrix(cx, degree + 1)
+    d = _operator(cx, degree + 1)
     rows = {}  # cell index: {chain: coefficient}, chains after D's columns
     for j, z in enumerate(zs, d.num_cols):
         if z.degree != degree:

@@ -547,7 +547,8 @@ class CubeComplex:
     """All valid cells of the model for ``n`` particles on one graph,
     deterministically indexed per dimension: ``keys[dim]`` holds the sorted
     packed keys of one codebook.  ``cells`` (pair tuples, decoded on first
-    use) and ``index`` are the public views."""
+    use) and ``index`` are the public views; ``_matrices`` holds the
+    operators of ``graphconf.homology._operator``, by degree."""
 
     __slots__ = ("graph", "n", "index", "_book", "_keys", "_cells",
                  "_matrices")
@@ -574,21 +575,20 @@ class CubeComplex:
     def cell_counts(self):
         return tuple(len(group) for group in self._keys)
 
-    def boundary_entries(self, k):
+    def boundary_entries(self, k, cleared=()):
         """Boundary operator from ``k``-cells to ``(k-1)``-cells (row =
-        target cell index, column = source), assembled once; outside
-        ``1..max_dim`` it is the zero matrix of its shape."""
-        if k in self._matrices:
-            return self._matrices[k]
-        counts = self.cell_counts()
-        rows = counts[k - 1] if 0 <= k - 1 <= self.max_dim else 0
-        cols = counts[k] if 0 <= k <= self.max_dim else 0
+        target cell index, column = source), assembled on every call; the
+        ``k``-cells indexed by ``cleared`` are left out, the others kept in
+        order.  Outside ``1..max_dim`` it is the zero matrix of its shape."""
+        rows = len(self._keys[k - 1]) if 1 <= k <= self.max_dim + 1 else 0
+        keys = self._keys[k] if 0 <= k <= self.max_dim else ()
+        keys = [key for i, key in enumerate(keys) if i not in cleared]
         entries = ()
         if 1 <= k <= self.max_dim:
-            entries = self._book.boundary(self._keys[k], self._keys[k - 1])
+            entries = self._book.boundary(keys, self._keys[k - 1])
         # valid and sorted by construction: wrapped without a checked copy
-        m = self._matrices[k] = SparseIntMatrix.__new__(SparseIntMatrix)
-        m.num_rows, m.num_cols, m.entries = rows, cols, entries
+        m = SparseIntMatrix.__new__(SparseIntMatrix)
+        m.num_rows, m.num_cols, m.entries = rows, len(keys), entries
         m._elimination = None
         return m
 

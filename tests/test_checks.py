@@ -28,8 +28,9 @@ def test_general_group():
 
 
 def test_tree_check_spans_through_the_record_of_d2(monkeypatch):
-    # the span reads D_2's one recorded elimination: it builds no matrix,
-    # takes no Smith form, hands D_2's rows to the elimination once, and
+    # homology and the span share D_2's one recorded elimination: over the
+    # whole check the Smith mode sees D_2's rows once and the span sees
+    # them never; the span builds no matrix, takes no Smith form, and
     # checks its cycles on the packed D_1, not by pair-tuple boundaries
     homology = importlib.import_module("graphconf.homology")
     model = importlib.import_module("graphconf.model")
@@ -37,7 +38,7 @@ def test_tree_check_spans_through_the_record_of_d2(monkeypatch):
     snf, diagonalize = homology.smith_normal_form, homology._diagonalize
     boundary = homology.boundary_chain
     calls = {"inside": False, "matrices": 0, "snf": 0, "boundaries": 0}
-    seen = []
+    seen = []  # (rows, inside the span) of each Smith-mode elimination
 
     def counted_span(*args):
         calls["inside"] = True
@@ -54,10 +55,11 @@ def test_tree_check_spans_through_the_record_of_d2(monkeypatch):
         calls["snf"] += calls["inside"]
         return snf(m)
 
-    def seen_rows(rows, *args, **kwargs):
-        if calls["inside"]:
-            seen.append({r: dict(row) for r, row in rows.items()})
-        return diagonalize(rows, *args, **kwargs)
+    def seen_rows(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
+        if not (rows_only or modulus):
+            seen.append(({r: dict(row) for r, row in rows.items()},
+                         calls["inside"]))
+        return diagonalize(rows, rows_only, modulus, max_nnz, log)
 
     def counted_boundary(z):
         calls["boundaries"] += calls["inside"]
@@ -77,7 +79,8 @@ def test_tree_check_spans_through_the_record_of_d2(monkeypatch):
     assert calls == {"inside": False, "matrices": 0, "snf": 0,
                      "boundaries": 0}
     d2 = model.enumerate_cells(checks.gr.h_graph(), 2).boundary_entries(2)
-    assert d2.nnz and sum(rows == d2.rows() for rows in seen) == 1
+    assert d2.nnz
+    assert [inside for rows, inside in seen if rows == d2.rows()] == [False]
 
 
 def test_wedge_corpus_shape():

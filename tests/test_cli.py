@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -17,6 +18,26 @@ def run(capsys, *argv):
 def machine(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "machine")
     return code, json.loads(out) if out else None, err
+
+
+def test_span_eliminates_only_capped_operators(capsys, monkeypatch):
+    # the span reads homology's capped records: D_2 of k:4 n3 has 10,368
+    # entries, its cleared form 7,776, and no operator is eliminated
+    # without MAX_NNZ or past it
+    homology = importlib.import_module("graphconf.homology")
+    diagonalize = homology._diagonalize
+    recorded = []  # (entries, cap) of each recorded Smith elimination
+
+    def seen(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
+        if log is not None and not (rows_only or modulus):
+            recorded.append((sum(map(len, rows.values())), max_nnz))
+        return diagonalize(rows, rows_only, modulus, max_nnz, log)
+
+    monkeypatch.setattr(homology, "_diagonalize", seen)
+    code, _, _ = run(capsys, "span", "--graph", "k:4", "-n", "3",
+                     "--caps", ",8000")
+    assert code == 0 and (7776, 8000) in recorded
+    assert all(n <= cap == 8000 for n, cap in recorded), recorded
 
 
 def test_homology_banana(capsys):

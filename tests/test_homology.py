@@ -7,6 +7,7 @@ from math import factorial, gcd, prod
 import pytest
 
 import graphconf as gc
+from graphconf.model import Chain, boundary_chain
 from graphconf.homology import (SparseIntMatrix, _diagonalize,
                                 rank_over_rationals, smith_normal_form,
                                 solve_in_image)
@@ -16,7 +17,7 @@ from graphconf.checks import (_random_matrix, _random_unimodular_shuffle,
 from conftest import (fraction_rank, integral_verdicts,
                       minors_gcd_invariant_factors, minors_solvable,
                       reference_augmented_matrix, reference_components,
-                      reference_kernel_basis)
+                      reference_kernel_basis, reference_smith_generation)
 
 
 def random_matrix(rng, max_size=8, lo=-9, hi=9):
@@ -585,15 +586,17 @@ def exact_pair(rng, size, b_diag, a_diag):
 
 class MatrixComplex:
     """A stand-in for a cube complex, given by its boundary matrices
-    ``d[k]`` (``D_k`` for ``k >= 1``): its cells are their indices, and its
-    codebook assembles the columns asked for, as ``_Codebook.boundary``
-    does, and records them in ``columns[k]``.  Its ``k``-cell ``i`` is
-    ``(k, i)``, which ``index`` maps to itself."""
+    ``d[k]`` (``D_k`` for ``k >= 1``): its cells are their indices, its
+    ``boundary_entries`` keeps the columns it is not asked to clear, as
+    :meth:`CubeComplex.boundary_entries` does, and records them in
+    ``columns[k]``, and ``_matrices`` is the cache of the operators that
+    ``homology._operator`` builds.  Its ``k``-cell ``i`` is ``(k, i)``,
+    which ``index`` maps to itself."""
 
     def __init__(self, counts, d):
         self._keys = [list(range(c)) for c in counts]
-        self._book = self
         self._d = d
+        self._matrices = {}
         self.max_dim = len(counts) - 1
         self.columns = {}
         self.index = {(k, i): (k, i)
@@ -602,15 +605,14 @@ class MatrixComplex:
     def cell_counts(self):
         return tuple(map(len, self._keys))
 
-    def boundary_entries(self, k):
-        return self._d[k]
-
-    def boundary(self, cols, rows):
-        k = 1 + next(k for k, keys in enumerate(self._keys) if keys is rows)
-        self.columns[k] = list(cols)
-        place = {c: j for j, c in enumerate(cols)}
-        return tuple(sorted((r, place[c], v) for r, c, v in self._d[k].entries
-                            if c in place))
+    def boundary_entries(self, k, cleared=()):
+        m = self._d[k]
+        self.columns[k] = [c for c in range(m.num_cols) if c not in cleared]
+        if not cleared:
+            return m
+        place = {c: j for j, c in enumerate(self.columns[k])}
+        return SparseIntMatrix(m.num_rows, len(place), [
+            (r, place[c], v) for r, c, v in m.entries if c in place])
 
 
 def test_clearing_an_exact_pair_with_a_residual(monkeypatch):
@@ -705,6 +707,51 @@ def test_span_through_a_residual_matches_the_smith_form():
             factors = smith_normal_form(reference_augmented_matrix(zs, cx, 1))
             assert gc.class_span(zs, cx, 1) == (
                 len(factors) - rank_d, all(f == 1 for f in factors)), g
+
+
+def test_clearing_below_the_top_keeps_spans_and_solves():
+    # spans and solves read D_{k+1} cleared by the record of D_{k+2}; they
+    # must answer as the full operator does.  Each degree below the top
+    # one is checked (the top one only where nothing is below it), degree
+    # 0 with single 0-cells as its candidates
+    rng = random.Random(21)
+    complexes = [gc.enumerate_cells(gc.complete(4), 3),
+                 gc.enumerate_cells(gc.h_graph(), 4),
+                 gc.enumerate_cells(gc.banana(4, sinks={0}), 4)]
+    while len(complexes) < 6:
+        g = random_connected_graph(rng, max_edges=6, max_vertices=5)
+        try:
+            cx = gc.enumerate_cells(g, rng.randint(2, 3), max_cells=1500)
+        except gc.model.CapExceededError:
+            continue
+        if cx.max_dim >= 3 and cx.boundary_entries(cx.max_dim).nnz:
+            complexes.append(cx)
+    for cx in complexes:
+        g = cx.graph
+        for k in range(max(cx.max_dim - 1, 1)):
+            if k:
+                chains = gc.enumerate_basic_classes(cx, degree=1).chains
+            else:
+                chains = [Chain(g, 0, {c: 1}) for c in rng.sample(
+                    cx.cells[0], min(3, len(cx.cells[0])))]
+            full = smith_normal_form(cx.boundary_entries(k + 1))
+            for zs in (chains, [], [z.scaled(2) for z in chains]):
+                factors = smith_normal_form(
+                    reference_augmented_matrix(zs, cx, k))
+                rank, saturated = gc.class_span(zs, cx, k)
+                assert (rank, saturated) == (len(factors) - len(full), all(
+                    f == 1 for f in factors)), (g, k)
+                assert (saturated and rank == gc.homology(cx).betti(k)) \
+                    == reference_smith_generation(zs, cx, k)
+            assert (cx._matrices[k + 1].num_cols < cx.cell_counts()[k + 1]) \
+                == (k + 1 < cx.max_dim)
+            z = rng.choice(chains)
+            b = boundary_chain(Chain(g, k + 1, {
+                c: rng.choice((-2, -1, 1, 2)) for c in rng.sample(
+                    cx.cells[k + 1], min(3, len(cx.cells[k + 1])))}))
+            for t in (z, z.scaled(2), b, b + z):
+                aug = smith_normal_form(reference_augmented_matrix([t], cx, k))
+                assert gc.is_boundary(t, cx) == (aug == full), (g, k)
 
 
 def test_k4_four_particles():
@@ -838,3 +885,10 @@ def test_homology_matrix_cap(small_complexes):
     from graphconf.model import CapExceededError
     with pytest.raises(CapExceededError):
         gc.homology(small_complexes("h-n2"), max_nnz=10)
+    # operators recorded without the cap still have their entries capped
+    cx = gc.enumerate_cells(gc.h_graph(), 2)
+    h = gc.homology(cx)
+    cap = max(m.nnz for m in cx._matrices.values())
+    assert gc.homology(cx, max_nnz=cap) == h
+    with pytest.raises(CapExceededError, match="entries"):
+        gc.homology(cx, max_nnz=10)
