@@ -6,7 +6,10 @@ exceeded.  ``--caps MAX_CELLS[,MAX_NNZ]``: MAX_NNZ bounds each boundary
 operator, which holds only the columns that clearing keeps, and the
 fill-in of its elimination, not a span's candidates.  Machine output is
 one self-describing JSON document per run, byte-identical for identical
-configurations.  The ``truncated`` key of ``span`` and ``export``
+configurations.  ``span`` prints ``GENERATED`` when the candidates
+generate the homology group over the integers, ``RATIONAL-ONLY`` when
+they reach its rank but not the whole lattice, and ``NOT-GENERATED``
+otherwise.  The ``truncated`` key of ``span`` and ``export``
 documents is always false: candidate enumeration is complete, and the key
 stays for format stability.
 """
@@ -22,7 +25,7 @@ from . import checks as chk
 from . import cycles as cyc
 from .graphs import (GraphSpecError, dimension_bound, graph_to_doc,
                      load_graph, parse_graph_spec, build_graph)
-from .homology import class_span_rank, homology
+from .homology import class_span, homology
 from .model import CapExceededError, DEFAULT_MAX_CELLS, complex_to_doc, \
     enumerate_cells
 
@@ -139,9 +142,12 @@ def cmd_span(args):
     cx, summary, head = _graph_complex(args)
     degree = args.degree
     bc = cyc.enumerate_basic_classes(cx, degree=degree)
-    rank = class_span_rank(bc.chains, cx, degree)
+    rank, saturated = class_span(bc.chains, cx, degree)
     betti = summary.betti(degree)
-    status = "GENERATED" if rank == betti else "NOT-GENERATED"
+    if rank != betti:
+        status = "NOT-GENERATED"
+    else:
+        status = "GENERATED" if saturated else "RATIONAL-ONLY"
     doc = {
         **head,
         "degree": degree,

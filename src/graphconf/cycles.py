@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graphs import Graph, banana, dimension_bound, edge_of_end, end_side, \
@@ -781,9 +782,59 @@ MAX_CIRCUIT_EDGES = 6
 MAX_LOCAL_CELLS = 200_000
 
 
+class LazyChains(Sequence):
+    """The chains of an iterator as a sequence that builds each one when
+    first asked for it and keeps it.  Iterating reads the iterator one
+    chain at a time, so a reader that stops early never builds the rest;
+    ``len``, indexing and slicing build every chain first.  Iterating
+    again, or after ``len``, replays the kept chains in the same order.  An
+    error raised while building a chain is raised again on every later
+    read, so a failed enumeration never looks complete."""
+
+    __slots__ = ("_built", "_source", "_error")
+
+    def __init__(self, source):
+        self._built = []
+        self._source = iter(source)
+        self._error = None
+
+    def _build_next(self):
+        """Build one more chain; ``False`` when there is none."""
+        if self._error is not None:
+            raise self._error
+        if self._source is None:
+            return False
+        try:
+            self._built.append(next(self._source))
+        except StopIteration:
+            self._source = None
+            return False
+        except BaseException as exc:
+            self._error = exc
+            raise
+        return True
+
+    def __iter__(self):
+        i = 0
+        while i < len(self._built) or self._build_next():
+            yield self._built[i]
+            i += 1
+
+    def _build_all(self):
+        while self._build_next():
+            pass
+        return self._built
+
+    def __len__(self):
+        return len(self._build_all())
+
+    def __getitem__(self, i):
+        return self._build_all()[i]
+
+
 @dataclass
 class BasicClasses:
-    chains: list
+    chains: LazyChains
 
 
 def star_specs(g):
@@ -961,7 +1012,7 @@ def _deep_ends(g, ends):
 def _candidate_partials(g, n):
     """Candidate cycles: classic two-particle star shuffles, the complete
     local star bases at the essential vertices, circuit rotations, and
-    path crossings.
+    path crossings, yielded in that order.
 
     Each entry is ``(z, make, actives, blocked_edges, deep_ends)``: ``z``
     is the cycle without parked particles, built once (a candidate that
@@ -972,21 +1023,21 @@ def _candidate_partials(g, n):
     prebuilt local classes get parking merged in afterwards, with the
     ``deep_ends`` available for leafward slots on their own edges.
     """
-    out = []
     pids = range(n)
 
-    def add(fn, spec, actives, blocked):
+    def built(fn, spec, actives, blocked):
         try:
             z = fn(g, spec, actives)
         except CycleConstructionError:
-            return
-        if not z.is_zero():
-            out.append((z, lambda parking: fn(g, spec, actives, parking),
-                        actives, blocked, ()))
+            return ()
+        if z.is_zero():
+            return ()
+        return ((z, lambda parking: fn(g, spec, actives, parking),
+                 actives, blocked, ()),)
 
     for spec in star_specs(g):
         for pair in itertools.combinations(pids, 2):
-            add(star_cycle_chain, spec, pair, frozenset())
+            yield from built(star_cycle_chain, spec, pair, frozenset())
     for v in sorted(essential_vertices(g)):
         if g.is_sink(v):
             continue
@@ -997,9 +1048,8 @@ def _candidate_partials(g, n):
             for actives in itertools.combinations(pids, m):
                 for z in basis:
                     z = _placed(z, actives)
-                    out.append((
-                        z, lambda parking, z=z: _attach_parked(z, g, parking),
-                        actives, blocked, deep))
+                    yield (z, lambda parking, z=z: _attach_parked(z, g, parking),
+                           actives, blocked, deep)
     for spec in circuit_specs(g):
         blocked = frozenset(edge_of_end(h) for h in spec.ends)
         if len(spec.ends) == 1:
@@ -1011,41 +1061,26 @@ def _candidate_partials(g, n):
         else:
             groups = [(p,) for p in pids]
         for actives in groups:
-            add(circuit_cycle_chain, spec, actives, blocked)
+            yield from built(circuit_cycle_chain, spec, actives, blocked)
     for spec in h_specs(g):
         blocked = frozenset(edge_of_end(h) for h in spec.path)
         for pair in itertools.combinations(pids, 2):
-            add(h_cycle_chain, spec, pair, blocked)
-    return out
+            yield from built(h_cycle_chain, spec, pair, blocked)
 
 
-def enumerate_basic_classes(cx, degree=1):
-    """Deterministic candidate generating cycles, every one that builds.
+def _degree_one_classes(g, n):
+    for z, make, actives, blocked, deep in _candidate_partials(g, n):
+        remaining = [p for p in range(n) if p not in actives]
+        for parking in _parking_options(g, remaining, blocked, deep):
+            try:
+                yield make(parking) if parking else z
+            except CycleConstructionError:
+                pass
 
-    Degree 1: two-particle star shuffles, the full local star basis at
-    every essential vertex for every active particle subset, circuit
-    rotations and path-crossing differences, each filled up to all
-    particles by every parking of the rest over sinks and untouched
-    edges.  Degree 2: products of two degree-1 candidates with disjoint
-    particles and disjoint graph support, parked the same way.
-    """
-    g = cx.graph
-    n = cx.n
-    if degree not in (1, 2):
-        raise ValueError("only degrees 1 and 2 are enumerated")
-    partials = _candidate_partials(g, n)
-    chains = []
 
-    if degree == 1:
-        for z, make, actives, blocked, deep in partials:
-            remaining = [p for p in range(n) if p not in actives]
-            for parking in _parking_options(g, remaining, blocked, deep):
-                try:
-                    chains.append(make(parking) if parking else z)
-                except CycleConstructionError:
-                    pass
-        return BasicClasses(chains)
-
+def _degree_two_classes(g, n):
+    # every pair of partials is tried, so all of them are built first
+    partials = list(_candidate_partials(g, n))
     # a product's support is the union of its factors' supports
     supports = [chain_support_elements(z) for z, *_ in partials]
     for i, (z1, _, act1, blk1, _) in enumerate(partials):
@@ -1064,10 +1099,31 @@ def enumerate_basic_classes(cx, degree=1):
                           if elem[0] == "e"})
             for parking in _parking_options(g, remaining, blocked):
                 try:
-                    chains.append(_attach_parked(z, g, parking))
+                    yield _attach_parked(z, g, parking)
                 except CycleConstructionError:
                     pass
-    return BasicClasses(chains)
+
+
+def enumerate_basic_classes(cx, degree=1):
+    """Deterministic candidate generating cycles, every one that builds.
+
+    Degree 1: two-particle star shuffles, the full local star basis at
+    every essential vertex for every active particle subset, circuit
+    rotations and path-crossing differences, each filled up to all
+    particles by every parking of the rest over sinks and untouched
+    edges.  Degree 2: products of two degree-1 candidates with disjoint
+    particles and disjoint graph support, parked the same way.
+
+    ``chains`` is a :class:`LazyChains`: the candidates in this order,
+    each built when a reader first reaches it.  A reader that iterates,
+    such as :func:`graphconf.homology.class_span`, may stop early and
+    leave the rest unbuilt; ``len``, indexing and slicing build them all,
+    so the count and the list are those of the whole enumeration.
+    """
+    if degree not in (1, 2):
+        raise ValueError("only degrees 1 and 2 are enumerated")
+    classes = _degree_one_classes if degree == 1 else _degree_two_classes
+    return BasicClasses(LazyChains(classes(cx.graph, cx.n)))
 
 
 # -- export ---------------------------------------------------------------

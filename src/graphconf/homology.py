@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import gcd, prod
 
 from .model import CapExceededError, SparseIntMatrix, boundary_chain
@@ -76,6 +77,10 @@ def _diagonalize(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
     heapify(queue)
     nnz = sum(map(len, rows.values())) if max_nnz is not None else 0
     touched = {}  # row: its length before the current pivot, when capped
+    # a divisor of every entry left that a scan found: row operations,
+    # residues modulo ``modulus`` (a multiple of it) and remainders modulo
+    # a pivot (a multiple of it) keep it a divisor
+    common = 1
 
     def next_pivot():
         while True:
@@ -152,13 +157,18 @@ def _diagonalize(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
                     if rem:
                         break
                 else:
-                    # the pivot must divide every entry left, modulo modulus
+                    # the pivot must divide every entry left, modulo
+                    # modulus; a scan is needed only when g does not
+                    # divide ``common``, which divides them all
                     g = gcd(piv, modulus)
-                    bad = [r for r, row in rows.items()
-                           if g > 1 and any(v % g for v in row.values())]
-                    if not bad:
+                    if common % g == 0:
                         break
-                    row_op(r0, bad[0], -1)
+                    bad = next((r for r, row in rows.items()
+                                if any(v % g for v in row.values())), None)
+                    if bad is None:
+                        common = g
+                        break
+                    row_op(r0, bad, -1)
                     continue
                 # column c0 is clear: this column operation changes row r0
                 # and moves the pivot to column c; c0 keeps its entry in row
@@ -409,12 +419,62 @@ def is_boundary(z, cx):
     return solve_in_image(_operator(cx, z.degree + 1), vec)
 
 
+# the least number of chains a span reads before its first checkpoint
+FIRST_CHECKPOINT = 64
+
+
+def _rank(m):
+    """``rank m``, from the record of its elimination when one was made,
+    else from a row-only pass that keeps no record."""
+    if m._elimination is not None:
+        return len(m._elimination[0])
+    return len(_diagonalize(m.rows(), rows_only=True))
+
+
+def _rank_mod_2(*parts):
+    """The rank over GF(2) of the sparse rows that ``parts``, dicts of rows
+    on disjoint columns, make together; the parts are left unchanged."""
+    odd = {}
+    for part in parts:
+        for r, row in part.items():
+            bits = {c: 1 for c, v in row.items() if v % 2}
+            if bits:
+                odd.setdefault(r, {}).update(bits)
+    return len(_diagonalize(odd, modulus=2))
+
+
+def _cycle_rows(zs, cx, degree, first):
+    """The chains ``zs`` as sparse rows ``{cell index: {column:
+    coefficient}}``, the ``j``-th chain in column ``first + j``.
+    ``ValueError`` unless every chain is a cycle of degree ``degree`` on
+    the complex, found by indexing each chain once and then checking
+    ``D_k Z = 0`` on the columns of ``D_k`` that their cells index."""
+    rows = {}
+    for j, z in enumerate(zs, first):
+        if z.degree != degree:
+            raise ValueError("span input of wrong degree")
+        for i, v in _chain_vector(z, cx).items():
+            rows.setdefault(i, {})[j] = v
+    cells = sorted(rows)
+    image = {}
+    for r, p, v in cx.boundary_columns(degree, cells):
+        for j, w in rows[cells[p]].items():
+            image[r, j] = image.get((r, j), 0) + v * w
+    if any(image.values()):
+        raise ValueError("span input is not a cycle")
+    return rows
+
+
 def class_span(zs, cx, degree):
-    """``(rank, saturated)`` for the classes of ``zs`` in ``H_k``,
-    ``k = degree``: the rational rank of their span, and whether every
-    invariant factor of ``A = [zs | D]``, ``D = D_{k+1}``, is 1.
-    ``ValueError`` unless every chain is a cycle of degree ``k`` on the
-    complex, found by indexing each chain once and checking ``D_k Z = 0``.
+    """``(rank, saturated)`` for the classes of the chains of ``zs``, any
+    iterable, in ``H_k``, ``k = degree``: the rational rank of their span,
+    and whether every invariant factor of ``A = [zs | D]``, ``D =
+    D_{k+1}``, is 1.  The chains are read in order, in batches, and the
+    span stops reading once the chains read generate ``H_k`` over the
+    integers; its answer is then that of the whole input.  ``ValueError``
+    unless every chain read is a cycle of degree ``k`` on the complex
+    (see :func:`_cycle_rows`); the chains after a stop are neither read
+    nor checked.
 
     ``D`` is the cleared operator of :func:`_operator`, read through the
     one record that :func:`homology` and every solve share.  Its unit
@@ -424,7 +484,8 @@ def class_span(zs, cx, degree):
     R the recorded residual: ``A`` has ``|P|`` factors 1 and those of the
     small matrix, ``rank D = |P| + rank R``, and ``rank = len(factors) +
     |P| - rank D``.  The chains, as sparse rows, replay the unit phase,
-    which drops them on ``P``.
+    which drops them on ``P``.  Row operations act on each column alone,
+    so each batch replays it once, and the rows of the batches add up.
 
     They generate ``H_k`` over the integers iff ``saturated and rank ==
     b_k``.  ``L = span(zs) + im D_{k+1}`` lies in ``Z = ker D_k``, which is
@@ -432,30 +493,64 @@ def class_span(zs, cx, degree):
     ``L = Z`` gives both conditions.  Conversely ``rank == b_k`` makes
     ``Z / L`` finite and ``saturated`` makes ``Z^{C_k} / L`` free; a finite
     subgroup of a free group is 0, so ``L = Z``.
+
+    The stop.  A checkpoint eliminates ``[chains read | R]``.  The first
+    comes once ``max(b_k, FIRST_CHECKPOINT)`` chains are read, so a
+    smaller input is read whole, and each later one once twice as many
+    are, so the checkpoints of a whole read eliminate about twice as many
+    chains as the last one at most.  ``b_k = #C_k - rank D_k - rank
+    D_{k+1}`` comes from the operators of :func:`_operator`, ``rank D_k``
+    from its record or from a row-only pass that keeps none, and only once
+    the input outlasts ``FIRST_CHECKPOINT`` chains.  At ``(b_k, True)``
+    the span returns: the lattice ``L'`` of the chains read is ``Z``, and
+    every chain is a cycle, so ``L' <= L <= Z`` gives ``L = Z`` for the
+    whole input, whose answer is then ``(b_k, True)`` too.  (The rank
+    never exceeds ``b_k``, and a superset of a generating set still
+    generates.)  Otherwise it reads on to the end and answers for the
+    whole input.
+
+    A checkpoint before the end first takes the rank of the small matrix
+    modulo 2.  The chains read generate only if that matrix has ``b_k +
+    rank R`` invariant factors, all 1, and then its rank modulo every
+    prime is ``b_k + rank R``.  So a rank modulo 2 short of that skips the
+    Smith form, and an input whose span is not saturated at 2, such as
+    doubled chains, takes one Smith form, at its end.
     """
     d = _operator(cx, degree + 1)
+    pivots, ((unit, units, _), *_), residual = _recorded(d)
+    chains = iter(zs)
     rows = {}  # cell index: {chain: coefficient}, chains after D's columns
-    for j, z in enumerate(zs, d.num_cols):
-        if z.degree != degree:
-            raise ValueError("span input of wrong degree")
-        for i, v in _chain_vector(z, cx).items():
-            rows.setdefault(i, {})[j] = v
-    image = {}
-    for r, c, v in cx.boundary_entries(degree).entries:
-        for j, w in rows.get(c, {}).items():
-            image[r, j] = image.get((r, j), 0) + v * w
-    if any(image.values()):
-        raise ValueError("span input is not a cycle")
-    rank_d = rank_over_rationals(d)
-    _, ((unit, units, _), *_), residual = _recorded(d)
-    _replay(unit, rows)
-    for r, row in residual.items():
-        rows.setdefault(r, {}).update(row)
-    factors = _diagonalize(rows).values()
-    return len(factors) + len(units) - rank_d, all(f == 1 for f in factors)
+    read, goal, betti = 0, FIRST_CHECKPOINT, None
+    while True:
+        batch = list(islice(chains, goal - read))
+        batch_rows = _cycle_rows(batch, cx, degree, d.num_cols + read)
+        for r, row in _replay(unit, batch_rows).items():
+            rows.setdefault(r, {}).update(row)
+        read += len(batch)
+        last = read < goal
+        if betti is None and not last:
+            counts = cx.cell_counts()
+            betti = ((counts[degree] if 0 <= degree < len(counts) else 0)
+                     - _rank(_operator(cx, degree)) - len(pivots))
+            if read < betti:
+                goal = betti
+                continue  # no checkpoint before b_k chains
+        # short of b_k modulo 2, the chains read do not generate
+        if last or (_rank_mod_2(rows, residual) + len(units) - len(pivots)
+                    >= betti):
+            augmented = rows if last else {r: dict(row)
+                                           for r, row in rows.items()}
+            for r, row in residual.items():
+                augmented.setdefault(r, {}).update(row)
+            factors = _diagonalize(augmented).values()
+            answer = (len(factors) + len(units) - len(pivots),
+                      all(f == 1 for f in factors))
+            if last or answer == (betti, True):
+                return answer
+        goal = 2 * read
 
 
 def class_span_rank(zs, cx, degree):
-    """The ``rank`` of :func:`class_span`; 0 when ``zs`` is empty."""
-    zs = list(zs)
-    return class_span(zs, cx, degree)[0] if zs else 0
+    """The ``rank`` of :func:`class_span`, which reads ``zs`` the same
+    way; 0 when ``zs`` is empty."""
+    return class_span(zs, cx, degree)[0]

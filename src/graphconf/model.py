@@ -592,6 +592,16 @@ class CubeComplex:
         m._elimination = None
         return m
 
+    def boundary_columns(self, k, cells):
+        """``(row, j, sign)`` entries of the boundary of the ``k``-cells
+        indexed by ``cells``, ``j`` their position there: the columns of
+        :meth:`boundary_entries` that a few cells need, and none outside
+        ``1..max_dim``."""
+        if not 1 <= k <= self.max_dim:
+            return ()
+        keys = self._keys[k]
+        return self._book.boundary([keys[i] for i in cells], self._keys[k - 1])
+
     def relabeled(self, perm):
         """The same complex with particles renamed; cell sets per dimension
         are identical as sets, so this reindexes rather than re-enumerates."""

@@ -339,6 +339,35 @@ def reference_augmented_matrix(zs, cx, degree):
     return SparseIntMatrix(d.num_rows, shift + d.num_cols, entries)
 
 
+def reference_class_span(zs, cx, degree):
+    """``(rank, saturated)`` of :func:`graphconf.class_span` as it was
+    before spans streamed: every chain is indexed and checked against the
+    whole assembled ``D_degree`` before any is reduced, and then all of
+    them replay the recorded unit phase of ``D_{degree+1}`` together and
+    are eliminated once beside its residual R."""
+    from graphconf.homology import (_chain_vector, _diagonalize, _operator,
+                                    _recorded, _replay)
+    d = _operator(cx, degree + 1)
+    rows = {}  # cell index: {chain: coefficient}, chains after D's columns
+    for j, z in enumerate(zs, d.num_cols):
+        if z.degree != degree:
+            raise ValueError("span input of wrong degree")
+        for i, v in _chain_vector(z, cx).items():
+            rows.setdefault(i, {})[j] = v
+    image = {}
+    for r, c, v in cx.boundary_entries(degree).entries:
+        for j, w in rows.get(c, {}).items():
+            image[r, j] = image.get((r, j), 0) + v * w
+    if any(image.values()):
+        raise ValueError("span input is not a cycle")
+    pivots, ((unit, units, _), *_), residual = _recorded(d)
+    _replay(unit, rows)
+    for r, row in residual.items():
+        rows.setdefault(r, {}).update(row)
+    factors = _diagonalize(rows).values()
+    return len(factors) + len(units) - len(pivots), all(f == 1 for f in factors)
+
+
 def reference_smith_generation(zs, cx, degree):
     """Whether the classes of ``zs`` generate degree-``degree`` homology
     over the integers: the library's certificate before the span routine

@@ -88,6 +88,27 @@ def test_span_command(capsys):
     assert doc["result"]["span_rank"] == doc["result"]["betti"]
 
 
+def test_span_status_is_generation_over_the_integers(capsys, monkeypatch):
+    # doubled candidates reach the rank of H_1 of h n2 but not its lattice;
+    # no candidates miss its rank
+    cycles = importlib.import_module("graphconf.cycles")
+    enumerate_classes = cycles.enumerate_basic_classes
+
+    def scaled(scale):
+        return lambda cx, degree: cycles.BasicClasses(
+            [z.scaled(scale) for z in enumerate_classes(cx, degree).chains]
+            if scale else [])
+
+    for scale, status, rank in ((2, "RATIONAL-ONLY", 3), (0, "NOT-GENERATED", 0)):
+        monkeypatch.setattr(cycles, "enumerate_basic_classes", scaled(scale))
+        code, doc, _ = machine(capsys, "span", "--graph", "h", "-n", "2")
+        assert code == 0 and doc["result"]["betti"] == 3
+        assert (doc["result"]["status"], doc["result"]["span_rank"]) == (
+            status, rank)
+        code, out, _ = run(capsys, "span", "--graph", "h", "-n", "2")
+        assert out.endswith(f"-> {status}\n")
+
+
 def test_export_document(capsys, tmp_path):
     out = tmp_path / "export.json"
     code, _, _ = run(capsys, "export", "--graph", "circle", "-n", "2",

@@ -623,6 +623,38 @@ def test_candidate_chains_pinned(spec, sinks, n, degree, count, digest):
     assert _candidates_digest(chains) == digest
 
 
+def test_candidate_chains_are_built_lazily(small_complexes):
+    # iterating builds each chain when it is reached; len, indexing and
+    # slicing build the rest; every read sees the same chains in order
+    cx = small_complexes("k5-n2")
+    chains = gc.enumerate_basic_classes(cx, degree=1).chains
+    head = list(itertools.islice(chains, 10))
+    assert len(chains._built) == 10
+    assert head == list(itertools.islice(chains, 10))
+    again = iter(chains)
+    assert [next(again) for _ in range(12)] == head + [chains[10], chains[11]]
+    assert len(chains._built) == len(chains) == 645
+    built = list(chains)
+    assert built == list(chains) == chains[:] == [chains[i] for i in range(645)]
+    assert built[:10] == head and chains[-1] == built[-1]
+    assert chains[100:110] == built[100:110]
+    assert [next(again) for _ in range(3)] == built[12:15]
+    fresh = gc.enumerate_basic_classes(cx, degree=1).chains
+    assert fresh[:] == built and len(fresh) == 645
+
+
+def test_a_failed_candidate_build_fails_every_later_read():
+    def broken():
+        yield "first"
+        raise gc.model.InvariantError("built a non-cycle")
+
+    chains = gc.cycles.LazyChains(broken())
+    assert next(iter(chains)) == "first"
+    for read in (list, len, lambda c: c[1], lambda c: c[:]):
+        with pytest.raises(gc.model.InvariantError, match="non-cycle"):
+            read(chains)
+
+
 def test_candidate_chains_pinned_on_random_graphs():
     # degrees 1 and 2 on thirty seeded random graphs with up to four edges,
     # nine of them with sinks: stars, loop rotations, circuits of two and

@@ -16,8 +16,9 @@ from graphconf.checks import (_random_matrix, _random_unimodular_shuffle,
                               wedge_corpus)
 from conftest import (fraction_rank, integral_verdicts,
                       minors_gcd_invariant_factors, minors_solvable,
-                      reference_augmented_matrix, reference_components,
-                      reference_kernel_basis, reference_smith_generation)
+                      reference_augmented_matrix, reference_class_span,
+                      reference_components, reference_kernel_basis,
+                      reference_smith_generation)
 
 
 def random_matrix(rng, max_size=8, lo=-9, hi=9):
@@ -590,8 +591,10 @@ class MatrixComplex:
     ``boundary_entries`` keeps the columns it is not asked to clear, as
     :meth:`CubeComplex.boundary_entries` does, and records them in
     ``columns[k]``, and ``_matrices`` is the cache of the operators that
-    ``homology._operator`` builds.  Its ``k``-cell ``i`` is ``(k, i)``,
-    which ``index`` maps to itself."""
+    ``homology._operator`` builds.  ``boundary_columns`` reads the
+    columns of ``d[k]`` that it names, as
+    :meth:`CubeComplex.boundary_columns` does.  Its ``k``-cell ``i`` is
+    ``(k, i)``, which ``index`` maps to itself."""
 
     def __init__(self, counts, d):
         self._keys = [list(range(c)) for c in counts]
@@ -613,6 +616,11 @@ class MatrixComplex:
         place = {c: j for j, c in enumerate(self.columns[k])}
         return SparseIntMatrix(m.num_rows, len(place), [
             (r, place[c], v) for r, c, v in m.entries if c in place])
+
+    def boundary_columns(self, k, cells):
+        place = {c: j for j, c in enumerate(cells)}
+        return [(r, place[c], v) for r, c, v in self._d[k].entries
+                if c in place]
 
 
 def test_clearing_an_exact_pair_with_a_residual(monkeypatch):
@@ -822,6 +830,147 @@ def test_span_rank_monotone_and_capped(small_complexes):
         assert last <= r <= b1
         last = r
     assert last == b1
+
+
+class Counted:
+    """An iterator over ``items`` that counts the items read from it."""
+
+    def __init__(self, items):
+        self._items = iter(items)
+        self.read = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self._items)
+        self.read += 1
+        return item
+
+
+def test_streamed_span_answers_like_reading_everything():
+    # the streamed span stops once the chains it read generate H_k; on
+    # valid input it must answer as reading every chain does, in degrees 1
+    # and 2, on the full, empty and doubled candidates and on a list that
+    # only its last chain completes: the shortest prefix of the candidates
+    # that generates, where there are at most 200 of them.  Three
+    # particles on the wedges, up to 400 candidates: two particles give
+    # fewer than the first checkpoint reads, so the span reads them whole
+    rng = random.Random(23)
+    cases = [(g, 3) for _, g in wedge_corpus()]
+    while len(cases) < len(wedge_corpus()) + 10:
+        g = random_connected_graph(rng, max_edges=4, max_vertices=4)
+        if not g.sinks:
+            g = g.with_sinks({rng.randrange(g.num_vertices)})
+        cases.append((g, rng.randint(2, 3)))
+    stopped = completed = 0
+    for g, n in cases:
+        cx = gc.enumerate_cells(g, n)
+        h = gc.homology(cx)
+        for degree in (1, 2):
+            chains = list(gc.enumerate_basic_classes(cx, degree).chains)
+            if len(chains) > 400:
+                continue
+            doubled = [z.scaled(2) for z in chains]
+            inputs = [chains, [], doubled]
+            whole = reference_class_span(chains, cx, degree)
+            betti = h.betti(degree)
+            if whole == (betti, True) and betti and len(chains) <= 200:
+                lo, hi = 1, len(chains)
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if reference_class_span(chains[:mid], cx, degree) == whole:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                last = chains[:lo]
+                assert reference_class_span(last[:-1], cx, degree) != whole
+                inputs.append(last)
+                completed += 1
+            for i, zs in enumerate(inputs):
+                counted = Counted(zs)
+                answer = gc.class_span(counted, cx, degree)
+                assert answer == reference_class_span(zs, cx, degree), (
+                    g, n, degree, i)
+                if counted.read < len(zs):
+                    assert answer == (betti, True)
+                    stopped += 1
+    assert stopped and completed
+
+
+def test_span_stops_reading_once_it_generates(small_complexes):
+    # k:5 n2 generates H_1 over Z from its first 169 of 645 candidates, so
+    # the span returns at a checkpoint before their end, and the chains
+    # after it are neither built nor read nor checked
+    cx = small_complexes("k5-n2")
+    bc = gc.enumerate_basic_classes(cx, degree=1)
+    counted = Counted(bc.chains)
+    assert gc.class_span(counted, cx, 1) == (12, True)
+    assert 169 <= counted.read < 645
+    assert len(bc.chains._built) == counted.read
+    assert len(bc.chains) == 645
+    not_a_cycle = gc.Chain(cx.graph, 1, {cx.cells[1][0]: 1})
+    assert gc.class_span(bc.chains[:counted.read] + [not_a_cycle], cx, 1) \
+        == (12, True)
+    with pytest.raises(ValueError, match="not a cycle"):
+        gc.class_span([not_a_cycle] + bc.chains[:], cx, 1)
+    # the rank alone reads the same way
+    counted = Counted(bc.chains)
+    assert gc.class_span_rank(counted, cx, 1) == 12
+    assert counted.read < 645
+
+
+def test_span_skips_the_smith_form_short_of_b_k_modulo_2(monkeypatch):
+    # doubled candidates have rank 0 modulo 2, so only the last
+    # checkpoint takes a Smith form; the candidates themselves take one
+    # at the checkpoint that reaches b_1
+    homology = importlib.import_module("graphconf.homology")
+    diagonalize = homology._diagonalize
+    smith = []
+
+    def counted(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
+        smith.append(not (rows_only or modulus))
+        return diagonalize(rows, rows_only, modulus, max_nnz, log)
+
+    cx = gc.enumerate_cells(gc.complete(5), 2)
+    gc.homology(cx)
+    chains = gc.enumerate_basic_classes(cx, degree=1).chains
+    monkeypatch.setattr(homology, "_diagonalize", counted)
+    assert gc.class_span([z.scaled(2) for z in chains], cx, 1) == (12, False)
+    assert smith.count(True) == 1 and len(smith) > 1
+    smith.clear()
+    assert gc.class_span(chains, cx, 1) == (12, True)
+    assert smith.count(True) == 1
+
+
+def test_rank_mod_2_matches_a_bitmask_elimination():
+    rank_mod_2 = importlib.import_module("graphconf.homology")._rank_mod_2
+
+    def bitmask_rank(rows):
+        basis = {}  # leading bit: row
+        for row in rows:
+            while row:
+                top = row.bit_length() - 1
+                if top not in basis:
+                    basis[top] = row
+                    break
+                row ^= basis[top]
+        return len(basis)
+
+    rng = random.Random(24)
+    for _ in range(300):
+        m = random_matrix(rng, max_size=9)
+        cut = rng.randint(0, m.num_cols)
+        rows = m.rows()
+        parts = ({r: {c: v for c, v in row.items() if c < cut}
+                  for r, row in rows.items()},
+                 {r: {c: v for c, v in row.items() if c >= cut}
+                  for r, row in rows.items()})
+        copies = [{r: dict(row) for r, row in part.items()} for part in parts]
+        masks = [sum(1 << c for c, v in row.items() if v % 2)
+                 for row in rows.values()]
+        assert rank_mod_2(*parts) == bitmask_rank(masks)
+        assert list(parts) == copies  # the parts are left unchanged
 
 
 def test_integral_generation_certificate(small_complexes):
