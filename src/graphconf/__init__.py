@@ -1,5 +1,11 @@
 """Configuration spaces of graphs with sinks: combinatorial models,
-exact integer homology, and explicit generating cycles."""
+exact integer homology, and explicit generating cycles.
+
+``class_span`` reads its cycles in order and stops once those read
+generate the homology group over the integers; the cycles after that
+stop are neither read nor checked, so their validity is the caller's
+concern.  ``enumerate_basic_classes(...).chains`` builds each candidate
+when a reader first reaches it."""
 
 from .graphs import (Graph, GraphSpec, GraphSpecError, banana, build_graph,
                      circle, complete, complete_bipartite, dimension_bound,

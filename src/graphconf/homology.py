@@ -419,8 +419,11 @@ def is_boundary(z, cx):
     return solve_in_image(_operator(cx, z.degree + 1), vec)
 
 
-# the least number of chains a span reads before its first checkpoint
-FIRST_CHECKPOINT = 64
+# the number of chains in the first batch a span reads (see class_span);
+# on the benchmark's span ladder first batches of 16 to 128 chains cost
+# the same within 3%, and 32 reads the 24 degree-2 candidates of k:4 n3
+# whole, without rank D_2, while the small inputs with sinks stop early
+FIRST_BATCH = 32
 
 
 def _rank(m):
@@ -431,35 +434,52 @@ def _rank(m):
     return len(_diagonalize(m.rows(), rows_only=True))
 
 
-def _rank_mod_2(*parts):
-    """The rank over GF(2) of the sparse rows that ``parts``, dicts of rows
-    on disjoint columns, make together; the parts are left unchanged."""
-    odd = {}
-    for part in parts:
-        for r, row in part.items():
-            bits = {c: 1 for c, v in row.items() if v % 2}
-            if bits:
-                odd.setdefault(r, {}).update(bits)
-    return len(_diagonalize(odd, modulus=2))
+def _add_mod_2(basis, bits, rows):
+    """Add the columns of the sparse rows ``rows``, ``{row: {column:
+    value}}``, modulo 2 to ``basis``, which keeps one vector per leading
+    bit, so that ``len(basis)`` is the rank over GF(2) of every column
+    added; ``bits`` numbers the rows in the order they are first seen.
+    The columns are those the rows hold whole, so each is added once."""
+    columns = {}
+    for r, row in rows.items():
+        bit = 1 << bits.setdefault(r, len(bits))
+        for c, v in row.items():
+            if v & 1:
+                columns[c] = columns.get(c, 0) | bit
+    for v in columns.values():
+        while v:
+            lead = v.bit_length()
+            w = basis.get(lead)
+            if w is None:
+                basis[lead] = v
+                break
+            v ^= w
 
 
-def _cycle_rows(zs, cx, degree, first):
+def _cycle_rows(zs, cx, degree, first, faces):
     """The chains ``zs`` as sparse rows ``{cell index: {column:
     coefficient}}``, the ``j``-th chain in column ``first + j``.
     ``ValueError`` unless every chain is a cycle of degree ``degree`` on
     the complex, found by indexing each chain once and then checking
-    ``D_k Z = 0`` on the columns of ``D_k`` that their cells index."""
+    ``D_k Z = 0`` on the columns of ``D_k`` that their cells index.
+    ``faces`` keeps those columns, ``{cell index: [(row, sign)]}``, so
+    that later calls assemble only the cells new to them."""
     rows = {}
     for j, z in enumerate(zs, first):
         if z.degree != degree:
             raise ValueError("span input of wrong degree")
         for i, v in _chain_vector(z, cx).items():
             rows.setdefault(i, {})[j] = v
-    cells = sorted(rows)
+    new = [i for i in rows if i not in faces]
+    for i in new:
+        faces[i] = []
+    for r, p, v in cx.boundary_columns(degree, new):
+        faces[new[p]].append((r, v))
     image = {}
-    for r, p, v in cx.boundary_columns(degree, cells):
-        for j, w in rows[cells[p]].items():
-            image[r, j] = image.get((r, j), 0) + v * w
+    for i, row in rows.items():
+        for r, v in faces[i]:
+            for j, w in row.items():
+                image[r, j] = image.get((r, j), 0) + v * w
     if any(image.values()):
         raise ValueError("span input is not a cycle")
     return rows
@@ -474,7 +494,7 @@ def class_span(zs, cx, degree):
     integers; its answer is then that of the whole input.  ``ValueError``
     unless every chain read is a cycle of degree ``k`` on the complex
     (see :func:`_cycle_rows`); the chains after a stop are neither read
-    nor checked.
+    nor checked, so whether they are valid is the caller's concern.
 
     ``D`` is the cleared operator of :func:`_operator`, read through the
     one record that :func:`homology` and every solve share.  Its unit
@@ -494,60 +514,66 @@ def class_span(zs, cx, degree):
     ``Z / L`` finite and ``saturated`` makes ``Z^{C_k} / L`` free; a finite
     subgroup of a free group is 0, so ``L = Z``.
 
-    The stop.  A checkpoint eliminates ``[chains read | R]``.  The first
-    comes once ``max(b_k, FIRST_CHECKPOINT)`` chains are read, so a
-    smaller input is read whole, and each later one once twice as many
-    are, so the checkpoints of a whole read eliminate about twice as many
-    chains as the last one at most.  ``b_k = #C_k - rank D_k - rank
-    D_{k+1}`` comes from the operators of :func:`_operator`, ``rank D_k``
-    from its record or from a row-only pass that keeps none, and only once
-    the input outlasts ``FIRST_CHECKPOINT`` chains.  At ``(b_k, True)``
-    the span returns: the lattice ``L'`` of the chains read is ``Z``, and
-    every chain is a cycle, so ``L' <= L <= Z`` gives ``L = Z`` for the
-    whole input, whose answer is then ``(b_k, True)`` too.  (The rank
-    never exceeds ``b_k``, and a superset of a generating set still
-    generates.)  Otherwise it reads on to the end and answers for the
-    whole input.
-
-    A checkpoint before the end first takes the rank of the small matrix
-    modulo 2.  The chains read generate only if that matrix has ``b_k +
-    rank R`` invariant factors, all 1, and then its rank modulo every
-    prime is ``b_k + rank R``.  So a rank modulo 2 short of that skips the
-    Smith form, and an input whose span is not saturated at 2, such as
-    doubled chains, takes one Smith form, at its end.
+    The stop.  The first batch is ``FIRST_BATCH`` chains, so a
+    smaller input is read whole and pays for nothing but its one Smith
+    form.  After it ``b_k = #C_k - rank D_k - rank D_{k+1}`` comes from
+    the operators of :func:`_operator`, ``rank D_k`` from its record or
+    from a row-only pass that keeps none.  Each later batch is as large
+    as all the batches before it, and brings the chains read up to at
+    least ``b_k``, so a whole read replays the unit phase at most ``2 +
+    log2(N / max(b_k, FIRST_BATCH))`` times for ``N`` chains.  After
+    each batch a checkpoint asks whether the chains read generate.  They
+    do only if the small matrix ``[chains read | R]`` has ``b_k + rank R``
+    invariant factors, all 1, and then its rank modulo every prime is
+    ``b_k + rank R``.  Its rank modulo 2 grows as each batch's columns
+    join one basis over GF(2) (:func:`_add_mod_2`), so a checkpoint short
+    of that costs no elimination; one that reaches it takes the Smith
+    form of a copy of the small matrix.  At ``(b_k, True)`` the span
+    returns: the lattice ``L'`` of the chains read is ``Z``, and every
+    chain is a cycle, so ``L' <= L <= Z`` gives ``L = Z`` for the whole
+    input, whose answer is then ``(b_k, True)`` too.  (The rank never
+    exceeds ``b_k``, and a superset of a generating set still generates.)
+    A Smith form that misses, at a prime other than 2, is taken again
+    only once the chains read have doubled.  An input that never gets
+    there is read to its end and answered by one Smith form of the whole
+    small matrix, as if it had been read at once.
     """
     d = _operator(cx, degree + 1)
     pivots, ((unit, units, _), *_), residual = _recorded(d)
+    rank_r = len(pivots) - len(units)
+
+    def answer(rows):
+        for r, row in residual.items():
+            rows.setdefault(r, {}).update(row)
+        factors = _diagonalize(rows).values()
+        return len(factors) - rank_r, all(f == 1 for f in factors)
+
     chains = iter(zs)
     rows = {}  # cell index: {chain: coefficient}, chains after D's columns
-    read, goal, betti = 0, FIRST_CHECKPOINT, None
+    faces = {}  # the columns of D_k read by the cycle checks
+    odd, bits = {}, {}  # the columns read, modulo 2
+    read, size, betti, smith_at = 0, FIRST_BATCH, None, 0
     while True:
-        batch = list(islice(chains, goal - read))
-        batch_rows = _cycle_rows(batch, cx, degree, d.num_cols + read)
-        for r, row in _replay(unit, batch_rows).items():
+        batch = list(islice(chains, size))
+        batch_rows = _replay(unit, _cycle_rows(batch, cx, degree,
+                                               d.num_cols + read, faces))
+        for r, row in batch_rows.items():
             rows.setdefault(r, {}).update(row)
         read += len(batch)
-        last = read < goal
-        if betti is None and not last:
+        if len(batch) < size:
+            return answer(rows)
+        if betti is None:
             counts = cx.cell_counts()
             betti = ((counts[degree] if 0 <= degree < len(counts) else 0)
                      - _rank(_operator(cx, degree)) - len(pivots))
-            if read < betti:
-                goal = betti
-                continue  # no checkpoint before b_k chains
-        # short of b_k modulo 2, the chains read do not generate
-        if last or (_rank_mod_2(rows, residual) + len(units) - len(pivots)
-                    >= betti):
-            augmented = rows if last else {r: dict(row)
-                                           for r, row in rows.items()}
-            for r, row in residual.items():
-                augmented.setdefault(r, {}).update(row)
-            factors = _diagonalize(augmented).values()
-            answer = (len(factors) + len(units) - len(pivots),
-                      all(f == 1 for f in factors))
-            if last or answer == (betti, True):
-                return answer
-        goal = 2 * read
+            _add_mod_2(odd, bits, residual)
+        _add_mod_2(odd, bits, batch_rows)
+        if len(odd) - rank_r >= betti and read >= smith_at:
+            if answer({r: dict(row) for r, row in rows.items()}) == (
+                    betti, True):
+                return betti, True
+            smith_at = 2 * read
+        size = max(betti - read, read)
 
 
 def class_span_rank(zs, cx, degree):

@@ -855,7 +855,7 @@ def test_streamed_span_answers_like_reading_everything():
     # only its last chain completes: the shortest prefix of the candidates
     # that generates, where there are at most 200 of them.  Three
     # particles on the wedges, up to 400 candidates: two particles give
-    # fewer than the first checkpoint reads, so the span reads them whole
+    # few enough that the span mostly reads them whole
     rng = random.Random(23)
     cases = [(g, 3) for _, g in wedge_corpus()]
     while len(cases) < len(wedge_corpus()) + 10:
@@ -921,30 +921,40 @@ def test_span_stops_reading_once_it_generates(small_complexes):
 
 
 def test_span_skips_the_smith_form_short_of_b_k_modulo_2(monkeypatch):
-    # doubled candidates have rank 0 modulo 2, so only the last
-    # checkpoint takes a Smith form; the candidates themselves take one
-    # at the checkpoint that reaches b_1
+    # doubled candidates have rank 0 modulo 2, so their span takes one
+    # Smith form, at their end; the candidates themselves take one at the
+    # checkpoint whose rank modulo 2 reaches b_1.  (A Smith form with
+    # invariant factors other than 1 calls _diagonalize again on its
+    # residual, rows only and modulo a multiple of them.)
     homology = importlib.import_module("graphconf.homology")
-    diagonalize = homology._diagonalize
-    smith = []
+    diagonalize, add_mod_2 = homology._diagonalize, homology._add_mod_2
+    smith, added = [], []
 
     def counted(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
         smith.append(not (rows_only or modulus))
         return diagonalize(rows, rows_only, modulus, max_nnz, log)
 
+    def counted_add(basis, bits, rows):
+        added.append(len(rows))
+        return add_mod_2(basis, bits, rows)
+
     cx = gc.enumerate_cells(gc.complete(5), 2)
     gc.homology(cx)
     chains = gc.enumerate_basic_classes(cx, degree=1).chains
     monkeypatch.setattr(homology, "_diagonalize", counted)
+    monkeypatch.setattr(homology, "_add_mod_2", counted_add)
     assert gc.class_span([z.scaled(2) for z in chains], cx, 1) == (12, False)
-    assert smith.count(True) == 1 and len(smith) > 1
+    assert smith.count(True) == 1 and len(added) > 1
     smith.clear()
-    assert gc.class_span(chains, cx, 1) == (12, True)
-    assert smith.count(True) == 1
+    counted_chains = Counted(chains)
+    assert gc.class_span(counted_chains, cx, 1) == (12, True)
+    assert smith == [True] and counted_chains.read < len(chains)
 
 
-def test_rank_mod_2_matches_a_bitmask_elimination():
-    rank_mod_2 = importlib.import_module("graphconf.homology")._rank_mod_2
+def test_rank_mod_2_grows_like_a_bitmask_elimination():
+    # columns added in parts, on rows seen in any order, give the rank over
+    # GF(2) of all of them, and the parts are left unchanged
+    add_mod_2 = importlib.import_module("graphconf.homology")._add_mod_2
 
     def bitmask_rank(rows):
         basis = {}  # leading bit: row
@@ -960,17 +970,18 @@ def test_rank_mod_2_matches_a_bitmask_elimination():
     rng = random.Random(24)
     for _ in range(300):
         m = random_matrix(rng, max_size=9)
-        cut = rng.randint(0, m.num_cols)
         rows = m.rows()
-        parts = ({r: {c: v for c, v in row.items() if c < cut}
-                  for r, row in rows.items()},
-                 {r: {c: v for c, v in row.items() if c >= cut}
-                  for r, row in rows.items()})
-        copies = [{r: dict(row) for r, row in part.items()} for part in parts]
-        masks = [sum(1 << c for c, v in row.items() if v % 2)
-                 for row in rows.values()]
-        assert rank_mod_2(*parts) == bitmask_rank(masks)
-        assert list(parts) == copies  # the parts are left unchanged
+        cuts = sorted(rng.randint(0, m.num_cols) for _ in range(2))
+        basis, bits = {}, {}
+        for lo, hi in zip([0] + cuts, cuts + [m.num_cols]):
+            part = {r: {c: v for c, v in row.items() if lo <= c < hi}
+                    for r, row in rows.items()}
+            copy = {r: dict(row) for r, row in part.items()}
+            add_mod_2(basis, bits, part)
+            assert part == copy
+            masks = [sum(1 << c for c, v in row.items() if v % 2 and c < hi)
+                     for row in rows.values()]
+            assert len(basis) == bitmask_rank(masks)
 
 
 def test_integral_generation_certificate(small_complexes):
