@@ -514,29 +514,31 @@ def class_span(zs, cx, degree):
     ``Z / L`` finite and ``saturated`` makes ``Z^{C_k} / L`` free; a finite
     subgroup of a free group is 0, so ``L = Z``.
 
-    The stop.  The first batch is ``FIRST_BATCH`` chains, so a
-    smaller input is read whole and pays for nothing but its one Smith
-    form.  After it ``b_k = #C_k - rank D_k - rank D_{k+1}`` comes from
-    the operators of :func:`_operator`, ``rank D_k`` from its record or
-    from a row-only pass that keeps none.  Each later batch is as large
-    as all the batches before it, and brings the chains read up to at
-    least ``b_k``, so a whole read replays the unit phase at most ``2 +
-    log2(N / max(b_k, FIRST_BATCH))`` times for ``N`` chains.  After
-    each batch a checkpoint asks whether the chains read generate.  They
-    do only if the small matrix ``[chains read | R]`` has ``b_k + rank R``
-    invariant factors, all 1, and then its rank modulo every prime is
-    ``b_k + rank R``.  Its rank modulo 2 grows as each batch's columns
-    join one basis over GF(2) (:func:`_add_mod_2`), so a checkpoint short
-    of that costs no elimination; one that reaches it takes the Smith
-    form of a copy of the small matrix.  At ``(b_k, True)`` the span
-    returns: the lattice ``L'`` of the chains read is ``Z``, and every
-    chain is a cycle, so ``L' <= L <= Z`` gives ``L = Z`` for the whole
-    input, whose answer is then ``(b_k, True)`` too.  (The rank never
-    exceeds ``b_k``, and a superset of a generating set still generates.)
-    A Smith form that misses, at a prime other than 2, is taken again
-    only once the chains read have doubled.  An input that never gets
-    there is read to its end and answered by one Smith form of the whole
-    small matrix, as if it had been read at once.
+    The stop.  The first batch is ``FIRST_BATCH`` chains, so a smaller
+    input is read whole and pays for nothing but its one Smith form.  A
+    longer input needs ``b_k = #C_k - rank D_k - rank D_{k+1}``, from the
+    operators of :func:`_operator`, ``rank D_k`` from its record or from
+    a row-only pass that keeps none, and its first batch reads on to
+    ``b_k`` chains, since fewer cannot generate.  Each later batch is as
+    large as all the batches before it, so a whole read of ``N`` chains
+    replays the unit phase at most ``2 + log2(N / max(b_k,
+    FIRST_BATCH))`` times, and a span that stops has read at most twice
+    the chains of the shortest prefix that generates, or its first
+    batch.  After each batch a checkpoint asks whether the chains read
+    generate.  They do only if the small matrix ``[chains read | R]`` has
+    ``b_k + rank R`` invariant factors, all 1, and then its rank modulo
+    every prime is ``b_k + rank R``.  Its rank modulo 2 grows as each
+    batch's columns join one basis over GF(2) (:func:`_add_mod_2`), so a
+    checkpoint short of that costs no elimination; one that reaches it
+    takes the Smith form of a copy of the small matrix.  At ``(b_k,
+    True)`` the span returns: the lattice ``L'`` of the chains read is
+    ``Z``, and every chain is a cycle, so ``L' <= L <= Z`` gives ``L =
+    Z`` for the whole input, whose answer is then ``(b_k, True)`` too.
+    (The rank never exceeds ``b_k``, and a superset of a generating set
+    still generates.)  A Smith form that misses, at a prime other than 2,
+    is taken again only once the chains read have doubled.  An input that
+    never gets there is read to its end and answered by one Smith form of
+    the whole small matrix, as if it had been read at once.
     """
     d = _operator(cx, degree + 1)
     pivots, ((unit, units, _), *_), residual = _recorded(d)
@@ -555,6 +557,14 @@ def class_span(zs, cx, degree):
     read, size, betti, smith_at = 0, FIRST_BATCH, None, 0
     while True:
         batch = list(islice(chains, size))
+        if betti is None and len(batch) == size:
+            counts = cx.cell_counts()
+            betti = ((counts[degree] if 0 <= degree < len(counts) else 0)
+                     - _rank(_operator(cx, degree)) - len(pivots))
+            _add_mod_2(odd, bits, residual)
+            # fewer than b_k chains cannot generate: read on to b_k first
+            size = max(size, betti)
+            batch.extend(islice(chains, size - len(batch)))
         batch_rows = _replay(unit, _cycle_rows(batch, cx, degree,
                                                d.num_cols + read, faces))
         for r, row in batch_rows.items():
@@ -562,18 +572,13 @@ def class_span(zs, cx, degree):
         read += len(batch)
         if len(batch) < size:
             return answer(rows)
-        if betti is None:
-            counts = cx.cell_counts()
-            betti = ((counts[degree] if 0 <= degree < len(counts) else 0)
-                     - _rank(_operator(cx, degree)) - len(pivots))
-            _add_mod_2(odd, bits, residual)
         _add_mod_2(odd, bits, batch_rows)
         if len(odd) - rank_r >= betti and read >= smith_at:
             if answer({r: dict(row) for r, row in rows.items()}) == (
                     betti, True):
                 return betti, True
             smith_at = 2 * read
-        size = max(betti - read, read)
+        size = read
 
 
 def class_span_rank(zs, cx, degree):

@@ -949,6 +949,12 @@ def test_span_skips_the_smith_form_short_of_b_k_modulo_2(monkeypatch):
     counted_chains = Counted(chains)
     assert gc.class_span(counted_chains, cx, 1) == (12, True)
     assert smith == [True] and counted_chains.read < len(chains)
+    # tripled candidates reach b_1 modulo 2 but have factors 3: the Smith
+    # forms at 256 and 512 chains miss, and the span reads to the end
+    smith.clear()
+    counted_chains = Counted([z.scaled(3) for z in chains])
+    assert gc.class_span(counted_chains, cx, 1) == (12, False)
+    assert counted_chains.read == len(chains) and smith.count(True) == 3
 
 
 def test_rank_mod_2_grows_like_a_bitmask_elimination():
