@@ -36,10 +36,12 @@ def _diagonalize(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
     are the result's rows that are not in ``rows``.  ``max_nnz`` caps the
     nonzeros after each pivot.  ``log``, a list, receives ``(ops, pivots,
     modulus)`` for each pass: its row operations in order, ``(r, r0, q)``
-    for ``row_r -= q * row_r0`` (``(r0, r0, 2)`` negates pivot row r0),
-    its pivots and its modulus.  The Smith mode logs its unit phase, with
-    ``(r0, r0, 1)`` where it drops pivot row r0, and, when that leaves a
-    residual, the row-only and modular passes over R.
+    for ``row_r -= q * row_r0`` with ``r != r0``, its pivots and its
+    modulus.  The Smith mode logs its unit phase and, when that leaves a
+    residual, the row-only and modular passes over R.  No row is negated:
+    a pivot ``p`` clears its column by the balanced quotients modulo
+    ``|p|`` given the sign of ``p``, so every other row changes as if its
+    row had been made positive first, and ``|p|`` is its value here.
 
     Every pivot comes from one lazy queue of columns, keyed ``(least, len,
     c)``: ``least`` is the least ``|v|`` the column held when queued (1 for
@@ -54,9 +56,12 @@ def _diagonalize(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
     the queue runs dry only with the matrix.
 
     A unit pivot clears its column, and then its row is dropped: clearing
-    it by column operations would change nothing else.  With ``rows_only``
-    a non-unit pivot clears its column by a remainder cascade, which keeps
-    the rank but not the pivot values.  Otherwise the unit phase ends when
+    it by column operations would change nothing else.  No later
+    operation reads a pivot row, so the drop is not logged, and a replay
+    of the unit phase drops its pivot rows at the end
+    (:func:`_replay_units`).  With ``rows_only`` a non-unit pivot clears
+    its column by a remainder cascade, which keeps the rank but not the
+    pivot values.  Otherwise the unit phase ends when
     the queue offers a non-unit pivot and no unit is left (a row operation
     can make a unit in a column queued under a larger value; one pass over
     the rows left queues such columns again), and the residual R is
@@ -135,17 +140,14 @@ def _diagonalize(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
             if max_nnz is not None:
                 for r in cols[c0]:
                     touched.setdefault(r, len(rows[r]))
-            if rows[r0][c0] < 0:
-                rows[r0] = {c: -v for c, v in rows[r0].items()}
-                if ops is not None:
-                    ops.append((r0, r0, 2))
-            piv = rows[r0][c0]
+            p = rows[r0][c0]
+            piv = abs(p)
             for r in list(cols[c0]):
                 if r == r0:
                     continue
                 q, rem = _divmod_balanced(rows[r][c0], piv)
                 if q:
-                    row_op(r, r0, q)
+                    row_op(r, r0, q if p > 0 else -q)
                 if rem:
                     r0 = r  # strictly smaller value: restart the cascade
                     break
@@ -176,13 +178,11 @@ def _diagonalize(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
                 rows[r0][c] = rem
                 heappush(queue, (piv, 1, c0))
                 c0 = c
-        pivot_of_row[r0] = rows[r0][c0]
+        pivot_of_row[r0] = abs(rows[r0][c0])
         for c in rows.pop(r0):
             cols[c].discard(r0)
             if not cols[c]:
                 del cols[c]
-        if ops is not None and not (rows_only or modulus):
-            ops.append((r0, r0, 1))
         if max_nnz is not None:
             nnz += sum(len(rows.get(r, ())) - n for r, n in touched.items())
             touched.clear()
@@ -203,14 +203,16 @@ def _diagonalize(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
     return pivot_of_row
 
 
-def _replay(ops, rows, modulus=0):
-    """Apply logged row operations in place to sparse rows ``{row: {col:
-    value}}``, in residues modulo ``modulus`` when it is set."""
+def _replay(logged, rows):
+    """Apply the row operations of a logged pass, ``(ops, pivots,
+    modulus)``, in place to sparse rows ``{row: {col: value}}``, in
+    residues modulo ``modulus`` when it is set.  No operation adds a row
+    to itself, so the row read is never the row written."""
+    ops, _, modulus = logged
     for r, r0, q in ops:
         row0 = rows.get(r0)
         if not row0:
             continue
-        row0 = dict(row0) if r == r0 else row0  # a flip or a drop reads a copy
         row = rows.setdefault(r, {})
         for c, v in row0.items():
             nv = row.get(c, 0) - q * v
@@ -222,6 +224,15 @@ def _replay(ops, rows, modulus=0):
                 row.pop(c, None)
         if not row:
             del rows[r]
+    return rows
+
+
+def _replay_units(unit, rows):
+    """:func:`_replay` the logged unit phase ``unit`` on sparse rows, then
+    drop them on its pivot rows, which that phase drops as it takes them."""
+    _replay(unit, rows)
+    for r in unit[1]:
+        rows.pop(r, None)
     return rows
 
 
@@ -261,11 +272,12 @@ def solve_in_image(m, vec):
 
     No elimination runs here: the target, one column of sparse rows,
     replays the row operations of the three recorded passes and is tested
-    after each.  The unit phase drops it on its pivot rows, where it is
-    free; it must vanish on the rows reduced to zero, and the rest lies on
-    R.  After the row-only pass over R, a copy must vanish on the rows that
-    pass reduced to zero, so the target lies in Sat(R), the integer points
-    of the rational span of R.  Replayed modulo M through the modular
+    after each.  After the unit phase it is dropped on that phase's pivot
+    rows, where it is free (:func:`_replay_units`); it must vanish on the
+    rows reduced to zero, and the rest lies on R.  After the row-only pass
+    over R, a copy must vanish on the rows that pass reduced to zero, so
+    the target lies in Sat(R), the integer points of the rational span of
+    R.  Replayed modulo M through the modular
     pass, it is in the image of R modulo M iff M divides it off the pivot
     rows and each pivot gcd(v, M) divides it on its row.  That decides
     membership in L(R), the lattice of R: the last invariant factor of R
@@ -280,16 +292,17 @@ def solve_in_image(m, vec):
             raise ValueError(f"target row {r!r} is not a row of the matrix")
         if type(v) is not int:
             raise ValueError(f"target value {v!r} is not an integer")
-    pivots, ((unit, _, _), *residual), _ = _recorded(m)
-    target = _replay(unit, {r: {0: v} for r, v in vec.items() if v})
+    pivots, (unit, *residual), _ = _recorded(m)
+    target = _replay_units(unit, {r: {0: v} for r, v in vec.items() if v})
     if not residual:
         return not target  # every row left was reduced to zero
-    (echelon, span, _), (modular, found, modulus) = residual
+    echelon, modular = residual
     copy = {r: dict(row) for r, row in target.items()}
-    if not _replay(echelon, copy).keys() <= span.keys():
+    if not _replay(echelon, copy).keys() <= echelon[1].keys():
         return False  # off the rational span of R
+    _, found, modulus = modular
     return all(row[0] % (pivots[r] if r in found else modulus) == 0
-               for r, row in _replay(modular, target, modulus).items())
+               for r, row in _replay(modular, target).items())
 
 
 # -- homology ---------------------------------------------------------------
@@ -345,10 +358,10 @@ def _operator(cx, k):
     ``k+1``, so ``D_k B = 0``, and ``P`` and ``Q`` the rows and columns of
     its unit-phase pivots, in the order taken.  Each unit pivot clears its
     column by adding multiples of its row to the rows left, and its row is
-    then dropped.  So the row of the i-th pivot, when taken, is up to sign
-    its row of ``B`` plus an integer combination of the rows of the
-    earlier pivots, and it is zero in their columns: a lower-triangular
-    matrix with +-1 on its diagonal turns ``B[P,Q]`` into an
+    then dropped.  So the row of the i-th pivot, when taken, is its row
+    of ``B`` plus an integer combination of the rows of the earlier
+    pivots, and it is zero in their columns: a lower-triangular matrix
+    with 1 on its diagonal turns ``B[P,Q]`` into an
     upper-triangular one with +-1 on its diagonal, so ``B[P,Q]`` is
     unimodular.  From ``D_k[:,P] B[P,Q] + D_k[:,P^c] B[P^c,Q] = 0``,
     ``D_k[:,P] = -D_k[:,P^c] B[P^c,Q] B[P,Q]^{-1}``, an integral product:
@@ -427,14 +440,6 @@ def is_boundary(z, cx):
 FIRST_BATCH = 32
 
 
-def _rank(m):
-    """``rank m``, from the record of its elimination when one was made,
-    else from a row-only pass that keeps no record."""
-    if m._elimination is not None:
-        return len(m._elimination[0])
-    return len(_diagonalize(m.rows(), rows_only=True))
-
-
 def _add_mod_2(basis, bits, rows):
     """Add the columns of the sparse rows ``rows``, ``{row: {column:
     value}}``, modulo 2 to ``basis``, which keeps one vector per leading
@@ -504,9 +509,10 @@ def class_span(zs, cx, degree):
     operations split ``U A`` into that block and ``[(U zs) off P | R]``,
     R the recorded residual: ``A`` has ``|P|`` factors 1 and those of the
     small matrix, ``rank D = |P| + rank R``, and ``rank = len(factors) +
-    |P| - rank D``.  The chains, as sparse rows, replay the unit phase,
-    which drops them on ``P``.  Row operations act on each column alone,
-    so each batch replays it once, and the rows of the batches add up.
+    |P| - rank D``.  The chains, as sparse rows, replay the unit phase
+    and are dropped on ``P`` (:func:`_replay_units`).  Row operations act
+    on each column alone, so each batch replays it once, and the rows of
+    the batches add up.
 
     They generate ``H_k`` over the integers iff ``saturated and rank ==
     b_k``.  ``L = span(zs) + im D_{k+1}`` lies in ``Z = ker D_k``, which is
@@ -517,40 +523,32 @@ def class_span(zs, cx, degree):
 
     The stop.  The first batch is ``FIRST_BATCH`` chains, so a smaller
     input is read whole and pays for nothing but its one Smith form.  A
-    longer input needs ``b_k = #C_k - rank D_k - rank D_{k+1}``, from the
-    operators of :func:`_operator`, ``rank D_k`` from its record or from
-    a row-only pass that keeps none, and its first batch reads on to
-    ``b_k`` chains, since fewer cannot generate.  Each later batch is as
-    large as all the batches before it, so a whole read of ``N`` chains
-    replays the unit phase at most ``2 + log2(N / max(b_k,
-    FIRST_BATCH))`` times, and a span that stops has read at most twice
-    the chains of the shortest prefix that generates, or its first
+    longer input needs ``b_k`` from :func:`homology`, which records the
+    operators below ``D_{k+1}`` that no call has recorded yet, and its
+    first batch reads on to ``b_k`` chains, since fewer cannot generate.
+    Each later batch is as large as all the batches before it, so a whole
+    read of ``N`` chains replays the unit phase at most ``2 + log2(N /
+    max(b_k, FIRST_BATCH))`` times, and a span that stops has read at most
+    twice the chains of the shortest prefix that generates, or its first
     batch.  After each batch a checkpoint asks whether the chains read
     generate.  They do only if the small matrix ``[chains read | R]`` has
     ``b_k + rank R`` invariant factors, all 1, and then its rank modulo
     every prime is ``b_k + rank R``.  Its rank modulo 2 grows as each
     batch's columns join one basis over GF(2) (:func:`_add_mod_2`), so a
     checkpoint short of that costs no elimination; one that reaches it
-    takes the Smith form of a copy of the small matrix.  At ``(b_k,
-    True)`` the span returns: the lattice ``L'`` of the chains read is
-    ``Z``, and every chain is a cycle, so ``L' <= L <= Z`` gives ``L =
-    Z`` for the whole input, whose answer is then ``(b_k, True)`` too.
-    (The rank never exceeds ``b_k``, and a superset of a generating set
-    still generates.)  A Smith form that misses, at a prime other than 2,
-    is taken again only once the chains read have doubled.  An input that
-    never gets there is read to its end and answered by one Smith form of
-    the whole small matrix, as if it had been read at once.
+    takes the Smith form of a copy of the small matrix.  At ``(b_k, True)``
+    the span returns: the lattice ``L'`` of the chains read is ``Z``, and
+    every chain is a cycle, so ``L' <= L <= Z`` gives ``L = Z`` for the
+    whole input, whose answer is then ``(b_k, True)`` too.  (The rank never
+    exceeds ``b_k``, and a superset of a generating set still generates.)
+    A Smith form that misses, at a prime other than 2, is taken again only
+    once the chains read have doubled.  An input that never gets there is
+    read to its end and answered by one Smith form of the whole small
+    matrix, as if it had been read at once.
     """
     d = _operator(cx, degree + 1)
-    pivots, ((unit, units, _), *_), residual = _recorded(d)
-    rank_r = len(pivots) - len(units)
-
-    def answer(rows):
-        for r, row in residual.items():
-            rows.setdefault(r, {}).update(row)
-        factors = _diagonalize(rows).values()
-        return len(factors) - rank_r, all(f == 1 for f in factors)
-
+    pivots, (unit, *_), residual = _recorded(d)
+    rank_r = len(pivots) - len(unit[1])
     chains = iter(zs)
     rows = {}  # cell index: {chain: coefficient}, chains after D's columns
     faces = {}  # the columns of D_k read by the cycle checks
@@ -559,25 +557,28 @@ def class_span(zs, cx, degree):
     while True:
         batch = list(islice(chains, size))
         if betti is None and len(batch) == size:
-            counts = cx.cell_counts()
-            betti = ((counts[degree] if 0 <= degree < len(counts) else 0)
-                     - _rank(_operator(cx, degree)) - len(pivots))
+            betti = homology(cx).betti(degree)
             _add_mod_2(odd, bits, residual)
             # fewer than b_k chains cannot generate: read on to b_k first
             size = max(size, betti)
             batch.extend(islice(chains, size - len(batch)))
-        batch_rows = _replay(unit, _cycle_rows(batch, cx, degree,
-                                               d.num_cols + read, faces))
+        batch_rows = _replay_units(unit, _cycle_rows(
+            batch, cx, degree, d.num_cols + read, faces))
         for r, row in batch_rows.items():
             rows.setdefault(r, {}).update(row)
         read += len(batch)
-        if len(batch) < size:
-            return answer(rows)
-        _add_mod_2(odd, bits, batch_rows)
-        if len(odd) - rank_r >= betti and read >= smith_at:
-            if answer({r: dict(row) for r, row in rows.items()}) == (
-                    betti, True):
-                return betti, True
+        end = len(batch) < size
+        if not end:
+            _add_mod_2(odd, bits, batch_rows)
+        if end or len(odd) - rank_r >= betti and read >= smith_at:
+            # the small matrix [chains read | R], on a copy short of the end
+            small = rows if end else {r: dict(row) for r, row in rows.items()}
+            for r, row in residual.items():
+                small.setdefault(r, {}).update(row)
+            factors = _diagonalize(small).values()
+            got = len(factors) - rank_r, all(f == 1 for f in factors)
+            if end or got == (betti, True):
+                return got
             smith_at = 2 * read
         size = read
 

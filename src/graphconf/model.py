@@ -581,22 +581,20 @@ class CubeComplex:
         ``k``-cells indexed by ``cleared`` are left out, the others kept in
         order.  Outside ``1..max_dim`` it is the zero matrix of its shape."""
         rows = len(self._keys[k - 1]) if 1 <= k <= self.max_dim + 1 else 0
-        keys = self._keys[k] if 0 <= k <= self.max_dim else ()
-        keys = [key for i, key in enumerate(keys) if i not in cleared]
-        entries = ()
-        if 1 <= k <= self.max_dim:
-            entries = self._book.boundary(keys, self._keys[k - 1])
+        cells = len(self._keys[k]) if 0 <= k <= self.max_dim else 0
+        kept = [i for i in range(cells) if i not in cleared]
         # valid and sorted by construction: wrapped without a checked copy
         m = SparseIntMatrix.__new__(SparseIntMatrix)
-        m.num_rows, m.num_cols, m.entries = rows, len(keys), entries
+        m.num_rows, m.num_cols = rows, len(kept)
+        m.entries = tuple(self.boundary_columns(k, kept))
         m._elimination = None
         return m
 
     def boundary_columns(self, k, cells):
         """``(row, j, sign)`` entries of the boundary of the ``k``-cells
-        indexed by ``cells``, ``j`` their position there: the columns of
-        :meth:`boundary_entries` that a few cells need, and none outside
-        ``1..max_dim``."""
+        indexed by ``cells``, ``j`` their position there, in (row, j)
+        order, none outside ``1..max_dim``: the one assembly path, for
+        :meth:`boundary_entries` and for the few cells of a span."""
         if not 1 <= k <= self.max_dim:
             return ()
         keys = self._keys[k]

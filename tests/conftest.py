@@ -343,8 +343,9 @@ def reference_class_span(zs, cx, degree):
     """``(rank, saturated)`` of :func:`graphconf.class_span` as it was
     before spans streamed: every chain is indexed and checked against the
     whole assembled ``D_degree`` before any is reduced, and then all of
-    them replay the recorded unit phase of ``D_{degree+1}`` together and
-    are eliminated once beside its residual R."""
+    them replay the recorded unit phase of ``D_{degree+1}`` together, are
+    dropped on its pivot rows and are eliminated once beside its residual
+    R."""
     from graphconf.homology import (_chain_vector, _diagonalize, _operator,
                                     _recorded, _replay)
     d = _operator(cx, degree + 1)
@@ -360,8 +361,11 @@ def reference_class_span(zs, cx, degree):
             image[r, j] = image.get((r, j), 0) + v * w
     if any(image.values()):
         raise ValueError("span input is not a cycle")
-    pivots, ((unit, units, _), *_), residual = _recorded(d)
+    pivots, (unit, *_), residual = _recorded(d)
     _replay(unit, rows)
+    units = unit[1]
+    for r in units:
+        rows.pop(r, None)  # free on the unit pivot rows
     for r, row in residual.items():
         rows.setdefault(r, {}).update(row)
     factors = _diagonalize(rows).values()

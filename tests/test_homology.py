@@ -8,7 +8,7 @@ import pytest
 
 import graphconf as gc
 from graphconf.model import Chain, boundary_chain
-from graphconf.homology import (SparseIntMatrix, _diagonalize,
+from graphconf.homology import (SparseIntMatrix, _diagonalize, _replay,
                                 rank_over_rationals, smith_normal_form,
                                 solve_in_image)
 from graphconf.checks import (_random_matrix, _random_unimodular_shuffle,
@@ -368,19 +368,45 @@ def _targets(rng, m):
     return targets
 
 
+def _recorded_cases(rng):
+    """Random small matrices, non-unit ones and three planted ones, the
+    last returned also as ``(matrix, factors, columns)``."""
+    cases = [random_matrix(rng, max_size=4, lo=-2, hi=2) for _ in range(120)]
+    cases += [non_unit_matrix(rng, 4) for _ in range(60)]
+    planted = [planted_matrix(rng, size, factors, rank, image=True)
+               for size, rank, factors in ((6, 5, (2, 6)), (10, 8, (3, 9)),
+                                           (16, 14, (2, 4, 8)))]
+    return cases + [m for m, _, _ in planted], planted
+
+
+def _took_a_negative_unit(m, unit):
+    """Whether the unit phase of ``m`` took a pivot -1, as far as its log
+    tells.  After the replay each pivot row is its row when taken, and its
+    pivot column is zero in every row left after it: a row whose entries
+    of +-1 in such columns are all -1 took a pivot -1."""
+    rows = _replay(unit, m.rows())
+    units = unit[1]
+    later = set()
+    for r, row in rows.items():
+        if r not in units:
+            later |= row.keys()
+    for r in reversed(list(units)):
+        row = rows[r]
+        signs = {v for c, v in row.items() if v in (1, -1) and c not in later}
+        if signs == {-1}:
+            return True
+        later |= row.keys()
+    return False
+
+
 def test_recorded_elimination_answers_like_a_fresh_matrix():
     # a Smith form or a solve records the elimination on the matrix, and
     # every later call reads the record: in either order and repeated, each
     # answer equals the same call on an equal matrix with no record, and
     # the minors oracles on small matrices
     rng = random.Random(27)
-    cases = [random_matrix(rng, max_size=4, lo=-2, hi=2) for _ in range(120)]
-    cases += [non_unit_matrix(rng, 4) for _ in range(60)]
-    planted = [planted_matrix(rng, size, factors, rank, image=True)
-               for size, rank, factors in ((6, 5, (2, 6)), (10, 8, (3, 9)),
-                                           (16, 14, (2, 4, 8)))]
-    cases += [m for m, _, _ in planted]
-    flips = deficient = 0
+    cases, planted = _recorded_cases(rng)
+    negative = deficient = 0
     for i, m in enumerate(cases):
         targets = _targets(rng, m)
 
@@ -398,11 +424,13 @@ def test_recorded_elimination_answers_like_a_fresh_matrix():
             assert factors == minors_gcd_invariant_factors(m)
             assert verdicts == [minors_solvable(m, t) for t in targets]
         pivots, passes, residual = m._elimination
-        flips += any(r == r0 and q == 2
-                     for ops, _, _ in passes for r, r0, q in ops)
-        # the unit phase logs the drop of each of its pivot rows
-        unit, units, _ = passes[0]
-        assert [r for r, r0, q in unit if r == r0 and q == 1] == list(units)
+        # every logged operation adds a multiple of another row: no pivot
+        # row is negated, and none is dropped by an operation
+        assert all(r != r0 for ops, _, _ in passes for r, r0, _ in ops)
+        # the unit pass's pivots are the record's pivot rows off R
+        units = passes[0][1]
+        assert units == dict.fromkeys(pivots.keys() - residual.keys(), 1)
+        negative += _took_a_negative_unit(m, passes[0])
         assert bool(residual) == (len(passes) == 3)
         if residual:
             # the rows of R are the row-only pass's pivot rows and the
@@ -411,7 +439,7 @@ def test_recorded_elimination_answers_like_a_fresh_matrix():
             assert len(found) == len(span)
             assert residual.keys() == {r for r, _, _ in echelon} | span.keys()
             deficient += len(residual) > len(span)
-    assert flips > 20 and deficient > 10
+    assert negative > 20 and deficient > 10
     for (m, diag, cols), rank in zip(planted, (5, 8, 14)):
         assert smith_normal_form(m) == diag
         for j, col in enumerate(cols[:rank]):
@@ -425,6 +453,22 @@ def test_recorded_elimination_answers_like_a_fresh_matrix():
     factors[0] = 0
     factors.append(7)
     assert smith_normal_form(m) == want
+
+
+def test_negated_matrices_answer_alike():
+    # -m has every unit pivot of m with the other sign, so the two cover
+    # both signs of a pivot row that is never negated: the same Smith
+    # form, rank and solves, on the matrices of the recorded-elimination
+    # test
+    rng = random.Random(27)
+    cases, _ = _recorded_cases(rng)
+    for m in cases:
+        neg = SparseIntMatrix(m.num_rows, m.num_cols,
+                              [(r, c, -v) for r, c, v in m.entries])
+        assert smith_normal_form(neg) == smith_normal_form(m)
+        assert rank_over_rationals(neg) == rank_over_rationals(m)
+        for t in _targets(rng, m):
+            assert solve_in_image(neg, t) == solve_in_image(m, t)
 
 
 def test_integer_kernel_basis():
