@@ -397,22 +397,32 @@ class SparseIntMatrix:
         return f"SparseIntMatrix({self.num_rows}x{self.num_cols}, nnz={self.nnz})"
 
 
+# the kinds of move in a face table
+_FULL, _LOOP, _PUSH, _APPEND = range(4)
+
+
 class _Codebook:
     """Order-preserving int codes for the states of ``n`` particles on one
     graph, and the tables that pack, unpack and take faces of cell keys.
 
     ``states`` lists, in sorted order, every state that passes
     :func:`state_is_valid`, with the slots ``('E', e, r)`` for ``r < n``.
-    ``moves[c]`` is ``None`` for a resting state; for a move it is
-    ``(side-1 code, side-0 code, lo)``: ``lo`` is ``None`` for an ``MF``,
-    and for an ``ME`` it is the code of slot 0 of its edge, with a side-0
-    code of ``None`` at end 0 (slot 0, pushing the occupants up) and ``lo``
-    at end 1 (slot ``lo + occupants``).  ``edge_lo[c]`` is ``lo`` of the
-    edge of an ``E`` code and ``-1`` for any other code.
+    ``slots[p]`` maps each pair ``(p, state)`` to its code shifted into
+    particle ``p``'s place and then ``dim_bits`` further, plus 1 for a
+    move, so the sum over a cell's pairs is ``key << dim_bits | dim``.
+    ``faces[p][c]`` is ``None`` for a resting state; for a move it is
+    ``(kind, up, down, lo)``: adding ``up`` or ``down`` to a key replaces
+    particle ``p``'s move ``c`` by its side-1 or side-0 state, and ``lo``
+    is the code of slot 0 of an ``ME``'s edge.  ``_FULL`` is an ``MF``,
+    ``_LOOP`` an ``MF`` on a loop at a sink (its two faces cancel),
+    ``_PUSH`` an ``ME`` at end 0 (into slot 0, pushing the occupants up)
+    and ``_APPEND`` an ``ME`` at end 1 (into the slot after the
+    occupants); the occupants of that edge hold the codes ``lo``,
+    ``lo + 1``, ... in slot order.
     """
 
-    __slots__ = ("graph", "n", "states", "code", "mask", "shifts", "pairs",
-                 "moves", "edge_lo")
+    __slots__ = ("graph", "n", "states", "mask", "shifts", "pairs",
+                 "dim_bits", "slots", "faces")
 
     def __init__(self, g, n):
         states = [("V", v) for v in range(g.num_vertices)]
@@ -422,42 +432,42 @@ class _Codebook:
         states = sorted(s for s in states if state_is_valid(g, s))
         code = {s: c for c, s in enumerate(states)}
         width = max(1, (len(states) - 1).bit_length())
-        self.graph, self.n, self.states, self.code = g, n, states, code
+        self.graph, self.n, self.states = g, n, states
         self.mask = (1 << width) - 1
-        self.shifts = [width * (n - 1 - p) for p in range(n)]
+        self.shifts = shifts = [width * (n - 1 - p) for p in range(n)]
         # one shared (pid, state) pair per code, for every decoded cell
         self.pairs = [[(p, s) for s in states] for p in range(n)]
-        self.moves = [None] * len(states)
-        self.edge_lo = [-1] * len(states)
+        self.dim_bits = bits = n.bit_length()
+        self.slots = [{(p, s): (c << shifts[p] << bits) + is_move_state(s)
+                       for c, s in enumerate(states)} for p in range(n)]
+        self.faces = faces = [[None] * len(states) for _ in shifts]
         # with no particles there are no slots and no faces to take
         for c, s in enumerate(states if n else ()):
-            if s[0] == "E":
-                self.edge_lo[c] = code[("E", s[1], 0)]
-            elif s[0] == "MF":
-                u, v = g.edges[s[1]]
-                self.moves[c] = (code[("V", v)], code[("V", u)], None)
+            if s[0] == "MF":
+                down, up = (code[("V", v)] for v in g.edges[s[1]])
+                kind, lo = _LOOP if up == down else _FULL, None
             elif s[0] == "ME":
-                lo = code[("E", s[1], 0)]
-                self.moves[c] = (code[("V", g.edges[s[1]][s[2]])],
-                                 lo if s[2] else None, lo)
+                kind = _APPEND if s[2] else _PUSH
+                up, lo = code[("V", g.edges[s[1]][s[2]])], code[("E", s[1], 0)]
+                down = lo
+            else:
+                continue
+            for table, shift in zip(faces, shifts):
+                table[c] = (kind, (up - c) << shift, (down - c) << shift, lo)
 
     def encode(self, cell):
         """``(dim, key)`` of a complete pair-tuple cell; ``KeyError`` for
         anything that is not one."""
-        code, shifts, moves = self.code, self.shifts, self.moves
+        slots = self.slots
         try:
             if len(cell) != self.n:
                 raise KeyError(cell)
-            key = dim = 0
-            for p, (pid, state) in enumerate(cell):
-                c = code[state]
-                if pid != p:
-                    raise KeyError(cell)
-                key |= c << shifts[p]
-                dim += moves[c] is not None
-        except (TypeError, ValueError):
+            # the table of place p holds only pairs of pid p
+            packed = sum(map(dict.__getitem__, slots, cell))
+        except TypeError:
             raise KeyError(cell) from None
-        return dim, key
+        bits = self.dim_bits
+        return packed & ((1 << bits) - 1), packed >> bits
 
     def decode(self, groups, table, make):
         """Cells of ``groups`` of keys, each ``make([table[p][code of p]
@@ -471,46 +481,41 @@ class _Codebook:
         """Sorted ``(row, col, sign)`` entries of the boundary from the keys
         ``cols`` to the sorted keys ``rows``; the same terms as
         :func:`boundary_of_cell` on the decoded cells."""
-        mask, shifts, moves, edge_lo = (self.mask, self.shifts, self.moves,
-                                        self.edge_lo)
+        mask, shifts, faces = self.mask, self.shifts, self.faces
         units = [1 << s for s in shifts]
-        # a face past the last row reads None instead of raising IndexError
-        padded = [*rows, None]
+        row = dict(zip(rows, range(len(rows))))
         entries = []
         append = entries.append
         for j, key in enumerate(cols):
             codes = [(key >> s) & mask for s in shifts]
             sign = 1
-            for p, c in enumerate(codes):
-                move = moves[c]
-                if move is None:
-                    continue
-                s = shifts[p]
-                up, down, lo = move
-                key0 = key
-                if lo is None:
-                    if up == down:
-                        # a full traversal of a loop at a sink: the two
-                        # equal faces cancel
+            try:
+                for table, unit, c in zip(faces, units, codes):
+                    move = table[c]
+                    if move is None:
+                        continue
+                    kind, up, down, lo = move
+                    if kind == _PUSH:
+                        # the occupants hold slots lo, lo + 1, ...
+                        d = lo
+                        while d in codes:
+                            down += units[codes.index(d)]
+                            d += 1
+                    elif kind == _APPEND:
+                        d = lo
+                        while d in codes:
+                            d += 1
+                        down += unit * (d - lo)
+                    elif kind == _LOOP:
                         sign = -sign
                         continue
-                elif down is None:
-                    # into slot 0 at the iota end: the occupants move up
-                    down = lo
-                    key0 += sum([units[q] for q, d in enumerate(codes)
-                                 if edge_lo[d] == lo])
-                else:
-                    # into the slot after the occupants at the tau end
-                    down += len([d for d in codes if edge_lo[d] == lo])
-                f1, f0 = key + ((up - c) << s), key0 + ((down - c) << s)
-                i1, i0 = bisect_left(rows, f1), bisect_left(rows, f0)
-                if padded[i1] != f1 or padded[i0] != f0:
-                    cell = self.decode([[key]], self.pairs, tuple)[0][0]
-                    raise InvariantError(
-                        f"a face of {cell} is not a cell of the complex")
-                append((i1, j, sign))
-                append((i0, j, -sign))
-                sign = -sign
+                    append((row[key + up], j, sign))
+                    append((row[key + down], j, -sign))
+                    sign = -sign
+            except KeyError:
+                cell = self.decode([[key]], self.pairs, tuple)[0][0]
+                raise InvariantError(
+                    f"a face of {cell} is not a cell of the complex") from None
         # columns were appended in order, one entry per (row, column), so a
         # stable sort by row is the (row, column) order
         entries.sort(key=itemgetter(0))
@@ -601,8 +606,17 @@ class CubeComplex:
         return self._book.boundary([keys[i] for i in cells], self._keys[k - 1])
 
     def relabeled(self, perm):
-        """The same complex with particles renamed; cell sets per dimension
-        are identical as sets, so this reindexes rather than re-enumerates."""
+        """The same complex with particles renamed by ``perm`` (old id ->
+        new id, a dict or a list), which must map ``range(n)`` onto itself;
+        cell sets per dimension are identical as sets, so this reindexes
+        rather than re-enumerates."""
+        try:
+            images = {perm[p] for p in range(self.n)}
+        except LookupError:
+            images = None
+        if images != set(range(self.n)):
+            raise ValueError(f"{perm!r} is not a permutation of the"
+                             f" {self.n} particles")
         book = self._book
         moved = [(s, book.shifts[perm[p]]) for p, s in enumerate(book.shifts)]
         keys = [sorted(sum(((key >> s) & book.mask) << t for s, t in moved)
@@ -636,22 +650,31 @@ def enumerate_cells(g, n, max_cells=DEFAULT_MAX_CELLS):
                   for c, s in states if is_move_state(s)]
     claimed = set()
     mf_used = set()
+    # key offsets of every slot order of the particles on one edge
+    slot_orders = {}
 
     def emit(key, dim, crowded):
         nonlocal total
-        offsets = [0]
         if crowded:
-            # slot r of an edge's occupant list adds r to its code
+            offsets = [key]
             for _, group in interior_items:
                 if len(group) > 1:
-                    offsets = [o + sum(r << shifts[p] for r, p in enumerate(order))
-                               for o in offsets
-                               for order in itertools.permutations(group)]
-        total += len(offsets)
+                    group = tuple(group)
+                    orders = slot_orders.get(group)
+                    if orders is None:
+                        # slot r of an edge's occupant list adds r to its code
+                        orders = slot_orders[group] = [
+                            sum(r << shifts[p] for r, p in enumerate(order))
+                            for order in itertools.permutations(group)]
+                    offsets = [o + q for o in offsets for q in orders]
+            cells[dim].extend(offsets)
+            total += len(offsets)
+        else:
+            cells[dim].append(key)
+            total += 1
         if total > max_cells:
             raise CapExceededError(
                 f"more than {max_cells} cells; instance beyond desk scale")
-        cells[dim].extend(key + o for o in offsets)
 
     def assign(pid, key, dim, crowded):
         if pid == n:

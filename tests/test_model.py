@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from math import factorial
 
@@ -52,6 +54,9 @@ def test_sink_circle_is_bouquet():
     (gc.banana(4), 2),
     (gc.circle(sinks={0}), 3),
     (gc.star(3, sinks={1}), 2),
+    # two crowded edges in one cell
+    (gc.banana(2), 4),
+    (gc.star(3, sinks={1}), 4),
 ])
 def test_enumeration_matches_brute_force(graph, n):
     # oracle: filter the full syntactic state universe through an
@@ -73,6 +78,12 @@ def test_enumeration_deterministic():
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         gc.enumerate_cells(gc.complete(5), 3, max_cells=100)
+    # the cap is exact, also where one leaf emits every slot order of two
+    # crowded edges at once
+    assert sum(gc.enumerate_cells(gc.banana(3), 4,
+                                  max_cells=4584).cell_counts()) == 4584
+    with pytest.raises(CapExceededError, match="more than 4583 cells"):
+        gc.enumerate_cells(gc.banana(3), 4, max_cells=4583)
 
 
 def test_zero_particles():
@@ -223,6 +234,8 @@ def test_boundary_entries_match_reference(small_complexes):
         pool.append(gc.enumerate_cells(star_circle, n))
         pool.append(gc.enumerate_cells(gc.h_graph(sinks={5}), n))
     pool.append(small_complexes("banana4-n3").relabeled({0: 2, 1: 0, 2: 1}))
+    # 72 cells with two crowded edges, 792 with three particles on one edge
+    pool.append(gc.enumerate_cells(gc.banana(3), 4))
     # the full traversal of the loop at the sink has two faces that cancel
     cx = gc.enumerate_cells(loop_at_sink, 1)
     assert cx.cell_counts() == (3, 4)
@@ -250,6 +263,7 @@ def test_index_contract(small_complexes):
         ((0, ("E", 0, 3)), (1, ("E", 1, 0)), (2, ("E", 2, 0))),  # slot >= n
         ((0, ("V", 0)), (1, ("V", 0)), (2, ("E", 0, 0))),  # shared vertex
         tuple(reversed(cell)),                       # pids out of order
+        (cell[0], cell[0], cell[2]),                 # a repeated pid
     ]
     assert cell_is_valid(cx.graph, outside[0])
     for bad in outside:
@@ -261,10 +275,21 @@ def test_index_contract(small_complexes):
             gc.is_boundary(z, cx)
         with pytest.raises(ValueError, match="support outside the complex"):
             gc.class_span_rank([z], cx, 0)
-    for junk in ("abc", 3, ((0, ["V", 0]),) * 3):
+    for junk in ("abc", 3, ((0, ["V", 0]),) * 3, cell[:2] + ((2, ("X",)),),
+                 cell[:2] + ((2, ["V", 0]),), cell + cell[:1]):
         assert junk not in cx.index
     empty = gc.enumerate_cells(gc.star(3), 0)
     assert empty.index[()] == (0, 0) and list(empty.index) == [()]
+
+
+def test_export_pinned_with_crowded_edges():
+    # cells with two crowded edges at once, in the machine export format
+    cx = gc.enumerate_cells(gc.banana(3), 4)
+    data = (json.dumps(complex_to_doc(cx), sort_keys=True, indent=2)
+            + "\n").encode()
+    assert len(data) == 1_557_884
+    assert hashlib.sha256(data).hexdigest() == (
+        "7692e6694c0ed319ba09560b1cbb2b2b6549a3062422602161b9fc1f22db43a9")
 
 
 # -- corners ----------------------------------------------------------------
@@ -308,6 +333,18 @@ def test_relabel_identity_and_inverse():
     perm = {0: 2, 1: 0, 2: 1}
     inv = {2: 0, 0: 1, 1: 2}
     assert relabel_cell(relabel_cell(cell, perm), inv) == cell
+
+
+def test_relabeled_requires_a_permutation():
+    cx = gc.enumerate_cells(gc.star(3), 2)
+    for perm in ({0: 0, 1: 0}, {0: 1}, {0: 1, 1: 2}, [0], [1, 1]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            cx.relabeled(perm)
+    for perm in ({0: 1, 1: 0}, [1, 0]):
+        swapped = cx.relabeled(perm)
+        assert swapped.cell_counts() == cx.cell_counts()
+        assert {c for group in swapped.cells for c in group} == {
+            relabel_cell(c, perm) for group in cx.cells for c in group}
 
 
 def test_relabel_chain_orientation_sign():
