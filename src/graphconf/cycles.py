@@ -11,7 +11,10 @@ opposite sign, so a crossing cycle is one walk: one crossing order
 forwards, the other replayed in reverse.  The routine requires the walk
 to return to its start, so the chain has zero boundary by telescoping;
 it checks that contract explicitly and raises ``InvariantError`` when it
-fails.
+fails.  A candidate walks its itinerary once, with every particle it
+does not move left out; each parking of those particles replays the
+recorded walk with them slotted in (:meth:`_Walk.parked`), checking
+nothing per step.
 
 An "end station" abstracts where a particle rests just off a vertex v on
 a chosen half-edge: on an edge without sink endpoints it is the outermost
@@ -25,11 +28,12 @@ import itertools
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graphs import Graph, banana, dimension_bound, edge_of_end, end_side, \
     essential_vertices, other_end, wedge
 from .model import (Chain, InvariantError, _claimed_vertices, _face_at,
-                    boundary_chain, cell_is_valid, enumerate_cells, face,
+                    boundary_chain, cell_is_valid, enumerate_cells,
                     is_move_state, make_cell, state_is_valid, state_record)
 
 
@@ -194,12 +198,22 @@ class _Walk:
     faces of checked cells), so a move makes a valid cell exactly when its
     state is valid and claims no vertex another particle rests on.  A move
     leaves the configuration by whichever face of its cell it is on, so
-    the same move state steps forwards or back."""
+    the same move state steps forwards or back.
+
+    ``steps`` records every move as ``(i, cell, coef)``: the mover's
+    position in the cell, the cell and the sign it was crossed with.
+    ``sides`` gives, for each particle resting in an edge interior at the
+    start, the end of the edge it sits at (0 or 1; absent when it has no
+    end).  From these :meth:`parked` builds the walk again with more
+    particles parked, stepping through nothing."""
 
     def __init__(self, graph, start):
         self.graph = graph
         self.config = start
         self.terms = {}
+        self.steps = []
+        self.sides = {}
+        self._plan = None
 
     def move(self, pid, move_state):
         g = self.graph
@@ -236,24 +250,157 @@ class _Walk:
             self.terms[cell] = c
         else:
             self.terms.pop(cell, None)
+        self.steps.append((i, cell, coef))
         self.config = nxt
+
+    def chain(self):
+        """The chain of the walk so far, its terms copied afresh: the
+        walk's own dict keeps the room of every cell it dropped."""
+        return Chain._merged(self.graph, 1, dict(self.terms.items()))
+
+    def _entry_plan(self):
+        """For each step, ``{edge: (below, ups)}`` over the edges that
+        particles rest on in its cell: ``below`` counts those that entered
+        the edge by its iota end, ``ups`` lists the positions of those that
+        entered by its tau end.  Then the edges the walk touches, and the
+        edges where a parked particle would be passed (a particle leaves by
+        the other end than it entered by, or its end is unknown) or not
+        restored (a particle at the end entered by another end than at the
+        start)."""
+        sides = dict(self.sides)
+        layouts = []
+        touched = set()
+        unsafe = set()
+        for i, cell, coef in self.steps:
+            layout = {}
+            for j, (p, s) in enumerate(cell):
+                if s[0] == "E":
+                    below, ups = layout.get(s[1], (0, ()))
+                    side = sides.get(p)
+                    if side == 0:
+                        below += 1
+                    elif side == 1:
+                        ups += (j,)
+                    else:
+                        unsafe.add(s[1])
+                    layout[s[1]] = (below, ups)
+            layouts.append(layout)
+            touched.update(layout)
+            pid, move = cell[i]
+            if move[0] == "ME":
+                touched.add(move[1])
+                if coef == 1:
+                    # from the slot at end move[2] out to the vertex
+                    if sides.pop(pid, None) != move[2]:
+                        unsafe.add(move[1])
+                else:
+                    sides[pid] = move[2]
+        unsafe.update(s[1] for p, s in self.config
+                      if s[0] == "E" and sides.get(p) != self.sides.get(p))
+        return layouts, touched, unsafe
+
+    def parked(self, parking):
+        """The chain of this closed, checked walk, replayed with the
+        particles of ``parking`` parked: ``('V', sink)`` or ``('E', e, k)``,
+        the ``k`` ordering the parked particles of one edge, as
+        :func:`_parking_options` yields them.
+
+        Parked particles never move, and no step is checked again.  On an
+        edge, the parked group sits between the particles that entered it
+        by the iota end and those that entered by the tau end, since an
+        entering particle takes the outermost slot at its end.  So each
+        step's cell is the recorded cell with the parked pairs slotted in by
+        that rule, applied per step from the ends the particles entered by:
+        one cell can recur with its particle entered by either end (a loop
+        at a star centre, an edge that is a side edge at both ends of a
+        crossing), so a rule per cell would not do.  Where no particle
+        leaves an edge by the other end than it entered by, the group is
+        never passed, so each step's cell has the configurations before
+        and after the step as its two faces; where every particle on the
+        edge at the end entered it by the same end as at the start, the
+        replay closes.  Then its boundary telescopes to zero.  A parking on
+        an edge where either fails, or at a vertex that is not a sink,
+        does not close and raises ``InvariantError``.
+        """
+        g = self.graph
+        if not parking:
+            return self.chain()
+        if self._plan is None:
+            self._plan = self._entry_plan()
+        layouts, touched, unsafe = self._plan
+        fixed = []
+        groups = {}
+        for pid, st in sorted(parking.items()):
+            if st[0] == "V" and g.is_sink(st[1]):
+                fixed.append((pid, st))
+            elif st[0] == "E" and st[1] not in unsafe:
+                groups.setdefault(st[1], []).append((st[2], pid))
+            else:
+                raise InvariantError(
+                    f"parking {st} of particle {pid} does not close the walk")
+        moving = []
+        for e, slots in groups.items():
+            pids = [pid for _, pid in sorted(slots)]
+            if e in touched:
+                moving.append((e, pids))
+            else:
+                fixed.extend((pid, ("E", e, r)) for r, pid in enumerate(pids))
+        # every cell lists the same particles, so one permutation sorts them
+        order = [p for p, _ in self.config]
+        order += [pid for _, pids in moving for pid in pids]
+        order += [p for p, _ in fixed]
+        order = itemgetter(*sorted(range(len(order)), key=order.__getitem__))
+        fixed = tuple(fixed)
+        if not moving:
+            # constant parked states: the map of cells is injective
+            return Chain._merged(g, 1, {order(cell + fixed): coef
+                                        for cell, coef in self.terms.items()})
+        # the parked pairs of an edge for each count below them, and each
+        # pair moved above them, built once and shared by every cell
+        moving = [(e, len(pids), [[(pid, ("E", e, below + r))
+                                   for r, pid in enumerate(pids)]
+                                  for below in range(len(self.config) + 1)])
+                  for e, pids in moving]
+        bumped = {}
+        terms = {}
+        for (_, cell, coef), layout in zip(self.steps, layouts):
+            pairs = list(cell)
+            for e, k, slotted in moving:
+                below, ups = layout.get(e, (0, ()))
+                for j in ups:
+                    pair = pairs[j]
+                    up = bumped.get(pair)
+                    if up is None:
+                        up = bumped[pair] = (pair[0], ("E", e, pair[1][2] + k))
+                    pairs[j] = up
+                pairs += slotted[below]
+            pairs += fixed
+            cell = order(pairs)
+            c = terms.get(cell, 0) + coef
+            if c:
+                terms[cell] = c
+            else:
+                del terms[cell]
+        return Chain._merged(g, 1, dict(terms.items()))
 
 
 def _walk_cycle(g, parking, rests, moves):
-    """The 1-cycle of an itinerary: ``moves`` is a list of
+    """The closed walk of an itinerary: ``moves`` is a list of
     ``(particle, move state)`` steps replayed from the configuration that
     :func:`assemble_configuration` builds from ``parking`` and ``rests``;
-    the walk must end where it started."""
+    the walk must end where it started, and its chain must be a cycle."""
     start = assemble_configuration(g, parking, rests)
     walk = _Walk(g, start)
+    for pid, rest in rests.items():
+        if rest[0] == "end" and _station(g, rest[1])[0] == "slot":
+            walk.sides[pid] = end_side(rest[1])
     for pid, move_state in moves:
         walk.move(pid, move_state)
     if walk.config != start:
         raise CycleConstructionError("itinerary is not closed")
-    z = Chain(g, 1, walk.terms)
-    if not boundary_chain(z).is_zero():
+    if not boundary_chain(Chain._merged(g, 1, walk.terms)).is_zero():
         raise InvariantError("constructed chain is not a cycle")
-    return z
+    return walk
 
 
 # -- star cycles --------------------------------------------------------------
@@ -283,6 +430,11 @@ def star_cycle_chain(g, spec, pair, parking=None):
     end a and the other resting at end b carries the sign of the cyclic
     orientation of (a, b) within the spec triple.
     """
+    return _star_walk(g, spec, pair, parking).chain()
+
+
+def _star_walk(g, spec, pair, parking=None):
+    """The checked walk of :func:`star_cycle_chain`."""
     _check_star_spec(g, spec)
     x, y = pair
     if x == y:
@@ -292,13 +444,14 @@ def star_cycle_chain(g, spec, pair, parking=None):
              for pid, frm, to in ((x, d0, d2), (y, d1, d0), (x, d2, d1),
                                   (y, d0, d2), (x, d1, d0), (y, d2, d1))
              for end in (frm, to)]
-    z = _walk_cycle(g, parking, {x: ("end", d0), y: ("end", d1)}, moves)
+    walk = _walk_cycle(g, parking, {x: ("end", d0), y: ("end", d1)}, moves)
     stations = [_station(g, d) for d in spec.ends]
     places = {(kind, data if kind == "sink" else (e, data))
               for kind, e, data in stations}
-    if len({e for _, e, _ in stations}) == 3 == len(places) and len(z) != 12:
+    if (len({e for _, e, _ in stations}) == 3 == len(places)
+            and len(walk.terms) != 12):
         raise InvariantError("star cycle support must be twelve cells")
-    return z
+    return walk
 
 
 def star4_relation_chain(g, vertex, ends, pair):
@@ -343,6 +496,11 @@ def circuit_cycle_chain(g, spec, particles, parking=None):
     cyclically in the given order; this realizes the classes that move all
     particles of a circle component at once.
     """
+    return _circuit_walk(g, spec, particles, parking).chain()
+
+
+def _circuit_walk(g, spec, particles, parking=None):
+    """The checked walk of :func:`circuit_cycle_chain`."""
     verts = _check_circuit(g, spec)
     if isinstance(particles, int):
         particles = (particles,)
@@ -417,6 +575,11 @@ def h_cycle_chain(g, spec, pair, parking=None):
     The walk crosses x then y, and returns by the y-then-x crossing
     replayed in reverse; it closes exactly when both orders meet.
     """
+    return _h_walk(g, spec, pair, parking).chain()
+
+
+def _h_walk(g, spec, pair, parking=None):
+    """The checked walk of :func:`h_cycle_chain`."""
     _check_h_spec(g, spec)
     x, y = pair
     if x == y:
@@ -434,10 +597,10 @@ def h_cycle_chain(g, spec, pair, parking=None):
         crossings[pid].append(_station_move(g, side))
     there, back = ([(pid, st) for pid in order for st in crossings[pid]]
                    for order in ((x, y), (y, x)))
-    z = _walk_cycle(g, parking, rests, there + back[::-1])
-    if z.is_zero():
+    walk = _walk_cycle(g, parking, rests, there + back[::-1])
+    if not walk.terms:
         raise CycleConstructionError("h cycle degenerated to zero")
-    return z
+    return walk
 
 
 # -- products and push-ins ------------------------------------------------------
@@ -501,7 +664,7 @@ def product_chain(z1, z2):
                 terms[cell] = v
             else:
                 terms.pop(cell, None)
-    return Chain(z1.graph, z1.degree + z2.degree, terms)
+    return Chain._merged(z1.graph, z1.degree + z2.degree, terms)
 
 
 def parked_chain(g, parking):
@@ -544,7 +707,7 @@ def push_in(z, e, s, leaf_end=None):
         state = ("V", g.edges[e][1 - leaf_end])
     else:
         state = ("D", 2 * e + 1 - leaf_end, 0)
-    return _attach_parked(z, g, {s: state})
+    return _attach_parked(z, g, {s: state}, chain_support_elements(z))
 
 
 # -- the non-product two-cycle --------------------------------------------------
@@ -662,15 +825,17 @@ def one_dim_cycle_basis(cx):
     g = cx.graph
     if cx.max_dim < 1:
         return []
-    n0 = len(cx.cells[0])
+    n0, n1 = cx.cell_counts()
     adj = [[] for _ in range(n0)]
-    faces = []
-    for j, cell in enumerate(cx.cells[1]):
-        a = cx.index[face(g, cell, 0, 0)][1]
-        b = cx.index[face(g, cell, 0, 1)][1]
-        faces.append((a, b))
-        adj[a].append((b, j, 1))
-        adj[b].append((a, j, -1))
+    # the side-0 and side-1 faces of each 1-cell: the rows of its -1 and +1
+    # entries, none when they coincide (a loop at a sink)
+    faces = [[None, None] for _ in range(n1)]
+    for row, j, sign in cx.boundary_entries(1).entries:
+        faces[j][sign > 0] = row
+    for j, (a, b) in enumerate(faces):
+        if a is not None:
+            adj[a].append((b, j, 1))
+            adj[b].append((a, j, -1))
     visited = [False] * n0
     to_root = [None] * n0  # sparse chain with boundary (node - root)
     tree = set()
@@ -696,12 +861,13 @@ def one_dim_cycle_basis(cx):
         if j in tree:
             continue
         coeffs = {j: 1}
-        for jj, s in to_root[b].items():
-            coeffs[jj] = coeffs.get(jj, 0) - s
-        for jj, s in to_root[a].items():
-            coeffs[jj] = coeffs.get(jj, 0) + s
+        if a is not None:
+            for jj, s in to_root[b].items():
+                coeffs[jj] = coeffs.get(jj, 0) - s
+            for jj, s in to_root[a].items():
+                coeffs[jj] = coeffs.get(jj, 0) + s
         terms = {cx.cells[1][jj]: v for jj, v in coeffs.items() if v}
-        basis.append(Chain(g, 1, terms))
+        basis.append(Chain._merged(g, 1, terms))
     return basis
 
 
@@ -761,18 +927,19 @@ def _local_star_basis(g, v, m):
     :func:`_placed` puts it on one subset."""
     sub, edge_map, vertex_map = _local_star(g, v)
     cx = enumerate_cells(sub, m, max_cells=MAX_LOCAL_CELLS)
-    return [Chain(g, 1, {tuple((p, _map_local_state(edge_map, vertex_map, s))
-                               for p, s in cell): coef
-                         for cell, coef in z.terms.items()})
+    return [Chain._merged(
+                g, 1, {tuple((p, _map_local_state(edge_map, vertex_map, s))
+                             for p, s in cell): coef
+                       for cell, coef in z.terms.items()})
             for z in one_dim_cycle_basis(cx)]
 
 
 def _placed(z, actives):
     """``z`` with particle ``p`` renamed ``actives[p]``; ``actives`` is
     increasing, so every cell keeps its pid order and no sign changes."""
-    return Chain(z.graph, z.degree,
-                 {tuple(zip(actives, (s for _, s in cell))): coef
-                  for cell, coef in z.terms.items()})
+    return Chain._merged(z.graph, z.degree,
+                         {tuple(zip(actives, (s for _, s in cell))): coef
+                          for cell, coef in z.terms.items()})
 
 
 # -- enumeration of candidate generating cycles --------------------------------
@@ -950,7 +1117,7 @@ def _parking_options(g, remaining, blocked, deep_ends=()):
             yield parking
 
 
-def _attach_parked(z, g, parking):
+def _attach_parked(z, g, parking, support):
     """Merge constant parked states into every cell of a partial chain.
 
     Parked particles sit on sinks, on edges untouched by the chain, or
@@ -958,9 +1125,29 @@ def _attach_parked(z, g, parking):
     parks leafward of every active occupant of that end's edge, so the
     moves of the chain never interact with it.  Ranks are recomputed per
     cell where an edge is shared.
+
+    The parking is checked once, against ``support``, the chain's
+    :func:`chain_support_elements`: every state must be valid, a parked
+    particle on a non-sink vertex must be alone there and off the support,
+    and one on an edge ('E') off the support, or ``CycleConstructionError``
+    is raised.  Then no merged cell claims a vertex twice or breaks the
+    slot ranks of an edge, so none is checked again.  The parked particles
+    must not be particles of ``z``.
     """
     if not parking:
         return z
+    claimed = set()
+    for st in parking.values():
+        if st[0] == "V":
+            ok = state_is_valid(g, st) and (g.is_sink(st[1]) or (
+                ("v", st[1]) not in support and st[1] not in claimed))
+            claimed.add(st[1])
+        else:
+            e = st[1] if st[0] == "E" else edge_of_end(st[1])
+            ok = (state_is_valid(g, ("E", e, 0))
+                  and (st[0] == "D" or ("e", e) not in support))
+        if not ok:
+            raise CycleConstructionError("parking conflicts with the cycle")
     fixed = []
     free_edges = {}
     deep = {}
@@ -976,11 +1163,12 @@ def _attach_parked(z, g, parking):
     for e, slots in free_edges.items():
         for r, (_, pid) in enumerate(sorted(slots)):
             fixed.append((pid, ("E", e, r)))
+    deep = [(e, side, [pid for _, pid in sorted(slots)])
+            for e, (side, slots) in deep.items()]
     terms = {}
     for cell, coef in z.terms.items():
         pairs = list(cell) + fixed
-        for e, (side, slots) in deep.items():
-            group = [pid for _, pid in sorted(slots)]
+        for e, side, group in deep:
             if side == 0:
                 # actives hug the iota end; parked fill the tau side
                 j = sum(1 for _, s in cell if s[0] == "E" and s[1] == e)
@@ -992,11 +1180,8 @@ def _attach_parked(z, g, parking):
                          if s[0] == "E" and s[1] == e else (q, s)
                          for q, s in pairs]
                 pairs.extend((pid, ("E", e, k)) for k, pid in enumerate(group))
-        merged = make_cell(pairs)
-        if not cell_is_valid(g, merged):
-            raise CycleConstructionError("parking conflicts with the cycle")
-        terms[merged] = coef
-    return Chain(g, z.degree, terms)
+        terms[tuple(sorted(pairs))] = coef
+    return Chain._merged(g, z.degree, terms)
 
 
 def _deep_ends(g, ends):
@@ -1017,38 +1202,42 @@ def _candidate_partials(g, n):
     Each entry is ``(z, make, actives, blocked_edges, deep_ends)``: ``z``
     is the cycle without parked particles, built once (a candidate that
     cannot be built or is zero is dropped), and ``make(parking)`` realizes
-    it with the given parked particles.  Star,
-    circuit and crossing cycles take parking in their constructor (so
-    particles may park inward on the edges the cycle rests on); the
-    prebuilt local classes get parking merged in afterwards, with the
+    it with the given parked particles.  A star, circuit or crossing
+    cycle is walked once, with every check, and ``make`` is
+    :meth:`_Walk.parked`, which replays that walk with the parked
+    particles slotted in (so particles may park inward on the edges the
+    cycle rests on) and checks nothing per step.  The prebuilt local
+    classes get parking merged in afterwards by :func:`_attach_parked`,
+    checked once against the support of their basis chain, with the
     ``deep_ends`` available for leafward slots on their own edges.
     """
     pids = range(n)
 
-    def built(fn, spec, actives, blocked):
+    def built(walker, spec, actives, blocked):
         try:
-            z = fn(g, spec, actives)
+            walk = walker(g, spec, actives)
         except CycleConstructionError:
             return ()
-        if z.is_zero():
+        if not walk.terms:
             return ()
-        return ((z, lambda parking: fn(g, spec, actives, parking),
-                 actives, blocked, ()),)
+        return ((walk.chain(), walk.parked, actives, blocked, ()),)
 
     for spec in star_specs(g):
         for pair in itertools.combinations(pids, 2):
-            yield from built(star_cycle_chain, spec, pair, frozenset())
+            yield from built(_star_walk, spec, pair, frozenset())
     for v in sorted(essential_vertices(g)):
         if g.is_sink(v):
             continue
         blocked = frozenset(edge_of_end(h) for h in g.ends_at(v))
         deep = _deep_ends(g, g.ends_at(v))
         for m in range(2, n + 1):
-            basis = _local_star_basis(g, v, m)
+            basis = [(z, chain_support_elements(z))
+                     for z in _local_star_basis(g, v, m)]
             for actives in itertools.combinations(pids, m):
-                for z in basis:
+                for z, support in basis:
                     z = _placed(z, actives)
-                    yield (z, lambda parking, z=z: _attach_parked(z, g, parking),
+                    yield (z, lambda parking, z=z, support=support:
+                           _attach_parked(z, g, parking, support),
                            actives, blocked, deep)
     for spec in circuit_specs(g):
         blocked = frozenset(edge_of_end(h) for h in spec.ends)
@@ -1061,31 +1250,52 @@ def _candidate_partials(g, n):
         else:
             groups = [(p,) for p in pids]
         for actives in groups:
-            yield from built(circuit_cycle_chain, spec, actives, blocked)
+            yield from built(_circuit_walk, spec, actives, blocked)
     for spec in h_specs(g):
         blocked = frozenset(edge_of_end(h) for h in spec.path)
         for pair in itertools.combinations(pids, 2):
-            yield from built(h_cycle_chain, spec, pair, blocked)
+            yield from built(_h_walk, spec, pair, blocked)
+
+
+def _every_parking(z, make, g, remaining, blocked, deep=()):
+    """``z`` with every parking of ``remaining`` that
+    :func:`_parking_options` yields, each realized by ``make(parking)``.
+
+    No such parking conflicts with its cycle: it parks on sinks, which
+    hold any number of particles and which no move claims, on edges off
+    ``blocked``, which holds every edge the cycle crosses (a star's
+    particles leave each edge by the end they entered by) or, for a
+    merged chain, touches, and deep behind the ends of a local star.  So
+    a refusal is a defect and raises ``InvariantError``.
+    """
+    for parking in _parking_options(g, remaining, blocked, deep):
+        if not parking:
+            yield z
+            continue
+        try:
+            parked = make(parking)
+        except CycleConstructionError as exc:
+            raise InvariantError(
+                f"parking {parking} conflicts with its cycle") from exc
+        yield parked
 
 
 def _degree_one_classes(g, n):
     for z, make, actives, blocked, deep in _candidate_partials(g, n):
         remaining = [p for p in range(n) if p not in actives]
-        for parking in _parking_options(g, remaining, blocked, deep):
-            try:
-                yield make(parking) if parking else z
-            except CycleConstructionError:
-                pass
+        yield from _every_parking(z, make, g, remaining, blocked, deep)
 
 
 def _degree_two_classes(g, n):
-    # every pair of partials is tried, so all of them are built first
-    partials = list(_candidate_partials(g, n))
+    # every pair of partials is tried, so all of them are built first;
+    # their walks are not kept, since products park by merging
+    partials = [(z, act, blk)
+                for z, _, act, blk, _ in _candidate_partials(g, n)]
     # a product's support is the union of its factors' supports
-    supports = [chain_support_elements(z) for z, *_ in partials]
-    for i, (z1, _, act1, blk1, _) in enumerate(partials):
+    supports = [chain_support_elements(z) for z, _, _ in partials]
+    for i, (z1, act1, blk1) in enumerate(partials):
         for j in range(i + 1, len(partials)):
-            z2, _, act2, blk2, _ = partials[j]
+            z2, act2, blk2 = partials[j]
             if set(act1) & set(act2) or supports[i] & supports[j]:
                 continue
             remaining = [p for p in range(n)
@@ -1094,14 +1304,12 @@ def _degree_two_classes(g, n):
                 z = product_chain(z1, z2)
             except ValueError:
                 continue
-            blocked = (blk1 | blk2
-                       | {elem[1] for elem in supports[i] | supports[j]
-                          if elem[0] == "e"})
-            for parking in _parking_options(g, remaining, blocked):
-                try:
-                    yield _attach_parked(z, g, parking)
-                except CycleConstructionError:
-                    pass
+            support = supports[i] | supports[j]
+            blocked = blk1 | blk2 | {x for kind, x in support if kind == "e"}
+            yield from _every_parking(
+                z, lambda parking, z=z, support=support:
+                _attach_parked(z, g, parking, support),
+                g, remaining, blocked)
 
 
 def enumerate_basic_classes(cx, degree=1):
@@ -1110,9 +1318,17 @@ def enumerate_basic_classes(cx, degree=1):
     Degree 1: two-particle star shuffles, the full local star basis at
     every essential vertex for every active particle subset, circuit
     rotations and path-crossing differences, each filled up to all
-    particles by every parking of the rest over sinks and untouched
-    edges.  Degree 2: products of two degree-1 candidates with disjoint
-    particles and disjoint graph support, parked the same way.
+    particles by every parking of the rest over sinks and the edges the
+    cycle does not cross.  Degree 2: products of two degree-1 candidates
+    with disjoint particles and disjoint graph support, parked the same
+    way off their support.
+
+    A star, circuit or crossing itinerary is walked once, and each of its
+    parkings replays that walk (:meth:`_Walk.parked`); the local star
+    classes and the products get their parkings merged in
+    (:func:`_attach_parked`).  No parking tried can conflict with its
+    cycle, so a refused one raises ``InvariantError``: a candidate is
+    never skipped silently.
 
     ``chains`` is a :class:`LazyChains`: the candidates in this order,
     each built when a reader first reaches it.  A reader that iterates,

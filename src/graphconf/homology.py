@@ -142,6 +142,12 @@ def _diagonalize(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
                     touched.setdefault(r, len(rows[r]))
             p = rows[r0][c0]
             piv = abs(p)
+            if piv == 1:
+                # a unit divides exactly: the quotient is the entry times p
+                for r in list(cols[c0]):
+                    if r != r0:
+                        row_op(r, r0, rows[r][c0] * p)
+                break
             for r in list(cols[c0]):
                 if r == r0:
                     continue

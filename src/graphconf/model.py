@@ -249,6 +249,15 @@ class Chain:
         if any(cell_dimension(cell) != degree for cell in self.terms):
             raise ValueError("cell dimension does not match chain degree")
 
+    @classmethod
+    def _merged(cls, graph, degree, terms):
+        """The chain of ``terms`` itself, not a checked copy: for callers
+        whose terms are merged by construction, every coefficient nonzero
+        and every cell of dimension ``degree``."""
+        z = cls.__new__(cls)
+        z.graph, z.degree, z.terms = graph, degree, terms
+        return z
+
     def is_zero(self):
         return not self.terms
 
@@ -272,11 +281,11 @@ class Chain:
                 terms[cell] = c
             else:
                 terms.pop(cell, None)
-        return Chain(self.graph, self.degree, terms)
+        return Chain._merged(self.graph, self.degree, terms)
 
     def __neg__(self):
-        return Chain(self.graph, self.degree,
-                     {c: -v for c, v in self.terms.items()})
+        return Chain._merged(self.graph, self.degree,
+                             {c: -v for c, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)

@@ -167,6 +167,50 @@ def reference_push_in(z, e, s, leaf_end):
     return Chain(g, z.degree, {insert(c): v for c, v in z.terms.items()})
 
 
+def reference_attach_parked(z, g, parking):
+    """The parking merge as first written: every merged cell is sorted by
+    ``make_cell`` and checked by ``cell_is_valid`` on its own."""
+    from graphconf.cycles import CycleConstructionError
+    from graphconf.graphs import edge_of_end, end_side
+    from graphconf.model import Chain, cell_is_valid, make_cell
+    if not parking:
+        return z
+    fixed = []
+    free_edges = {}
+    deep = {}
+    for pid, st in sorted(parking.items()):
+        if st[0] == "V":
+            fixed.append((pid, ("V", st[1])))
+        elif st[0] == "E":
+            free_edges.setdefault(st[1], []).append((st[2], pid))
+        else:
+            end = st[1]
+            deep.setdefault(edge_of_end(end), [end_side(end), []])[1].append(
+                (st[2], pid))
+    for e, slots in free_edges.items():
+        for r, (_, pid) in enumerate(sorted(slots)):
+            fixed.append((pid, ("E", e, r)))
+    terms = {}
+    for cell, coef in z.terms.items():
+        pairs = list(cell) + fixed
+        for e, (side, slots) in deep.items():
+            group = [pid for _, pid in sorted(slots)]
+            if side == 0:
+                j = sum(1 for _, s in cell if s[0] == "E" and s[1] == e)
+                pairs.extend((pid, ("E", e, j + k)) for k, pid in enumerate(group))
+            else:
+                p = len(group)
+                pairs = [(q, ("E", e, s[2] + p))
+                         if s[0] == "E" and s[1] == e else (q, s)
+                         for q, s in pairs]
+                pairs.extend((pid, ("E", e, k)) for k, pid in enumerate(group))
+        merged = make_cell(pairs)
+        if not cell_is_valid(g, merged):
+            raise CycleConstructionError("parking conflicts with the cycle")
+        terms[merged] = coef
+    return Chain(g, z.degree, terms)
+
+
 def reference_h_cycle_chain(g, spec, pair, parking=None):
     """The crossing cycle as first written: one walk per crossing order,
     the two walks must meet, and their difference is checked to be a

@@ -10,15 +10,16 @@ import graphconf as gc
 from graphconf.checks import random_connected_graph, wedge_corpus
 from graphconf.cycles import (MAX_CIRCUIT_EDGES, CircuitSpec,
                               CycleConstructionError, HSpec, StarSpec,
-                              _local_star_basis, _parking_options, _placed,
-                              _Walk, chain_support_elements, chain_to_doc,
-                              circuit_specs, h_specs, one_dim_cycle_basis)
-from graphconf.graphs import edge_of_end
+                              _deep_ends, _local_star_basis, _parking_options,
+                              _placed, _Walk, chain_support_elements,
+                              chain_to_doc, circuit_specs, h_specs,
+                              one_dim_cycle_basis, product_chain, star_specs)
+from graphconf.graphs import edge_of_end, essential_vertices
 from graphconf.model import (boundary_chain, make_cell, relabel_chain,
                              state_is_valid)
-from conftest import (reference_circuit_specs, reference_h_cycle_chain,
-                      reference_push_in, reference_smith_generation,
-                      reference_walk_move)
+from conftest import (reference_attach_parked, reference_circuit_specs,
+                      reference_h_cycle_chain, reference_push_in,
+                      reference_smith_generation, reference_walk_move)
 
 
 def star3_spec():
@@ -550,13 +551,17 @@ def test_loop_augmented_degree_certificate():
 # -- local star bases and enumeration -----------------------------------------
 
 def test_one_dim_cycle_basis_counts():
-    cx = gc.enumerate_cells(gc.star(4), 2)
-    basis = one_dim_cycle_basis(cx)
-    h = gc.homology(cx)
-    assert len(basis) == h.betti(1)
-    for z in basis:
-        assert gc.is_cycle(z)
-    assert gc.class_span_rank(basis, cx, 1) == h.betti(1)
+    # the second graph has a loop at a sink, whose full traversal has no
+    # boundary entry
+    for graph, n in ((gc.star(4), 2),
+                     (gc.Graph(2, [(0, 0), (0, 1), (1, 1)], sinks={0}), 1)):
+        cx = gc.enumerate_cells(graph, n)
+        basis = one_dim_cycle_basis(cx)
+        h = gc.homology(cx)
+        assert len(basis) == h.betti(1)
+        for z in basis:
+            assert gc.is_cycle(z)
+        assert gc.class_span_rank(basis, cx, 1) == h.betti(1)
 
 
 def local_star_classes(g, v, actives):
@@ -671,6 +676,133 @@ def test_candidate_chains_pinned_on_random_graphs():
         "48fbc320db164ca8f09984f4e004371bcfb441a78f70cccfd231cdce3d66f58e"
 
 
+def _reference_candidates(g, n, degree):
+    """The candidates as first built: every star, circuit and crossing
+    cycle from its public constructor, once per parking, and every other
+    parking merged cell by cell with each cell checked; a refused parking
+    is skipped.  Same order as the enumeration, each with its parking."""
+    pids = range(n)
+    probes = []  # (constructor, spec, actives, blocked, local chain, deep)
+    for spec in star_specs(g):
+        probes += [(gc.star_cycle_chain, spec, pair, frozenset(), None, ())
+                   for pair in itertools.combinations(pids, 2)]
+    for v in sorted(essential_vertices(g)):
+        if g.is_sink(v):
+            continue
+        blocked = frozenset(edge_of_end(h) for h in g.ends_at(v))
+        deep = _deep_ends(g, g.ends_at(v))
+        for m in range(2, n + 1):
+            basis = _local_star_basis(g, v, m)
+            probes += [(None, None, actives, blocked, _placed(z, actives), deep)
+                       for actives in itertools.combinations(pids, m)
+                       for z in basis]
+    for spec in circuit_specs(g):
+        groups = [(p,) for p in pids]
+        if len(spec.ends) == 1:
+            groups = [(subset[0],) + order for m in range(1, n + 1)
+                      for subset in itertools.combinations(pids, m)
+                      for order in itertools.permutations(subset[1:])]
+        blocked = frozenset(edge_of_end(h) for h in spec.ends)
+        probes += [(gc.circuit_cycle_chain, spec, actives, blocked, None, ())
+                   for actives in groups]
+    for spec in h_specs(g):
+        blocked = frozenset(edge_of_end(h) for h in spec.path)
+        probes += [(gc.h_cycle_chain, spec, pair, blocked, None, ())
+                   for pair in itertools.combinations(pids, 2)]
+    partials = []
+    for build, spec, actives, blocked, z, deep in probes:
+        if z is None:
+            try:
+                z = build(g, spec, actives)
+            except CycleConstructionError:
+                continue
+        if not z.is_zero():
+            partials.append((build, spec, actives, blocked, z, deep))
+    if degree == 1:
+        for build, spec, actives, blocked, z, deep in partials:
+            rest = [p for p in pids if p not in actives]
+            for parking in _parking_options(g, rest, blocked, deep):
+                try:
+                    yield (build(g, spec, actives, parking) if build and parking
+                           else reference_attach_parked(z, g, parking)), parking
+                except CycleConstructionError:
+                    pass
+        return
+    for i, (_, _, act1, blk1, z1, _) in enumerate(partials):
+        for _, _, act2, blk2, z2, _ in partials[i + 1:]:
+            s1, s2 = chain_support_elements(z1), chain_support_elements(z2)
+            if set(act1) & set(act2) or s1 & s2:
+                continue
+            z = product_chain(z1, z2)
+            support = s1 | s2
+            rest = [p for p in pids if p not in act1 and p not in act2]
+            blocked = blk1 | blk2 | {x for kind, x in support if kind == "e"}
+            for parking in _parking_options(g, rest, blocked):
+                try:
+                    yield reference_attach_parked(z, g, parking), parking
+                except CycleConstructionError:
+                    pass
+
+
+def test_parked_candidates_match_their_constructors():
+    # every candidate, bare or parked, is the chain its public constructor
+    # builds for that parking (or the cell-by-cell checked merge), in order,
+    # and a cycle: on the thirty seeded random graphs of the pinned digest
+    # and on the sink rungs of the span ladder, in degrees 1 and 2
+    rng = random.Random(16)
+    cases = []
+    for _ in range(30):
+        g = random_connected_graph(rng, max_edges=4, max_vertices=4)
+        cases.append((g, rng.randint(2, 3)))
+    cases += [(gc.build_graph(gc.parse_graph_spec(spec, sinks=sinks)), n)
+              for spec, sinks, n in (("k:4", (0,), 2), ("k:5", (0, 1), 2),
+                                     ("h", (0,), 3), ("banana:4", (0,), 3))]
+    parked = 0
+    for g, n in cases:
+        cx = gc.enumerate_cells(g, n)
+        for degree in (1, 2):
+            chains = list(gc.enumerate_basic_classes(cx, degree).chains)
+            want = list(_reference_candidates(g, n, degree))
+            assert chains == [z for z, _ in want], (g, n, degree)
+            assert all(gc.is_cycle(z) for z in chains)
+            parked += sum(1 for _, parking in want if parking)
+    assert parked == 1811
+
+
+def test_parked_replay_follows_the_entry_ends():
+    # the two cases where one unparked cell recurs with its particle
+    # entered by either end, so a parked particle on that edge sits on
+    # either side of it: a loop at a star centre, and an edge that is a
+    # side edge at both ends of a crossing; the replay of the one walk
+    # equals the constructor's own walk with the parking
+    cycles = importlib.import_module("graphconf.cycles")
+    looped = gc.Graph(2, [(0, 0), (0, 1)])
+    spec = StarSpec(0, (0, 1, 2))
+    walk = cycles._star_walk(looped, spec, (0, 2))
+    for parking in ({1: ("E", 0, 0)}, {1: ("E", 0, 0), 3: ("E", 0, 1)},
+                    {3: ("E", 0, 0), 1: ("E", 0, 1)}):
+        assert walk.parked(parking) == gc.star_cycle_chain(
+            looped, spec, (0, 2), parking)
+    k4 = gc.complete(4)
+    sided = [(spec, e) for spec in h_specs(k4)
+             for e in ({edge_of_end(h) for h in spec.v_sides}
+                       & {edge_of_end(h) for h in spec.w_sides})]
+    assert len(sided) == 24
+    for spec, e in sided:
+        walk = cycles._h_walk(k4, spec, (1, 2))
+        for parking in ({0: ("E", e, 0)}, {0: ("E", e, 0), 3: ("E", e, 1)}):
+            assert walk.parked(parking) == gc.h_cycle_chain(
+                k4, spec, (1, 2), parking)
+    # a parked particle on an edge the walk crosses would be passed: the
+    # constructor's walk is blocked, and the replay refuses as a defect
+    circle = gc.Graph(3, [(0, 1), (1, 2), (2, 0)])
+    spec = circuit_specs(circle)[0]
+    with pytest.raises(CycleConstructionError):
+        gc.circuit_cycle_chain(circle, spec, 0, {1: ("E", 0, 0)})
+    with pytest.raises(gc.model.InvariantError, match="does not close"):
+        cycles._circuit_walk(circle, spec, 0).parked({1: ("E", 0, 0)})
+
+
 @pytest.mark.parametrize("graph,n,b1", [
     (gc.banana(4, sinks={0}), 3, 9),
     (gc.banana(3, sinks={0}), 2, 4),
@@ -725,19 +857,29 @@ def test_enumeration_is_complete_on_the_six_loop_rose():
 
 def test_each_candidate_is_built_once(small_complexes, monkeypatch):
     # two particles on K5 leave nothing to park, so every crossing
-    # candidate is the chain its probe built: one constructor call each
+    # candidate is the chain its probe built: one walk each; with three
+    # particles on K4 every parking replays its probe's walk, so there are
+    # still as many walks as probes, and fewer than replays
     cycles = importlib.import_module("graphconf.cycles")
-    build = cycles.h_cycle_chain
+    build = cycles._h_walk
     calls = []
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(cycles, "h_cycle_chain", counted)
+    monkeypatch.setattr(cycles, "_h_walk", counted)
     bc = gc.enumerate_basic_classes(small_complexes("k5-n2"), degree=1)
     assert len(bc.chains) == 645
     assert len(calls) == 160
+    calls.clear()
+    replays = []
+    replay = cycles._Walk.parked
+    monkeypatch.setattr(cycles._Walk, "parked", lambda walk, parking:
+                        replays.append(parking) or replay(walk, parking))
+    g = gc.complete(4)
+    assert len(gc.enumerate_basic_classes(gc.enumerate_cells(g, 3)).chains) == 736
+    assert len(calls) == 3 * len(h_specs(g)) < len(replays)
 
 
 def test_chain_export_doc(small_complexes):
