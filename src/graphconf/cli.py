@@ -17,6 +17,7 @@ stays for format stability.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -201,7 +202,10 @@ def cmd_verify(args):
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing keeps no
+    state on it, each call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="graphconf",
         description="exact homology of configuration spaces of graphs"

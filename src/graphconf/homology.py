@@ -56,12 +56,14 @@ def _diagonalize(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
     the queue runs dry only with the matrix.
 
     A unit pivot clears its column, and then its row is dropped: clearing
-    it by column operations would change nothing else.  No later
-    operation reads a pivot row, so the drop is not logged, and a replay
-    of the unit phase drops its pivot rows at the end
-    (:func:`_replay_units`).  With ``rows_only`` a non-unit pivot clears
-    its column by a remainder cascade, which keeps the rank but not the
-    pivot values.  Otherwise the unit phase ends when
+    it by column operations would change nothing else.  When the pivot is
+    the only entry of its row, each row operation that clears its column
+    only deletes the entry there, so it is done as that deletion and
+    logged as the same operation.  No later operation reads a pivot row,
+    so the drop is not logged, and a replay of the unit phase drops its
+    pivot rows at the end (:func:`_replay_units`).  With ``rows_only`` a
+    non-unit pivot clears its column by a remainder cascade, which keeps
+    the rank but not the pivot values.  Otherwise the unit phase ends when
     the queue offers a non-unit pivot and no unit is left (a row operation
     can make a unit in a column queued under a larger value; one pass over
     the rows left queues such columns again), and the residual R is
@@ -144,9 +146,22 @@ def _diagonalize(rows, rows_only=False, modulus=0, max_nnz=None, log=None):
             piv = abs(p)
             if piv == 1:
                 # a unit divides exactly: the quotient is the entry times p
-                for r in list(cols[c0]):
+                if len(rows[r0]) > 1:
+                    for r in list(cols[c0]):
+                        if r != r0:
+                            row_op(r, r0, rows[r][c0] * p)
+                    break
+                # a lone entry: each row operation only deletes the entry
+                # of c0, so delete it and log the operation
+                for r in cols[c0]:
                     if r != r0:
-                        row_op(r, r0, rows[r][c0] * p)
+                        row = rows[r]
+                        q = row.pop(c0) * p
+                        if not row:
+                            del rows[r]
+                        if ops is not None:
+                            ops.append((r, r0, q))
+                cols[c0] = {r0}
                 break
             for r in list(cols[c0]):
                 if r == r0:
@@ -391,13 +406,55 @@ def euler_characteristic(cx):
     return sum((-1) ** k * c for k, c in enumerate(cx.cell_counts()))
 
 
+def _incidence_rank(m):
+    """The rank of ``m`` when it is the incidence matrix of a graph on its
+    rows, every column holding one +1 and one -1 in two rows or nothing
+    (a loop), else ``None``: the number of rows less the number of
+    components, found by one union-find pass over the columns."""
+    ends = {}
+    for r, c, v in m.entries:
+        if v != 1 and v != -1:
+            return None
+        ends.setdefault(c, []).append((v, r))
+    parent = list(range(m.num_rows))
+
+    def root(r):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    rank = 0
+    for pair in ends.values():
+        if len(pair) != 2:
+            return None
+        (v, a), (w, b) = pair
+        if v == w:
+            return None
+        a, b = root(a), root(b)
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
+
+
 def homology(cx, max_nnz=None):
     """Betti numbers, torsion coefficients and Euler characteristic:
     ``b_k = #k-cells - rank D_k - rank D_{k+1}``, and the torsion in degree
     ``k`` is the invariant factors of ``D_{k+1}`` exceeding 1, read from
     the records of the operators of :func:`_operator`, top degree first.
     ``max_nnz`` caps the entries of each operator, also one recorded
-    before, and the fill-in of the elimination that records it."""
+    before, and the fill-in of the elimination that records it.
+
+    ``D_1`` of a cube complex is the signed incidence matrix of its
+    1-skeleton, and it is not eliminated when its cleared operator is
+    still one (:func:`_incidence_rank`; any other ``D_1`` is recorded like
+    the operators above it).  A graph incidence matrix is totally
+    unimodular, so every invariant factor is 1 and ``H_0`` has no
+    torsion, and its rank is the number of 0-cells less the number of
+    components.  Clearing keeps the image, so the kept columns span the
+    same graph: they leave the components of the 1-skeleton as they are.
+    ``D_1`` gets no record here; :func:`is_boundary` on 0-chains and a
+    span in degree 0 make it on demand."""
     counts = cx.cell_counts()
     factors = [[] for _ in range(len(counts) + 1)]
     for k in range(len(counts) - 1, 0, -1):
@@ -405,7 +462,9 @@ def homology(cx, max_nnz=None):
         if max_nnz is not None and m.nnz > max_nnz:
             raise CapExceededError(f"boundary operator in degree {k} has"
                                    f" more than {max_nnz} entries")
-        factors[k] = sorted(_recorded(m, max_nnz)[0].values())
+        rank = _incidence_rank(m) if k == 1 else None
+        factors[k] = [1] * rank if rank is not None \
+            else sorted(_recorded(m, max_nnz)[0].values())
     return HomologySummary(degrees=tuple(
         DegreeData(cells=c, betti=c - len(factors[k]) - len(factors[k + 1]),
                    torsion=tuple(d for d in factors[k + 1] if d > 1))
@@ -530,8 +589,9 @@ def class_span(zs, cx, degree):
     The stop.  The first batch is ``FIRST_BATCH`` chains, so a smaller
     input is read whole and pays for nothing but its one Smith form.  A
     longer input needs ``b_k`` from :func:`homology`, which records the
-    operators below ``D_{k+1}`` that no call has recorded yet, and its
-    first batch reads on to ``b_k`` chains, since fewer cannot generate.
+    operators below ``D_{k+1}`` that no call has recorded yet (``D_1``
+    only when it is no incidence matrix), and its first batch reads on
+    to ``b_k`` chains, since fewer cannot generate.
     Each later batch is as large as all the batches before it, so a whole
     read of ``N`` chains replays the unit phase at most ``2 + log2(N /
     max(b_k, FIRST_BATCH))`` times, and a span that stops has read at most

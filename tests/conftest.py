@@ -7,6 +7,7 @@ so that agreement with the library is meaningful.
 
 import itertools
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, prod
 
 import pytest
@@ -309,6 +310,152 @@ def reference_transpose(m):
         [(c, r, v) for r, c, v in m.entries])
 
 
+def reference_diagonalize(rows, rows_only=False, modulus=0, max_nnz=None,
+                          log=None):
+    """``homology._diagonalize`` as it was before a unit pivot alone in its
+    row cleared its column by deleting entries: every row operation goes
+    through ``row_op``.  The library's loop must give the same pivots, the
+    same log and the same residual rows."""
+    from graphconf.homology import CapExceededError, _divmod_balanced
+    cols = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    pivot_of_row = {}
+    ops = None if log is None else []
+    queue = [(1, len(rs), c) for c, rs in cols.items()]
+    heapify(queue)
+    nnz = sum(map(len, rows.values())) if max_nnz is not None else 0
+    touched = {}  # row: its length before the current pivot, when capped
+    # a divisor of every entry left that a scan found: row operations,
+    # residues modulo ``modulus`` (a multiple of it) and remainders modulo
+    # a pivot (a multiple of it) keep it a divisor
+    common = 1
+
+    def next_pivot():
+        while True:
+            key, n, c = heappop(queue)
+            rs = cols.get(c)
+            if not rs:
+                continue
+            if len(rs) != n:
+                heappush(queue, (key, len(rs), c))
+                continue
+            least, _, r = min((abs(rows[r][c]), len(rows[r]), r) for r in rs)
+            if least <= key:
+                return r, c
+            heappush(queue, (least, n, c))
+
+    def row_op(r, r0, q):
+        # row_r -= q * row_r0, in residues modulo ``modulus`` when it is set
+        row0 = rows[r0]
+        row = rows[r]
+        for c, v in row0.items():
+            nv = row.get(c, 0) - q * v
+            if nv:
+                if c not in row:
+                    cols[c].add(r)
+                row[c] = nv
+            elif c in row:
+                del row[c]
+                cols[c].discard(r)
+        if modulus:
+            for c in row0.keys() & row.keys():
+                row[c] = _divmod_balanced(row[c], modulus)[1]
+                if not row[c]:
+                    del row[c]
+                    cols[c].discard(r)
+        if not row:
+            del rows[r]
+        if ops is not None:
+            ops.append((r, r0, q))
+
+    while rows:
+        r0, c0 = next_pivot()
+        if not (rows_only or modulus) and abs(rows[r0][c0]) != 1:
+            # units left in columns queued under a larger value go first
+            units = {c for row in rows.values() for c, v in row.items()
+                     if v == 1 or v == -1}
+            if not units:
+                break  # ``rows`` holds the residual
+            for c in units | {c0}:
+                heappush(queue, (1, len(cols[c]), c))
+            continue
+        while True:
+            if max_nnz is not None:
+                for r in cols[c0]:
+                    touched.setdefault(r, len(rows[r]))
+            p = rows[r0][c0]
+            piv = abs(p)
+            if piv == 1:
+                # a unit divides exactly: the quotient is the entry times p
+                for r in list(cols[c0]):
+                    if r != r0:
+                        row_op(r, r0, rows[r][c0] * p)
+                break
+            for r in list(cols[c0]):
+                if r == r0:
+                    continue
+                q, rem = _divmod_balanced(rows[r][c0], piv)
+                if q:
+                    row_op(r, r0, q if p > 0 else -q)
+                if rem:
+                    r0 = r  # strictly smaller value: restart the cascade
+                    break
+            else:
+                if not modulus:
+                    break
+                for c, v in rows[r0].items():
+                    rem = _divmod_balanced(v, piv)[1]
+                    if rem:
+                        break
+                else:
+                    # the pivot must divide every entry left, modulo
+                    # modulus; a scan is needed only when g does not
+                    # divide ``common``, which divides them all
+                    g = gcd(piv, modulus)
+                    if common % g == 0:
+                        break
+                    bad = next((r for r, row in rows.items()
+                                if any(v % g for v in row.values())), None)
+                    if bad is None:
+                        common = g
+                        break
+                    row_op(r0, bad, -1)
+                    continue
+                # column c0 is clear: this column operation changes row r0
+                # and moves the pivot to column c; c0 keeps its entry in row
+                # r0, which stays if the cascade moves the pivot off r0
+                rows[r0][c] = rem
+                heappush(queue, (piv, 1, c0))
+                c0 = c
+        pivot_of_row[r0] = abs(rows[r0][c0])
+        for c in rows.pop(r0):
+            cols[c].discard(r0)
+            if not cols[c]:
+                del cols[c]
+        if max_nnz is not None:
+            nnz += sum(len(rows.get(r, ())) - n for r, n in touched.items())
+            touched.clear()
+            if nnz > max_nnz:
+                raise CapExceededError(f"elimination fill-in over {max_nnz}")
+    if log is not None:
+        log.append((ops, dict(pivot_of_row), modulus))
+    if rows and not (rows_only or modulus):
+        echelon = reference_diagonalize(
+            {r: dict(row) for r, row in rows.items()},
+            rows_only=True, max_nnz=max_nnz, log=log)
+        # a multiple of delta above twice every entry of R, so these are
+        # residues already and no invariant factor is zero
+        bound = max(abs(v) for row in rows.values() for v in row.values())
+        mod = 2 * (bound + 1) * prod(echelon.values())
+        found = reference_diagonalize(
+            {r: dict(row) for r, row in rows.items()},
+            modulus=mod, max_nnz=max_nnz, log=log)
+        pivot_of_row.update((r, gcd(v, mod)) for r, v in found.items())
+    return pivot_of_row
+
+
 def reference_kernel_basis(m):
     """An integral basis of ``ker m`` (as column vectors, sparse dicts).
 
@@ -581,24 +728,26 @@ def minors_solvable(m, target):
 
 @pytest.fixture(scope="session")
 def small_complexes():
-    """Cache of enumerated complexes reused across test modules."""
+    """Cache of enumerated complexes reused across test modules; the
+    getter's ``names`` lists them all."""
     import graphconf as gc
+    builders = {
+        "star3-n2": lambda: gc.enumerate_cells(gc.star(3), 2),
+        "star3-n3": lambda: gc.enumerate_cells(gc.star(3), 3),
+        "star4-n2": lambda: gc.enumerate_cells(gc.star(4), 2),
+        "banana4-n2": lambda: gc.enumerate_cells(gc.banana(4), 2),
+        "banana4-n3": lambda: gc.enumerate_cells(gc.banana(4), 3),
+        "k5-n2": lambda: gc.enumerate_cells(gc.complete(5), 2),
+        "h-n2": lambda: gc.enumerate_cells(gc.h_graph(), 2),
+        "intervalsinks-n2": lambda: gc.enumerate_cells(
+            gc.interval(sinks={0, 1}), 2),
+    }
     cache = {}
 
     def get(name):
         if name not in cache:
-            builders = {
-                "star3-n2": lambda: gc.enumerate_cells(gc.star(3), 2),
-                "star3-n3": lambda: gc.enumerate_cells(gc.star(3), 3),
-                "star4-n2": lambda: gc.enumerate_cells(gc.star(4), 2),
-                "banana4-n2": lambda: gc.enumerate_cells(gc.banana(4), 2),
-                "banana4-n3": lambda: gc.enumerate_cells(gc.banana(4), 3),
-                "k5-n2": lambda: gc.enumerate_cells(gc.complete(5), 2),
-                "h-n2": lambda: gc.enumerate_cells(gc.h_graph(), 2),
-                "intervalsinks-n2": lambda: gc.enumerate_cells(
-                    gc.interval(sinks={0, 1}), 2),
-            }
             cache[name] = builders[name]()
         return cache[name]
 
+    get.names = tuple(builders)
     return get

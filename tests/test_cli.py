@@ -193,6 +193,48 @@ def test_family_spec_wins_over_a_directory_of_that_name(capsys, tmp_path,
     assert doc["graph"] == gc.graph_to_doc(gc.h_graph())
 
 
+def test_successive_calls_share_no_state(capsys, tmp_path, monkeypatch):
+    # the parser is built once per process; the options of one call must
+    # not reach the next, whatever its subcommand
+    from graphconf import cli
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    parsed = []
+    parse_args = parser.parse_args
+
+    def recorded(*args, **kwargs):
+        parsed.append(parse_args(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(parser, "parse_args", recorded)
+    out = tmp_path / "first.json"
+    code, text, _ = run(capsys, "homology", "--graph", "interval", "-n", "3",
+                        "--sinks", "0,1", "--caps", "50", "--format",
+                        "machine", "--out", str(out))
+    assert code == 0 and not text
+    assert json.loads(out.read_text())["graph"]["sinks"] == [0, 1]
+    code, doc, _ = machine(capsys, "verify", "--only", "surface")
+    assert code == 0 and doc["report"]["total"] == 3
+    code, doc, _ = machine(capsys, "span", "--graph", "star:3", "-n", "2")
+    assert code == 0 and doc["command"] == "span"
+    assert doc["graph"] == gc.graph_to_doc(gc.star(3)) and doc["degree"] == 1
+    code, text, _ = run(capsys, "surface-check", "--graph", "star:3", "-n", "2")
+    assert code == 0 and text.startswith("not a homology surface\n")
+    # a call that fails to parse leaves nothing behind either
+    assert run(capsys, "homology", "--graph", "star:3")[0] == 2
+    code, text, _ = run(capsys, "export", "--graph", "star:3", "-n", "2")
+    assert code == 0 and text.startswith("cells per dimension")
+    assert len({id(args) for args in parsed}) == len(parsed) == 5
+    # each namespace holds its own subcommand's options and nothing else
+    assert vars(parsed[2]) == {
+        "command": "span", "graph": "star:3", "n": 2, "sinks": None,
+        "caps": "", "format": "machine", "out": None, "degree": 1,
+        "fn": cli.cmd_span}
+    assert vars(parsed[-1]) == {
+        "command": "export", "graph": "star:3", "n": 2, "sinks": None,
+        "caps": "", "format": "human", "out": None, "fn": cli.cmd_export}
+
+
 def test_machine_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "span", "--graph", "star:4", "-n", "2",
                      "--format", "machine")

@@ -8,7 +8,8 @@ import pytest
 
 import graphconf as gc
 from graphconf.model import Chain, boundary_chain
-from graphconf.homology import (SparseIntMatrix, _diagonalize, _replay,
+from graphconf.homology import (SparseIntMatrix, _diagonalize,
+                                _incidence_rank, _operator, _replay,
                                 rank_over_rationals, smith_normal_form,
                                 solve_in_image)
 from graphconf.checks import (_random_matrix, _random_unimodular_shuffle,
@@ -17,8 +18,8 @@ from graphconf.checks import (_random_matrix, _random_unimodular_shuffle,
 from conftest import (fraction_rank, integral_verdicts,
                       minors_gcd_invariant_factors, minors_solvable,
                       reference_augmented_matrix, reference_class_span,
-                      reference_components, reference_kernel_basis,
-                      reference_smith_generation)
+                      reference_components, reference_diagonalize,
+                      reference_kernel_basis, reference_smith_generation)
 
 
 def random_matrix(rng, max_size=8, lo=-9, hi=9):
@@ -233,6 +234,70 @@ def test_pivot_queue_on_any_input(monkeypatch):
     fresh = SparseIntMatrix(3, 3, unit_late.entries)
     assert smith_normal_form(fresh) == [1, 1, 11]
     assert residuals == [{2: {1: 11}}]
+
+
+# the instances of the benchmark's homology ladder: spec, particles, sinks
+HOMOLOGY_LADDER = (("k:5", 2, None), ("k33", 2, None), ("banana:4", 3, None),
+                   ("h", 3, None), ("k:4", 3, None), ("k:4", 3, (0,)),
+                   ("banana:4", 5, (0, 1)))
+
+
+def _eliminations(m):
+    """``(pivots, log, residual rows)`` of the elimination of ``m`` in the
+    Smith, row-only and modular modes, by ``_diagonalize`` and by the
+    reference loop, and the number of lone-row unit pivots it took.  The
+    modulus is the one the Smith mode would give the whole matrix: twice
+    its largest entry plus 2, times the product of its row-only pivots."""
+    bound = max((abs(v) for _, _, v in m.entries), default=0)
+    mod = 2 * (bound + 1) * prod(_diagonalize(m.rows(), rows_only=True)
+                                 .values())
+    runs = []
+    for mode in ({}, {"rows_only": True}, {"modulus": mod}):
+        for diagonalize in (_diagonalize, reference_diagonalize):
+            rows, log = m.rows(), []
+            pivots = diagonalize(rows, log=log, **mode)
+            runs.append((list(pivots.items()), log, list(rows.items())))
+    return runs
+
+
+def _lone_unit_pivots(m):
+    """How many unit pivots of the Smith elimination of ``m`` were the only
+    entry of their row when taken.  No operation writes a pivot row once
+    it is taken, so a replay of the unit log leaves each pivot row as it
+    was then."""
+    log = []
+    _diagonalize(m.rows(), log=log)
+    rows = _replay(log[0], m.rows())
+    return sum(len(rows.get(r, ())) == 1 for r in log[0][1])
+
+
+def test_lone_unit_rows_eliminate_like_row_operations(small_complexes):
+    # a unit pivot alone in its row deletes its column's entries instead
+    # of running row operations; pivots, logs and residual rows must be
+    # those of the reference loop, which runs every operation, in every
+    # mode, on every operator of the homology ladder and of the small
+    # complexes, full and cleared, and on random matrices
+    matrices = []
+    complexes = [small_complexes(name) for name in small_complexes.names]
+    complexes += [gc.enumerate_cells(gc.build_graph(gc.parse_graph_spec(
+        spec, sinks=sinks or ())), n) for spec, n, sinks in HOMOLOGY_LADDER]
+    for cx in complexes:
+        for k in range(1, cx.max_dim + 1):
+            matrices += [gc.boundary_matrix(cx, k),
+                         _operator(cx, k)]
+    rng = random.Random(26)
+    matrices += [random_matrix(rng, max_size=rng.choice((6, 12, 24)),
+                               lo=-1, hi=1) for _ in range(200)]
+    # the _random_matrix inputs of the pivot queue test
+    rng = random.Random(25)
+    matrices += [_random_matrix(rng) for _ in range(60)]
+    lone = 0
+    for m in matrices:
+        runs = _eliminations(m)
+        for got, want in zip(runs[::2], runs[1::2]):
+            assert got == want
+        lone += _lone_unit_pivots(m)
+    assert lone > 1000  # the deletion path ran
 
 
 def test_k5_boundaries_are_unimodular(small_complexes):
@@ -712,6 +777,59 @@ def test_clearing_an_exact_pair_with_a_residual(monkeypatch):
     h = gc.homology(cx)
     assert cx.columns[1] == [0, 1]
     assert h.betti_vector() == (0, 0, 0) and h.torsion_free()
+    # a D_1 that is no incidence matrix is eliminated, its torsion kept
+    assert cx._matrices[1]._elimination is not None
+
+
+def test_incidence_rank():
+    # a path 0 - 1 - 2, an isolated row 3 and an empty column (a loop)
+    path = SparseIntMatrix(4, 3, [(0, 0, 1), (1, 0, -1), (1, 1, -1),
+                                  (2, 1, 1)])
+    assert _incidence_rank(path) == 2
+    # a triangle: its third edge closes a cycle
+    assert _incidence_rank(SparseIntMatrix(3, 3, [
+        (0, 0, -1), (1, 0, 1), (1, 1, -1), (2, 1, 1), (0, 2, 1),
+        (2, 2, -1)])) == 2
+    assert _incidence_rank(SparseIntMatrix(0, 0)) == 0
+    for entries in ([(0, 0, 1), (1, 0, 1)],  # equal signs
+                    [(0, 0, 2), (1, 0, -2)],  # not units
+                    [(0, 0, 1)],  # one end
+                    [(0, 0, 1), (1, 0, -1), (2, 0, 1)]):  # three ends
+        assert _incidence_rank(SparseIntMatrix(3, 1, entries)) is None
+
+
+def test_homology_reads_d1_from_components(small_complexes):
+    # homology takes rank D_1 from the components of the 1-skeleton and
+    # makes no record of it; every degree must answer as the Smith forms
+    # of the full boundary matrices do
+    path = gc.Graph(3, [(0, 1), (1, 2)])  # D_1 is the top operator
+    fresh = [gc.enumerate_cells(path, n) for n in (2, 3)]
+    assert [gc.homology(cx).betti(0) for cx in fresh] == [2, 6]
+    # loops at a sink give empty columns of D_1
+    loops = gc.Graph(2, [(0, 0), (0, 1), (1, 1)], sinks={0})
+    fresh.append(gc.enumerate_cells(loops, 2))
+    assert gc.homology(fresh[-1]).betti_vector() == (1, 6, 2)
+    rng = random.Random(27)
+    for _ in range(20):
+        g = random_connected_graph(rng, max_edges=4, max_vertices=4)
+        sinks = sorted(g.sinks or {rng.randrange(g.num_vertices)})
+        edges = [(s, s) for s in sinks if rng.random() < 0.5]
+        edges = list(g.edges) + (edges or [(sinks[0], sinks[0])])
+        fresh.append(gc.enumerate_cells(
+            gc.Graph(g.num_vertices, edges, sinks), rng.randint(1, 3)))
+    # the shared small complexes may hold records made by other tests
+    shared = [small_complexes(name) for name in small_complexes.names]
+    for cx in fresh + shared:
+        h = gc.homology(cx)
+        assert [(d.betti, d.torsion) for d in h.degrees] \
+            == full_smith_homology(cx), cx.graph
+    empty = 0
+    for cx in fresh:
+        if cx.max_dim:
+            assert cx._matrices[1]._elimination is None
+            d1 = cx.boundary_entries(1)
+            empty += d1.num_cols - len({c for _, c, _ in d1.entries})
+    assert empty > 20
 
 
 def test_span_through_a_residual_matches_the_smith_form():
