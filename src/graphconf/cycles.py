@@ -12,9 +12,10 @@ forwards, the other replayed in reverse.  The routine requires the walk
 to return to its start, so the chain has zero boundary by telescoping;
 it checks that contract explicitly and raises ``InvariantError`` when it
 fails.  A candidate walks its itinerary once, with every particle it
-does not move left out; each parking of those particles replays the
-recorded walk with them slotted in (:meth:`_Walk.parked`), checking
-nothing per step.
+does not move left out.  A parking of those particles on sinks, or on
+edges the walk does not touch, is merged into every cell; any other
+parking walks the same itinerary again with them in place, through the
+same step, so every step's faces are checked (:meth:`_Walk.parked`).
 
 An "end station" abstracts where a particle rests just off a vertex v on
 a chosen half-edge: on an edge without sink endpoints it is the outermost
@@ -28,7 +29,6 @@ import itertools
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .graphs import Graph, banana, dimension_bound, edge_of_end, end_side, \
     essential_vertices, other_end, wedge
@@ -131,12 +131,19 @@ def _edge_moves(g, end):
 
 
 def normalize_parking(g, parking):
-    """Validate a parking map ``particle -> ('V', v) | ('E', e, k)`` of
-    valid states with integer entries; the ``k`` of an 'E' state only
-    orders the parked particles of one edge.  Anything else is a
-    ``CycleConstructionError``."""
-    parking = dict(parking or {})
+    """Validate a parking map ``particle -> ('V', v) | ('E', e, k)`` from
+    non-negative integer ids to valid states with integer entries; the
+    ``k`` of an 'E' state only orders the parked particles of one edge.
+    Anything else is a ``CycleConstructionError``."""
+    try:
+        parking = dict(parking or {})
+    except (TypeError, ValueError):
+        raise CycleConstructionError(
+            f"parking {parking!r} is not a map of particles") from None
     for pid, st in parking.items():
+        if type(pid) is not int or pid < 0:
+            raise CycleConstructionError(
+                f"particle id {pid!r} is not a non-negative integer")
         kind = st[0] if isinstance(st, (tuple, list)) and st else None
         if (kind not in ("V", "E") or len(st) != (2 if kind == "V" else 3)
                 or not all(type(x) is int for x in st[1:])):
@@ -152,13 +159,17 @@ def assemble_configuration(g, parking, rests):
     """Build the starting 0-cell from parked particles and active rests.
 
     ``parking`` is validated by ``normalize_parking`` and must not name an
-    active particle.  ``rests`` maps particles to ``('V', v)``,
-    ``('E', e, k)`` or ``('end', end)``; an 'E' rest is placed like a
-    parked particle, an 'end' rest occupies the outermost slot at that end
-    (or the far sink).  Parked particles on one edge keep their relative
-    nominal order and sit inward of any active particle at the edge ends.
+    active particle.  ``rests`` maps particles, by non-negative integer
+    ids, to ``('V', v)``, ``('E', e, k)`` or ``('end', end)``; an 'E'
+    rest is placed like a parked particle, an 'end' rest occupies the
+    outermost slot at that end (or the far sink).  Parked particles on one
+    edge keep their relative nominal order and sit inward of any active
+    particle at the edge ends.
     """
     parking = normalize_parking(g, parking)
+    if any(type(pid) is not int or pid < 0 for pid in rests):
+        raise CycleConstructionError(
+            "active particle ids must be non-negative integers")
     if parking.keys() & rests.keys():
         raise CycleConstructionError("active particle is also parked")
     static = dict(parking)
@@ -200,34 +211,44 @@ class _Walk:
     leaves the configuration by whichever face of its cell it is on, so
     the same move state steps forwards or back.
 
-    ``steps`` records every move as ``(i, cell, coef)``: the mover's
-    position in the cell, the cell and the sign it was crossed with.
-    ``sides`` gives, for each particle resting in an edge interior at the
-    start, the end of the edge it sits at (0 or 1; absent when it has no
-    end).  From these :meth:`parked` builds the walk again with more
-    particles parked, stepping through nothing."""
+    ``moves`` records the itinerary as ``(particle, move state)`` steps,
+    and ``rests`` the states its active particles start from, as
+    :func:`assemble_configuration` takes them.  From these :meth:`parked`
+    builds the walk again with more particles parked."""
 
-    def __init__(self, graph, start):
+    def __init__(self, graph, start, rests=None):
         self.graph = graph
-        self.config = start
+        self.start = self.config = start
+        self.index = {p: i for i, (p, _) in enumerate(start)}
+        self.rests = rests or {}
         self.terms = {}
-        self.steps = []
-        self.sides = {}
-        self._plan = None
+        self.moves = []
+        self._support = None
 
     def move(self, pid, move_state):
         g = self.graph
-        config = self.config
-        i = next((i for i, (p, _) in enumerate(config) if p == pid), None)
-        if i is None:
+        if pid not in self.index:
             raise CycleConstructionError(f"particle {pid} has no static state")
         valid = state_is_valid(g, move_state)
         claims = set(_claimed_vertices(g, move_state)) if valid else ()
         if not valid or any(s[0] == "V" and s[1] in claims
-                            for p, s in config if p != pid):
+                            for p, s in self.config if p != pid):
             raise CycleConstructionError(
                 f"itinerary blocked: move {move_state} of particle {pid}"
                 " is not independent of the rest of the configuration")
+        if not self._step(pid, move_state):
+            raise CycleConstructionError(
+                "elementary move does not start at the current configuration")
+        self.moves.append((pid, move_state))
+
+    def _step(self, pid, move_state):
+        """Cross the cell where ``pid`` takes ``move_state`` from the face
+        the configuration is on: with sign +1 from its side-0 face, -1 from
+        its side-1 face.  ``False``, and nothing moves, when the
+        configuration is on neither face."""
+        g = self.graph
+        config = self.config
+        i = self.index[pid]
         old = config[i][1]
         if old[0] == "E":
             e, r = old[1], old[2]
@@ -239,149 +260,60 @@ class _Walk:
         f0 = _face_at(g, cell, i, 0)
         f1 = _face_at(g, cell, i, 1)
         if f0 == self.config:
-            coef, nxt = 1, f1
+            coef, self.config = 1, f1
         elif f1 == self.config:
-            coef, nxt = -1, f0
+            coef, self.config = -1, f0
         else:
-            raise CycleConstructionError(
-                "elementary move does not start at the current configuration")
+            return False
         c = self.terms.get(cell, 0) + coef
         if c:
             self.terms[cell] = c
         else:
             self.terms.pop(cell, None)
-        self.steps.append((i, cell, coef))
-        self.config = nxt
+        return True
 
     def chain(self):
         """The chain of the walk so far, its terms copied afresh: the
         walk's own dict keeps the room of every cell it dropped."""
         return Chain._merged(self.graph, 1, dict(self.terms.items()))
 
-    def _entry_plan(self):
-        """For each step, ``{edge: (below, ups)}`` over the edges that
-        particles rest on in its cell: ``below`` counts those that entered
-        the edge by its iota end, ``ups`` lists the positions of those that
-        entered by its tau end.  Then the edges the walk touches, and the
-        edges where a parked particle would be passed (a particle leaves by
-        the other end than it entered by, or its end is unknown) or not
-        restored (a particle at the end entered by another end than at the
-        start)."""
-        sides = dict(self.sides)
-        layouts = []
-        touched = set()
-        unsafe = set()
-        for i, cell, coef in self.steps:
-            layout = {}
-            for j, (p, s) in enumerate(cell):
-                if s[0] == "E":
-                    below, ups = layout.get(s[1], (0, ()))
-                    side = sides.get(p)
-                    if side == 0:
-                        below += 1
-                    elif side == 1:
-                        ups += (j,)
-                    else:
-                        unsafe.add(s[1])
-                    layout[s[1]] = (below, ups)
-            layouts.append(layout)
-            touched.update(layout)
-            pid, move = cell[i]
-            if move[0] == "ME":
-                touched.add(move[1])
-                if coef == 1:
-                    # from the slot at end move[2] out to the vertex
-                    if sides.pop(pid, None) != move[2]:
-                        unsafe.add(move[1])
-                else:
-                    sides[pid] = move[2]
-        unsafe.update(s[1] for p, s in self.config
-                      if s[0] == "E" and sides.get(p) != self.sides.get(p))
-        return layouts, touched, unsafe
-
     def parked(self, parking):
-        """The chain of this closed, checked walk, replayed with the
-        particles of ``parking`` parked: ``('V', sink)`` or ``('E', e, k)``,
-        the ``k`` ordering the parked particles of one edge, as
+        """The chain of this closed, checked walk with the particles of
+        ``parking`` parked: ``('V', sink)`` or ``('E', e, k)``, the ``k``
+        ordering the parked particles of one edge, as
         :func:`_parking_options` yields them.
 
-        Parked particles never move, and no step is checked again.  On an
-        edge, the parked group sits between the particles that entered it
-        by the iota end and those that entered by the tau end, since an
-        entering particle takes the outermost slot at its end.  So each
-        step's cell is the recorded cell with the parked pairs slotted in by
-        that rule, applied per step from the ends the particles entered by:
-        one cell can recur with its particle entered by either end (a loop
-        at a star centre, an edge that is a side edge at both ends of a
-        crossing), so a rule per cell would not do.  Where no particle
-        leaves an edge by the other end than it entered by, the group is
-        never passed, so each step's cell has the configurations before
-        and after the step as its two faces; where every particle on the
-        edge at the end entered it by the same end as at the start, the
-        replay closes.  Then its boundary telescopes to zero.  A parking on
-        an edge where either fails, or at a vertex that is not a sink,
-        does not close and raises ``InvariantError``.
+        A parking on sinks and on edges off the walk's support never meets
+        a mover, so :func:`_attach_parked` merges it into every cell.  Any
+        other parking walks the itinerary again from
+        :func:`assemble_configuration`, with the parked particles in place,
+        through :meth:`_step`: a parked particle that a mover would pass
+        leaves the configuration on neither face of the mover's cell.  A
+        step on neither face, a walk that does not return to its start, or
+        a particle parked on a vertex that is not a sink does not close the
+        walk and raises ``InvariantError``.  A walk built with parked
+        particles of its own is not parked again.
         """
         g = self.graph
         if not parking:
             return self.chain()
-        if self._plan is None:
-            self._plan = self._entry_plan()
-        layouts, touched, unsafe = self._plan
-        fixed = []
-        groups = {}
-        for pid, st in sorted(parking.items()):
-            if st[0] == "V" and g.is_sink(st[1]):
-                fixed.append((pid, st))
-            elif st[0] == "E" and st[1] not in unsafe:
-                groups.setdefault(st[1], []).append((st[2], pid))
-            else:
-                raise InvariantError(
-                    f"parking {st} of particle {pid} does not close the walk")
-        moving = []
-        for e, slots in groups.items():
-            pids = [pid for _, pid in sorted(slots)]
-            if e in touched:
-                moving.append((e, pids))
-            else:
-                fixed.extend((pid, ("E", e, r)) for r, pid in enumerate(pids))
-        # every cell lists the same particles, so one permutation sorts them
-        order = [p for p, _ in self.config]
-        order += [pid for _, pids in moving for pid in pids]
-        order += [p for p, _ in fixed]
-        order = itemgetter(*sorted(range(len(order)), key=order.__getitem__))
-        fixed = tuple(fixed)
-        if not moving:
-            # constant parked states: the map of cells is injective
-            return Chain._merged(g, 1, {order(cell + fixed): coef
-                                        for cell, coef in self.terms.items()})
-        # the parked pairs of an edge for each count below them, and each
-        # pair moved above them, built once and shared by every cell
-        moving = [(e, len(pids), [[(pid, ("E", e, below + r))
-                                   for r, pid in enumerate(pids)]
-                                  for below in range(len(self.config) + 1)])
-                  for e, pids in moving]
-        bumped = {}
-        terms = {}
-        for (_, cell, coef), layout in zip(self.steps, layouts):
-            pairs = list(cell)
-            for e, k, slotted in moving:
-                below, ups = layout.get(e, (0, ()))
-                for j in ups:
-                    pair = pairs[j]
-                    up = bumped.get(pair)
-                    if up is None:
-                        up = bumped[pair] = (pair[0], ("E", e, pair[1][2] + k))
-                    pairs[j] = up
-                pairs += slotted[below]
-            pairs += fixed
-            cell = order(pairs)
-            c = terms.get(cell, 0) + coef
-            if c:
-                terms[cell] = c
-            else:
-                del terms[cell]
-        return Chain._merged(g, 1, dict(terms.items()))
+        if (len(self.start) != len(self.rests)
+                or parking.keys() & self.rests.keys()):
+            raise CycleConstructionError(
+                "a parking adds particles to a walk of active particles only")
+        z = Chain._merged(g, 1, self.terms)
+        if self._support is None:
+            self._support = chain_support_elements(z)
+        if all(g.is_sink(st[1]) if st[0] == "V"
+               else st[0] == "E" and ("e", st[1]) not in self._support
+               for st in parking.values()):
+            return _attach_parked(z, g, parking, self._support)
+        if all(st[0] != "V" for st in parking.values()):
+            walk = _Walk(g, assemble_configuration(g, parking, self.rests))
+            if (all(walk._step(pid, st) for pid, st in self.moves)
+                    and walk.config == walk.start):
+                return walk.chain()
+        raise InvariantError(f"parking {parking} does not close the walk")
 
 
 def _walk_cycle(g, parking, rests, moves):
@@ -390,10 +322,7 @@ def _walk_cycle(g, parking, rests, moves):
     :func:`assemble_configuration` builds from ``parking`` and ``rests``;
     the walk must end where it started, and its chain must be a cycle."""
     start = assemble_configuration(g, parking, rests)
-    walk = _Walk(g, start)
-    for pid, rest in rests.items():
-        if rest[0] == "end" and _station(g, rest[1])[0] == "slot":
-            walk.sides[pid] = end_side(rest[1])
+    walk = _Walk(g, start, rests)
     for pid, move_state in moves:
         walk.move(pid, move_state)
     if walk.config != start:
@@ -490,8 +419,9 @@ def _check_circuit(g, spec):
 def circuit_cycle_chain(g, spec, particles, parking=None):
     """One or more particles travelling once around an embedded circuit.
 
-    A single particle walks the whole circuit (two cells per sink-free
-    edge, one full traversal per sink-incident edge).  Several particles
+    ``particles`` is one id or a tuple or list of ids.  A single particle
+    walks the whole circuit (two cells per sink-free edge, one full
+    traversal per sink-incident edge).  Several particles
     are supported on one-edge circuits, i.e. loops, where they rotate
     cyclically in the given order; this realizes the classes that move all
     particles of a circle component at once.
@@ -502,11 +432,12 @@ def circuit_cycle_chain(g, spec, particles, parking=None):
 def _circuit_walk(g, spec, particles, parking=None):
     """The checked walk of :func:`circuit_cycle_chain`."""
     verts = _check_circuit(g, spec)
-    if isinstance(particles, int):
-        particles = (particles,)
-    particles = tuple(particles)
-    if len(set(particles)) != len(particles) or not particles:
-        raise CycleConstructionError("need distinct active particles")
+    particles = (tuple(particles) if isinstance(particles, (tuple, list))
+                 else (particles,))
+    if (not particles or any(type(p) is not int or p < 0 for p in particles)
+            or len(set(particles)) != len(particles)):
+        raise CycleConstructionError(
+            "need distinct active particles with non-negative integer ids")
 
     if len(particles) == 1:
         p = particles[0]
@@ -1204,9 +1135,9 @@ def _candidate_partials(g, n):
     cannot be built or is zero is dropped), and ``make(parking)`` realizes
     it with the given parked particles.  A star, circuit or crossing
     cycle is walked once, with every check, and ``make`` is
-    :meth:`_Walk.parked`, which replays that walk with the parked
-    particles slotted in (so particles may park inward on the edges the
-    cycle rests on) and checks nothing per step.  The prebuilt local
+    :meth:`_Walk.parked`: it merges a parking off the walk's support into
+    every cell, and walks the itinerary again, each step's faces checked,
+    for a parking on the edges the cycle rests on.  The prebuilt local
     classes get parking merged in afterwards by :func:`_attach_parked`,
     checked once against the support of their basis chain, with the
     ``deep_ends`` available for leafward slots on their own edges.
@@ -1324,8 +1255,9 @@ def enumerate_basic_classes(cx, degree=1):
     way off their support.
 
     A star, circuit or crossing itinerary is walked once, and each of its
-    parkings replays that walk (:meth:`_Walk.parked`); the local star
-    classes and the products get their parkings merged in
+    parkings is merged in off the walk's support or walks the itinerary
+    again with the parked particles in place (:meth:`_Walk.parked`); the
+    local star classes and the products get their parkings merged in
     (:func:`_attach_parked`).  No parking tried can conflict with its
     cycle, so a refused one raises ``InvariantError``: a candidate is
     never skipped silently.

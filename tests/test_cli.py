@@ -88,6 +88,24 @@ def test_span_command(capsys):
     assert doc["result"]["span_rank"] == doc["result"]["betti"]
 
 
+@pytest.mark.parametrize("graph,n,row", [
+    ("k33", 2, (0, 0, 1, "NOT-GENERATED")),
+    ("k:5", 2, (0, 0, 1, "NOT-GENERATED")),
+    ("banana:4", 3, (0, 0, 1, "NOT-GENERATED")),
+    ("k33", 3, (135, 38, 41, "NOT-GENERATED")),
+    ("k:4", 3, (24, 11, 11, "GENERATED")),
+])
+def test_degree_two_span_statuses_pinned(capsys, graph, n, row):
+    # today's degree-2 rows as (candidates, span rank, b_2, status): the
+    # product candidates miss the surface class of Conf_2 on K3,3 and K5
+    # and the non-product class on banana:4, and generate H_2 of K4 n3
+    code, doc, _ = machine(capsys, "span", "--graph", graph, "-n", str(n),
+                           "--degree", "2")
+    r = doc["result"]
+    assert code == 0
+    assert (r["candidates"], r["span_rank"], r["betti"], r["status"]) == row
+
+
 def test_span_status_is_generation_over_the_integers(capsys, monkeypatch):
     # doubled candidates reach the rank of H_1 of h n2 but not its lattice;
     # no candidates miss its rank

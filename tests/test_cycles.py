@@ -82,6 +82,12 @@ def test_out_of_range_parking_is_a_construction_error():
                   ("E", 1, 0.5)):
         with pytest.raises(CycleConstructionError):
             gc.star_cycle_chain(gc.star(3), spec, (0, 1), parking={2: state})
+    # particle ids are non-negative integers, not bools, floats or tuples,
+    # and the parking is a map
+    for parking in ({2.0: ("E", 2, 0)}, {-1: ("E", 2, 0)}, {True: ("E", 2, 0)},
+                    {(2,): ("E", 2, 0)}, 5):
+        with pytest.raises(CycleConstructionError):
+            gc.star_cycle_chain(gc.star(3), spec, (0, 1), parking=parking)
 
 
 def test_star_cycle_errors(small_complexes):
@@ -100,6 +106,12 @@ def test_star_cycle_errors(small_complexes):
     sink_center = gc.enumerate_cells(gc.star(3, sinks={0}), 2)
     with pytest.raises(CycleConstructionError):
         gc.star_cycle_chain(sink_center.graph, StarSpec(0, ends), (0, 1))
+    # particle ids are non-negative integers, not bools, floats or strings
+    for pair in ((True, 0), (0, 1.5), ("a", "b"), (0, -1)):
+        with pytest.raises(CycleConstructionError):
+            gc.star_cycle_chain(g, StarSpec(0, ends), pair)
+    with pytest.raises(CycleConstructionError):
+        gc.circuit_cycle_chain(gc.circle(), CircuitSpec((0,)), 0.5)
 
 
 def test_star_cycle_with_sink_leaf():
@@ -777,12 +789,12 @@ def test_parked_replay_follows_the_entry_ends():
     # equals the constructor's own walk with the parking
     cycles = importlib.import_module("graphconf.cycles")
     looped = gc.Graph(2, [(0, 0), (0, 1)])
-    spec = StarSpec(0, (0, 1, 2))
-    walk = cycles._star_walk(looped, spec, (0, 2))
+    spec_loop = StarSpec(0, (0, 1, 2))
+    walk = cycles._star_walk(looped, spec_loop, (0, 2))
     for parking in ({1: ("E", 0, 0)}, {1: ("E", 0, 0), 3: ("E", 0, 1)},
                     {3: ("E", 0, 0), 1: ("E", 0, 1)}):
         assert walk.parked(parking) == gc.star_cycle_chain(
-            looped, spec, (0, 2), parking)
+            looped, spec_loop, (0, 2), parking)
     k4 = gc.complete(4)
     sided = [(spec, e) for spec in h_specs(k4)
              for e in ({edge_of_end(h) for h in spec.v_sides}
@@ -801,6 +813,13 @@ def test_parked_replay_follows_the_entry_ends():
         gc.circuit_cycle_chain(circle, spec, 0, {1: ("E", 0, 0)})
     with pytest.raises(gc.model.InvariantError, match="does not close"):
         cycles._circuit_walk(circle, spec, 0).parked({1: ("E", 0, 0)})
+    # a parking on a vertex that is not a sink does not close the walk, and
+    # a walk built with a parking of its own is not parked again
+    with pytest.raises(gc.model.InvariantError, match="does not close"):
+        cycles._circuit_walk(circle, spec, 0).parked({1: ("V", 1)})
+    with pytest.raises(CycleConstructionError):
+        cycles._star_walk(looped, spec_loop, (0, 2), {1: ("E", 0, 0)}).parked(
+            {3: ("E", 0, 0)})
 
 
 @pytest.mark.parametrize("graph,n,b1", [
