@@ -131,19 +131,17 @@ def _edge_moves(g, end):
 
 
 def normalize_parking(g, parking):
-    """Validate a parking map ``particle -> ('V', v) | ('E', e, k)`` from
-    non-negative integer ids to valid states with integer entries; the
-    ``k`` of an 'E' state only orders the parked particles of one edge.
-    Anything else is a ``CycleConstructionError``."""
+    """Validate a parking map ``particle -> ('V', v) | ('E', e, k)`` to
+    valid states with integer entries; the ``k`` of an 'E' state only
+    orders the parked particles of one edge.  Anything else is a
+    ``CycleConstructionError``; :func:`assemble_configuration` checks the
+    particle ids."""
     try:
         parking = dict(parking or {})
     except (TypeError, ValueError):
         raise CycleConstructionError(
             f"parking {parking!r} is not a map of particles") from None
     for pid, st in parking.items():
-        if type(pid) is not int or pid < 0:
-            raise CycleConstructionError(
-                f"particle id {pid!r} is not a non-negative integer")
         kind = st[0] if isinstance(st, (tuple, list)) and st else None
         if (kind not in ("V", "E") or len(st) != (2 if kind == "V" else 3)
                 or not all(type(x) is int for x in st[1:])):
@@ -167,9 +165,10 @@ def assemble_configuration(g, parking, rests):
     particle at the edge ends.
     """
     parking = normalize_parking(g, parking)
-    if any(type(pid) is not int or pid < 0 for pid in rests):
-        raise CycleConstructionError(
-            "active particle ids must be non-negative integers")
+    for pid in parking.keys() | rests.keys():
+        if type(pid) is not int or pid < 0:
+            raise CycleConstructionError(
+                f"particle id {pid!r} is not a non-negative integer")
     if parking.keys() & rests.keys():
         raise CycleConstructionError("active particle is also parked")
     static = dict(parking)
@@ -308,7 +307,7 @@ class _Walk:
                else st[0] == "E" and ("e", st[1]) not in self._support
                for st in parking.values()):
             return _attach_parked(z, g, parking, self._support)
-        if all(st[0] != "V" for st in parking.values()):
+        if all(st[0] == "E" or g.is_sink(st[1]) for st in parking.values()):
             walk = _Walk(g, assemble_configuration(g, parking, self.rests))
             if (all(walk._step(pid, st) for pid, st in self.moves)
                     and walk.config == walk.start):
@@ -434,10 +433,8 @@ def _circuit_walk(g, spec, particles, parking=None):
     verts = _check_circuit(g, spec)
     particles = (tuple(particles) if isinstance(particles, (tuple, list))
                  else (particles,))
-    if (not particles or any(type(p) is not int or p < 0 for p in particles)
-            or len(set(particles)) != len(particles)):
-        raise CycleConstructionError(
-            "need distinct active particles with non-negative integer ids")
+    if not particles or len(set(particles)) != len(particles):
+        raise CycleConstructionError("need distinct active particles")
 
     if len(particles) == 1:
         p = particles[0]

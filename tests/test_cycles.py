@@ -781,6 +781,26 @@ def test_parked_candidates_match_their_constructors():
     assert parked == 1811
 
 
+def test_sink_and_edge_parkings_match_their_constructors():
+    # from four particles on, one parking can hold a particle on a sink and
+    # another on an edge the walk rests on: the replay keeps the sink
+    # particle where it is, as the constructor's own walk does
+    cycles = importlib.import_module("graphconf.cycles")
+    g = gc.build_graph(gc.parse_graph_spec("star:4", sinks=(1,)))
+    spec = StarSpec(0, (2, 4, 6))
+    parking = {2: ("V", 1), 3: ("E", 1, 0)}
+    assert cycles._star_walk(g, spec, (0, 1)).parked(parking) == (
+        gc.star_cycle_chain(g, spec, (0, 1), parking))
+    parked = 0
+    for spec, sinks, n in (("star:4", (1,), 4), ("h", (0,), 4)):
+        g = gc.build_graph(gc.parse_graph_spec(spec, sinks=sinks))
+        chains = list(gc.enumerate_basic_classes(gc.enumerate_cells(g, n), 1).chains)
+        want = list(_reference_candidates(g, n, 1))
+        assert chains == [z for z, _ in want], (spec, n)
+        parked += sum(1 for _, parking in want if parking)
+    assert parked == 2790
+
+
 def test_parked_replay_follows_the_entry_ends():
     # the two cases where one unparked cell recurs with its particle
     # entered by either end, so a parked particle on that edge sits on
