@@ -11,11 +11,12 @@ opposite sign, so a crossing cycle is one walk: one crossing order
 forwards, the other replayed in reverse.  The routine requires the walk
 to return to its start, so the chain has zero boundary by telescoping;
 it checks that contract explicitly and raises ``InvariantError`` when it
-fails.  A candidate walks its itinerary once, with every particle it
-does not move left out.  A parking of those particles on sinks, or on
-edges the walk does not touch, is merged into every cell; any other
-parking walks the same itinerary again with them in place, through the
-same step, so every step's faces are checked (:meth:`_Walk.parked`).
+fails.  A walk moves only its active particles; the particles it does
+not move are parked afterwards, in one way for every caller
+(:meth:`_Walk.parked`): a parking on vertices, or on edges off the
+walk's itinerary, is merged into every cell, and any other parking
+walks the same itinerary again with them in place, through the same
+checked step.
 
 An "end station" abstracts where a particle rests just off a vertex v on
 a chosen half-edge: on an edge without sink endpoints it is the outermost
@@ -130,17 +131,28 @@ def _edge_moves(g, end):
     return [("ME", e, end_side(end)), ("ME", e, end_side(other_end(end)))]
 
 
+def _particle_ids(pids):
+    """``pids`` as a tuple, checked before any of them is hashed to be
+    distinct non-negative integers, not bools."""
+    pids = tuple(pids)
+    if (not all(type(p) is int and p >= 0 for p in pids)
+            or len(set(pids)) != len(pids)):
+        raise CycleConstructionError(
+            f"particles {pids!r} are not distinct non-negative integers")
+    return pids
+
+
 def normalize_parking(g, parking):
     """Validate a parking map ``particle -> ('V', v) | ('E', e, k)`` to
-    valid states with integer entries; the ``k`` of an 'E' state only
-    orders the parked particles of one edge.  Anything else is a
-    ``CycleConstructionError``; :func:`assemble_configuration` checks the
-    particle ids."""
+    valid states with integer entries and particle ids; the ``k`` of an
+    'E' state only orders the parked particles of one edge.  Anything
+    else is a ``CycleConstructionError``."""
     try:
         parking = dict(parking or {})
     except (TypeError, ValueError):
         raise CycleConstructionError(
             f"parking {parking!r} is not a map of particles") from None
+    _particle_ids(parking)
     for pid, st in parking.items():
         kind = st[0] if isinstance(st, (tuple, list)) and st else None
         if (kind not in ("V", "E") or len(st) != (2 if kind == "V" else 3)
@@ -153,32 +165,21 @@ def normalize_parking(g, parking):
     return parking
 
 
-def assemble_configuration(g, parking, rests):
-    """Build the starting 0-cell from parked particles and active rests.
+def assemble_configuration(g, rests):
+    """Build a 0-cell from the rests of its particles.
 
-    ``parking`` is validated by ``normalize_parking`` and must not name an
-    active particle.  ``rests`` maps particles, by non-negative integer
-    ids, to ``('V', v)``, ``('E', e, k)`` or ``('end', end)``; an 'E'
-    rest is placed like a parked particle, an 'end' rest occupies the
-    outermost slot at that end (or the far sink).  Parked particles on one
-    edge keep their relative nominal order and sit inward of any active
-    particle at the edge ends.
+    ``rests`` maps particles to ``('V', v)``, ``('E', e, k)`` or
+    ``('end', end)``; parked particles are its 'V' and 'E' rests.  The 'E'
+    rests of one edge keep the order of their ``k`` and sit inward of any
+    'end' rest, which occupies the outermost slot at its end (or the far
+    sink).  An invalid cell is a ``CycleConstructionError``.
     """
-    parking = normalize_parking(g, parking)
-    for pid in parking.keys() | rests.keys():
-        if type(pid) is not int or pid < 0:
-            raise CycleConstructionError(
-                f"particle id {pid!r} is not a non-negative integer")
-    if parking.keys() & rests.keys():
-        raise CycleConstructionError("active particle is also parked")
-    static = dict(parking)
-    static.update((pid, st) for pid, st in rests.items() if st[0] != "end")
     by_edge = {}
     pairs = []
-    for pid, st in sorted(static.items()):
+    for pid, st in sorted(rests.items()):
         if st[0] == "V":
             pairs.append((pid, ("V", st[1])))
-        else:
+        elif st[0] == "E":
             by_edge.setdefault(st[1], []).append((st[2], pid))
     ordered = {e: [pid for _, pid in sorted(slots)] for e, slots in by_edge.items()}
     for pid, rest in sorted(rests.items()):
@@ -197,7 +198,7 @@ def assemble_configuration(g, parking, rests):
     cell = make_cell(pairs)
     if not cell_is_valid(g, cell):
         raise CycleConstructionError(
-            "parking conflicts with the active configuration")
+            f"rests {rests} do not make a valid configuration")
     return cell
 
 
@@ -210,21 +211,26 @@ class _Walk:
     leaves the configuration by whichever face of its cell it is on, so
     the same move state steps forwards or back.
 
-    ``moves`` records the itinerary as ``(particle, move state)`` steps,
-    and ``rests`` the states its active particles start from, as
-    :func:`assemble_configuration` takes them.  From these :meth:`parked`
-    builds the walk again with more particles parked."""
+    The walk starts from the 0-cell that :func:`assemble_configuration`
+    builds from ``rests``, and ``moves`` records its itinerary as
+    ``(particle, move state)`` steps.  From these :meth:`parked` builds
+    the walk with more particles parked: the one way a star, circuit or
+    crossing cycle gets parked particles."""
 
-    def __init__(self, graph, start, rests=None):
+    def __init__(self, graph, rests):
         self.graph = graph
-        self.start = self.config = start
-        self.index = {p: i for i, (p, _) in enumerate(start)}
-        self.rests = rests or {}
+        self.start = self.config = assemble_configuration(graph, rests)
+        self.index = {p: i for i, (p, _) in enumerate(self.start)}
+        self.rests = rests
         self.terms = {}
         self.moves = []
-        self._support = None
+        self._footprint = None
 
     def move(self, pid, move_state):
+        """Cross the cell where ``pid`` takes ``move_state`` from the face
+        the configuration is on: with sign +1 from its side-0 face, -1 from
+        its side-1 face.  A blocked move, or a configuration on neither
+        face, is a ``CycleConstructionError`` and moves nothing."""
         g = self.graph
         if pid not in self.index:
             raise CycleConstructionError(f"particle {pid} has no static state")
@@ -235,17 +241,6 @@ class _Walk:
             raise CycleConstructionError(
                 f"itinerary blocked: move {move_state} of particle {pid}"
                 " is not independent of the rest of the configuration")
-        if not self._step(pid, move_state):
-            raise CycleConstructionError(
-                "elementary move does not start at the current configuration")
-        self.moves.append((pid, move_state))
-
-    def _step(self, pid, move_state):
-        """Cross the cell where ``pid`` takes ``move_state`` from the face
-        the configuration is on: with sign +1 from its side-0 face, -1 from
-        its side-1 face.  ``False``, and nothing moves, when the
-        configuration is on neither face."""
-        g = self.graph
         config = self.config
         i = self.index[pid]
         old = config[i][1]
@@ -263,13 +258,14 @@ class _Walk:
         elif f1 == self.config:
             coef, self.config = -1, f0
         else:
-            return False
+            raise CycleConstructionError(
+                "elementary move does not start at the current configuration")
         c = self.terms.get(cell, 0) + coef
         if c:
             self.terms[cell] = c
         else:
             self.terms.pop(cell, None)
-        return True
+        self.moves.append((pid, move_state))
 
     def chain(self):
         """The chain of the walk so far, its terms copied afresh: the
@@ -277,54 +273,48 @@ class _Walk:
         return Chain._merged(self.graph, 1, dict(self.terms.items()))
 
     def parked(self, parking):
-        """The chain of this closed, checked walk with the particles of
-        ``parking`` parked: ``('V', sink)`` or ``('E', e, k)``, the ``k``
-        ordering the parked particles of one edge, as
-        :func:`_parking_options` yields them.
+        """The chain of this closed walk with the particles of ``parking``
+        parked, as :func:`normalize_parking` returns them.
 
-        A parking on sinks and on edges off the walk's support never meets
-        a mover, so :func:`_attach_parked` merges it into every cell.  Any
-        other parking walks the itinerary again from
-        :func:`assemble_configuration`, with the parked particles in place,
-        through :meth:`_step`: a parked particle that a mover would pass
-        leaves the configuration on neither face of the mover's cell.  A
-        step on neither face, a walk that does not return to its start, or
-        a particle parked on a vertex that is not a sink does not close the
-        walk and raises ``InvariantError``.  A walk built with parked
-        particles of its own is not parked again.
+        The walk's footprint is every vertex and edge its start and its
+        move states touch.  A parking on vertices and on edges off the
+        footprint never meets a mover, so :func:`_attach_parked` merges it
+        into every cell, refusing a non-sink vertex on the footprint.  Any
+        other parking walks the itinerary again with the parked particles
+        in place, through :meth:`move`, so a parked particle that a mover
+        would pass refuses that step; the retaken walk keeps the cells
+        that meet a parked particle, even where the bare walk's cancel.
+        Every refusal is a ``CycleConstructionError``.
         """
         g = self.graph
         if not parking:
             return self.chain()
-        if (len(self.start) != len(self.rests)
-                or parking.keys() & self.rests.keys()):
-            raise CycleConstructionError(
-                "a parking adds particles to a walk of active particles only")
-        z = Chain._merged(g, 1, self.terms)
-        if self._support is None:
-            self._support = chain_support_elements(z)
-        if all(g.is_sink(st[1]) if st[0] == "V"
-               else st[0] == "E" and ("e", st[1]) not in self._support
+        if parking.keys() & self.rests.keys():
+            raise CycleConstructionError("active particle is also parked")
+        if self._footprint is None:
+            self._footprint = {x for _, st in itertools.chain(self.start, self.moves)
+                               for x in _state_support(g, st)}
+        if all(st[0] == "V" or ("e", st[1]) not in self._footprint
                for st in parking.values()):
-            return _attach_parked(z, g, parking, self._support)
-        if all(st[0] == "E" or g.is_sink(st[1]) for st in parking.values()):
-            walk = _Walk(g, assemble_configuration(g, parking, self.rests))
-            if (all(walk._step(pid, st) for pid, st in self.moves)
-                    and walk.config == walk.start):
-                return walk.chain()
-        raise InvariantError(f"parking {parking} does not close the walk")
+            return _attach_parked(Chain._merged(g, 1, self.terms), g, parking,
+                                  self._footprint)
+        walk = _Walk(g, {**self.rests, **parking})
+        for pid, move_state in self.moves:
+            walk.move(pid, move_state)
+        if walk.config != walk.start:
+            raise CycleConstructionError(f"parking {parking} does not close the walk")
+        return walk.chain()
 
 
-def _walk_cycle(g, parking, rests, moves):
+def _walk_cycle(g, rests, moves):
     """The closed walk of an itinerary: ``moves`` is a list of
     ``(particle, move state)`` steps replayed from the configuration that
-    :func:`assemble_configuration` builds from ``parking`` and ``rests``;
-    the walk must end where it started, and its chain must be a cycle."""
-    start = assemble_configuration(g, parking, rests)
-    walk = _Walk(g, start, rests)
+    :func:`assemble_configuration` builds from ``rests``; the walk must end
+    where it started, and its chain must be a cycle."""
+    walk = _Walk(g, rests)
     for pid, move_state in moves:
         walk.move(pid, move_state)
-    if walk.config != start:
+    if walk.config != walk.start:
         raise CycleConstructionError("itinerary is not closed")
     if not boundary_chain(Chain._merged(g, 1, walk.terms)).is_zero():
         raise InvariantError("constructed chain is not a cycle")
@@ -356,23 +346,23 @@ def star_cycle_chain(g, spec, pair, parking=None):
     contributes its outbound and inbound 1-cells, for a support of exactly
     twelve cells with coefficients +-1: the cell with a particle moving at
     end a and the other resting at end b carries the sign of the cyclic
-    orientation of (a, b) within the spec triple.
+    orientation of (a, b) within the spec triple.  The particles of
+    ``parking`` are parked by :meth:`_Walk.parked`.
     """
-    return _star_walk(g, spec, pair, parking).chain()
+    return _star_walk(g, spec, pair).parked(normalize_parking(g, parking))
 
 
-def _star_walk(g, spec, pair, parking=None):
-    """The checked walk of :func:`star_cycle_chain`."""
+def _star_walk(g, spec, pair):
+    """The checked walk of :func:`star_cycle_chain`, without parked
+    particles."""
     _check_star_spec(g, spec)
-    x, y = pair
-    if x == y:
-        raise CycleConstructionError("star cycle needs two distinct particles")
+    x, y = _particle_ids(pair)
     d0, d1, d2 = spec.ends
     moves = [(pid, _station_move(g, end))
              for pid, frm, to in ((x, d0, d2), (y, d1, d0), (x, d2, d1),
                                   (y, d0, d2), (x, d1, d0), (y, d2, d1))
              for end in (frm, to)]
-    walk = _walk_cycle(g, parking, {x: ("end", d0), y: ("end", d1)}, moves)
+    walk = _walk_cycle(g, {x: ("end", d0), y: ("end", d1)}, moves)
     stations = [_station(g, d) for d in spec.ends]
     places = {(kind, data if kind == "sink" else (e, data))
               for kind, e, data in stations}
@@ -423,22 +413,25 @@ def circuit_cycle_chain(g, spec, particles, parking=None):
     traversal per sink-incident edge).  Several particles
     are supported on one-edge circuits, i.e. loops, where they rotate
     cyclically in the given order; this realizes the classes that move all
-    particles of a circle component at once.
+    particles of a circle component at once.  The particles of
+    ``parking`` are parked by :meth:`_Walk.parked`.
     """
-    return _circuit_walk(g, spec, particles, parking).chain()
+    return _circuit_walk(g, spec, particles).parked(
+        normalize_parking(g, parking))
 
 
-def _circuit_walk(g, spec, particles, parking=None):
-    """The checked walk of :func:`circuit_cycle_chain`."""
+def _circuit_walk(g, spec, particles):
+    """The checked walk of :func:`circuit_cycle_chain`, without parked
+    particles."""
     verts = _check_circuit(g, spec)
-    particles = (tuple(particles) if isinstance(particles, (tuple, list))
-                 else (particles,))
-    if not particles or len(set(particles)) != len(particles):
-        raise CycleConstructionError("need distinct active particles")
+    particles = _particle_ids(particles if isinstance(particles, (tuple, list))
+                              else (particles,))
+    if not particles:
+        raise CycleConstructionError("need an active particle")
 
     if len(particles) == 1:
         p = particles[0]
-        return _walk_cycle(g, parking, {p: ("V", verts[0])},
+        return _walk_cycle(g, {p: ("V", verts[0])},
                            [(p, st) for h in spec.ends
                             for st in _edge_moves(g, h)])
 
@@ -451,14 +444,14 @@ def _circuit_walk(g, spec, particles, parking=None):
     if g.is_sink(u):
         # every particle traverses the loop once; each full traversal is
         # already closed since both endpoints coincide
-        return _walk_cycle(g, parking, {p: ("V", u) for p in particles},
+        return _walk_cycle(g, {p: ("V", u) for p in particles},
                            [(p, ("MF", e)) for p in particles])
     rests = {p: ("E", e, i) for i, p in enumerate(particles[1:])}
     rests[particles[0]] = ("V", u)
     moves = [step for j in range(m)
              for step in ((particles[j], ("ME", e, 1)),
                           (particles[(j + 1) % m], ("ME", e, 0)))]
-    return _walk_cycle(g, parking, rests, moves)
+    return _walk_cycle(g, rests, moves)
 
 
 # -- h cycles -----------------------------------------------------------------
@@ -501,17 +494,21 @@ def h_cycle_chain(g, spec, pair, parking=None):
     At a sink endpoint the particles stack on the sink itself; at a
     non-sink endpoint each particle keeps its own designated side end.
     The walk crosses x then y, and returns by the y-then-x crossing
-    replayed in reverse; it closes exactly when both orders meet.
+    replayed in reverse; it closes exactly when both orders meet.  The
+    particles of ``parking`` are parked by :meth:`_Walk.parked`, and a
+    parked chain that is zero is refused.
     """
-    return _h_walk(g, spec, pair, parking).chain()
+    z = _h_walk(g, spec, pair).parked(normalize_parking(g, parking))
+    if z.is_zero():
+        raise CycleConstructionError("h cycle degenerated to zero")
+    return z
 
 
-def _h_walk(g, spec, pair, parking=None):
-    """The checked walk of :func:`h_cycle_chain`."""
+def _h_walk(g, spec, pair):
+    """The checked walk of :func:`h_cycle_chain`, without parked
+    particles; it may be zero."""
     _check_h_spec(g, spec)
-    x, y = pair
-    if x == y:
-        raise CycleConstructionError("h cycle needs two distinct particles")
+    x, y = _particle_ids(pair)
 
     path = [st for h in spec.path for st in _edge_moves(g, h)]
     crossings = {x: list(path), y: list(path)}
@@ -525,10 +522,7 @@ def _h_walk(g, spec, pair, parking=None):
         crossings[pid].append(_station_move(g, side))
     there, back = ([(pid, st) for pid in order for st in crossings[pid]]
                    for order in ((x, y), (y, x)))
-    walk = _walk_cycle(g, parking, rests, there + back[::-1])
-    if not walk.terms:
-        raise CycleConstructionError("h cycle degenerated to zero")
-    return walk
+    return _walk_cycle(g, rests, there + back[::-1])
 
 
 # -- products and push-ins ------------------------------------------------------
@@ -597,7 +591,7 @@ def product_chain(z1, z2):
 
 def parked_chain(g, parking):
     """Degree-0 chain with one cell holding the parked particles."""
-    cell = assemble_configuration(g, parking, {})
+    cell = assemble_configuration(g, normalize_parking(g, parking))
     return Chain(g, 0, {cell: 1})
 
 
@@ -627,6 +621,7 @@ def push_in(z, e, s, leaf_end=None):
     leaf = g.edges[e][leaf_end]
     if g.valence(leaf) != 1:
         raise ValueError(f"end {leaf_end} of edge {e} is not a leaf")
+    _particle_ids((s,))
     if s in chain_particles(z):
         raise ValueError(f"particle {s} already present")
     if g.is_sink(leaf):
@@ -1054,8 +1049,9 @@ def _attach_parked(z, g, parking, support):
     moves of the chain never interact with it.  Ranks are recomputed per
     cell where an edge is shared.
 
-    The parking is checked once, against ``support``, the chain's
-    :func:`chain_support_elements`: every state must be valid, a parked
+    The parking is checked once, against ``support``: the chain's
+    :func:`chain_support_elements`, or a walk's footprint, which holds
+    it.  Every state must be valid, a parked
     particle on a non-sink vertex must be alone there and off the support,
     and one on an edge ('E') off the support, or ``CycleConstructionError``
     is raised.  Then no merged cell claims a vertex twice or breaks the
@@ -1132,9 +1128,10 @@ def _candidate_partials(g, n):
     cannot be built or is zero is dropped), and ``make(parking)`` realizes
     it with the given parked particles.  A star, circuit or crossing
     cycle is walked once, with every check, and ``make`` is
-    :meth:`_Walk.parked`: it merges a parking off the walk's support into
-    every cell, and walks the itinerary again, each step's faces checked,
-    for a parking on the edges the cycle rests on.  The prebuilt local
+    :meth:`_Walk.parked`, the constructors' own parking: it merges a
+    parking off the walk's footprint into every cell, and walks the
+    itinerary again, each step checked, for a parking on the edges the
+    walk rests on.  The prebuilt local
     classes get parking merged in afterwards by :func:`_attach_parked`,
     checked once against the support of their basis chain, with the
     ``deep_ends`` available for leafward slots on their own edges.
@@ -1252,7 +1249,7 @@ def enumerate_basic_classes(cx, degree=1):
     way off their support.
 
     A star, circuit or crossing itinerary is walked once, and each of its
-    parkings is merged in off the walk's support or walks the itinerary
+    parkings is merged in off the walk's footprint or walks the itinerary
     again with the parked particles in place (:meth:`_Walk.parked`); the
     local star classes and the products get their parkings merged in
     (:func:`_attach_parked`).  No parking tried can conflict with its

@@ -212,12 +212,29 @@ def reference_attach_parked(z, g, parking):
     return Chain(g, z.degree, terms)
 
 
+def reference_parked_walk(g, rests, moves, parking=None):
+    """An itinerary walked with its parked particles in place from the
+    start, each step validating its whole cell (:func:`reference_walk_move`):
+    parked cycles as the constructors first built them, before every
+    parking went through ``_Walk.parked``.  Returns the walk, closed or
+    not; a parking that names an active particle, or a start that is not
+    a valid configuration, is refused."""
+    from graphconf.cycles import (CycleConstructionError, _Walk,
+                                  normalize_parking)
+    parking = normalize_parking(g, parking)
+    if parking.keys() & rests.keys():
+        raise CycleConstructionError("active particle is also parked")
+    walk = _Walk(g, {**rests, **parking})
+    for pid, move_state in moves:
+        reference_walk_move(walk, pid, move_state)
+    return walk
+
+
 def reference_h_cycle_chain(g, spec, pair, parking=None):
     """The crossing cycle as first written: one walk per crossing order,
-    the two walks must meet, and their difference is checked to be a
-    cycle on its own."""
-    from graphconf.cycles import (CycleConstructionError, _check_h_spec,
-                                  _station, _Walk, assemble_configuration)
+    each with the parked particles in place, the two walks must meet, and
+    their difference is checked to be a cycle on its own."""
+    from graphconf.cycles import CycleConstructionError, _check_h_spec, _station
     from graphconf.graphs import edge_of_end, end_side, other_end
     from graphconf.model import Chain, InvariantError, boundary_chain
     _check_h_spec(g, spec)
@@ -232,34 +249,28 @@ def reference_h_cycle_chain(g, spec, pair, parking=None):
         rests = {x: ("end", spec.v_sides[0]), y: ("end", spec.v_sides[1])}
         sides = {x: spec.v_sides[0], y: spec.v_sides[1]}
     targets = {x: spec.w_sides[0], y: spec.w_sides[1]} if spec.w_sides else {}
-    start = assemble_configuration(g, parking, rests)
 
-    def go_through_end(walk, pid, end):
+    def go_through_end(pid, end):
         kind, e, data = _station(g, end)
-        walk.move(pid, ("ME", e, data) if kind == "slot" else ("MF", e))
+        return [(pid, ("ME", e, data) if kind == "slot" else ("MF", e))]
 
-    def traverse_edge(walk, pid, end):
+    def traverse_edge(pid, end):
         e = edge_of_end(end)
         if g.sink_endpoints(e) == 0:
-            walk.move(pid, ("ME", e, end_side(end)))
-            walk.move(pid, ("ME", e, end_side(other_end(end))))
-        else:
-            walk.move(pid, ("MF", e))
+            return [(pid, ("ME", e, end_side(end))),
+                    (pid, ("ME", e, end_side(other_end(end))))]
+        return [(pid, ("MF", e))]
 
-    def crossing(walk, pid):
-        if sides:
-            go_through_end(walk, pid, sides[pid])
+    def crossing(pid):
+        moves = go_through_end(pid, sides[pid]) if sides else []
         for h in spec.path:
-            traverse_edge(walk, pid, h)
+            moves += traverse_edge(pid, h)
         if targets:
-            go_through_end(walk, pid, targets[pid])
+            moves += go_through_end(pid, targets[pid])
+        return moves
 
-    first = _Walk(g, start)
-    crossing(first, x)
-    crossing(first, y)
-    second = _Walk(g, start)
-    crossing(second, y)
-    crossing(second, x)
+    first = reference_parked_walk(g, rests, crossing(x) + crossing(y), parking)
+    second = reference_parked_walk(g, rests, crossing(y) + crossing(x), parking)
     if first.config != second.config:
         raise CycleConstructionError("the two crossing orders do not meet")
     z = Chain(g, 1, first.terms) - Chain(g, 1, second.terms)

@@ -18,8 +18,9 @@ from graphconf.graphs import edge_of_end, essential_vertices
 from graphconf.model import (boundary_chain, make_cell, relabel_chain,
                              state_is_valid)
 from conftest import (reference_attach_parked, reference_circuit_specs,
-                      reference_h_cycle_chain, reference_push_in,
-                      reference_smith_generation, reference_walk_move)
+                      reference_h_cycle_chain, reference_parked_walk,
+                      reference_push_in, reference_smith_generation,
+                      reference_walk_move)
 
 
 def star3_spec():
@@ -112,6 +113,14 @@ def test_star_cycle_errors(small_complexes):
             gc.star_cycle_chain(g, StarSpec(0, ends), pair)
     with pytest.raises(CycleConstructionError):
         gc.circuit_cycle_chain(gc.circle(), CircuitSpec((0,)), 0.5)
+    # an unhashable id is refused before it is hashed
+    with pytest.raises(CycleConstructionError):
+        gc.star_cycle_chain(g, StarSpec(0, ends), ([0], 1))
+    with pytest.raises(CycleConstructionError):
+        gc.circuit_cycle_chain(gc.circle(), CircuitSpec((0,)), ([0],))
+    k4 = gc.complete(4)
+    with pytest.raises(CycleConstructionError):
+        gc.h_cycle_chain(k4, h_specs(k4)[0], ([0], 1))
 
 
 def test_star_cycle_with_sink_leaf():
@@ -349,8 +358,9 @@ def test_walk_step_matches_full_validation():
         for start in rng.sample(cx.cells[0], min(8, len(cx.cells[0]))):
             for pid in range(n):
                 for st in moves:
-                    got = _step(_Walk(g, start), _Walk.move, pid, st)
-                    want = _step(_Walk(g, start), reference_walk_move, pid, st)
+                    got = _step(_Walk(g, dict(start)), _Walk.move, pid, st)
+                    want = _step(_Walk(g, dict(start)), reference_walk_move,
+                                 pid, st)
                     assert got == want, (g, start, pid, st)
                     if got is not None:
                         outcomes["moved"] += 1
@@ -507,6 +517,12 @@ def test_push_in_errors(small_complexes):
         # -1 would index the leaf from the far end and park on edge 1
         with pytest.raises(ValueError):
             gc.push_in(z, 0, 1, leaf_end=leaf_end)
+    # the new particle's id is a non-negative integer, not a bool
+    g, spec = star3_spec()
+    z = gc.star_cycle_chain(g, spec, (0, 1))
+    for s in (1.5, -3, "x", True):
+        with pytest.raises(ValueError):
+            gc.push_in(z, 2, s)
 
 
 # -- the 144-cell cycle -----------------------------------------------------
@@ -688,15 +704,29 @@ def test_candidate_chains_pinned_on_random_graphs():
         "48fbc320db164ca8f09984f4e004371bcfb441a78f70cccfd231cdce3d66f58e"
 
 
+def _reference_parked(walk, parking):
+    """``walk``'s itinerary walked again by ``reference_parked_walk`` with
+    the particles of ``parking`` in place; it must close, and its chain
+    is a cycle."""
+    again = reference_parked_walk(walk.graph, walk.rests, walk.moves, parking)
+    if again.config != again.start:
+        raise CycleConstructionError("itinerary is not closed")
+    z = gc.Chain(walk.graph, 1, again.terms)
+    assert gc.is_cycle(z)
+    return z
+
+
 def _reference_candidates(g, n, degree):
     """The candidates as first built: every star, circuit and crossing
-    cycle from its public constructor, once per parking, and every other
-    parking merged cell by cell with each cell checked; a refused parking
-    is skipped.  Same order as the enumeration, each with its parking."""
+    cycle walked again with the parked particles in place, once per
+    parking, and every other parking merged cell by cell with each cell
+    checked; a refused parking is skipped.  Same order as the
+    enumeration, each with its parking."""
+    cycles = importlib.import_module("graphconf.cycles")
     pids = range(n)
-    probes = []  # (constructor, spec, actives, blocked, local chain, deep)
+    probes = []  # (walker, spec, actives, blocked, local chain, deep)
     for spec in star_specs(g):
-        probes += [(gc.star_cycle_chain, spec, pair, frozenset(), None, ())
+        probes += [(cycles._star_walk, spec, pair, frozenset(), None, ())
                    for pair in itertools.combinations(pids, 2)]
     for v in sorted(essential_vertices(g)):
         if g.is_sink(v):
@@ -715,33 +745,35 @@ def _reference_candidates(g, n, degree):
                       for subset in itertools.combinations(pids, m)
                       for order in itertools.permutations(subset[1:])]
         blocked = frozenset(edge_of_end(h) for h in spec.ends)
-        probes += [(gc.circuit_cycle_chain, spec, actives, blocked, None, ())
+        probes += [(cycles._circuit_walk, spec, actives, blocked, None, ())
                    for actives in groups]
     for spec in h_specs(g):
         blocked = frozenset(edge_of_end(h) for h in spec.path)
-        probes += [(gc.h_cycle_chain, spec, pair, blocked, None, ())
+        probes += [(cycles._h_walk, spec, pair, blocked, None, ())
                    for pair in itertools.combinations(pids, 2)]
     partials = []
-    for build, spec, actives, blocked, z, deep in probes:
+    for walker, spec, actives, blocked, z, deep in probes:
+        walk = None
         if z is None:
             try:
-                z = build(g, spec, actives)
+                walk = walker(g, spec, actives)
             except CycleConstructionError:
                 continue
+            z = walk.chain()
         if not z.is_zero():
-            partials.append((build, spec, actives, blocked, z, deep))
+            partials.append((walk, actives, blocked, z, deep))
     if degree == 1:
-        for build, spec, actives, blocked, z, deep in partials:
+        for walk, actives, blocked, z, deep in partials:
             rest = [p for p in pids if p not in actives]
             for parking in _parking_options(g, rest, blocked, deep):
                 try:
-                    yield (build(g, spec, actives, parking) if build and parking
+                    yield (_reference_parked(walk, parking) if walk and parking
                            else reference_attach_parked(z, g, parking)), parking
                 except CycleConstructionError:
                     pass
         return
-    for i, (_, _, act1, blk1, z1, _) in enumerate(partials):
-        for _, _, act2, blk2, z2, _ in partials[i + 1:]:
+    for i, (_, act1, blk1, z1, _) in enumerate(partials):
+        for _, act2, blk2, z2, _ in partials[i + 1:]:
             s1, s2 = chain_support_elements(z1), chain_support_elements(z2)
             if set(act1) & set(act2) or s1 & s2:
                 continue
@@ -757,8 +789,8 @@ def _reference_candidates(g, n, degree):
 
 
 def test_parked_candidates_match_their_constructors():
-    # every candidate, bare or parked, is the chain its public constructor
-    # builds for that parking (or the cell-by-cell checked merge), in order,
+    # every candidate, bare or parked, is the chain of its itinerary walked
+    # with that parking in place (or the cell-by-cell checked merge), in order,
     # and a cycle: on the thirty seeded random graphs of the pinned digest
     # and on the sink rungs of the span ladder, in degrees 1 and 2
     rng = random.Random(16)
@@ -783,13 +815,14 @@ def test_parked_candidates_match_their_constructors():
 
 def test_sink_and_edge_parkings_match_their_constructors():
     # from four particles on, one parking can hold a particle on a sink and
-    # another on an edge the walk rests on: the replay keeps the sink
-    # particle where it is, as the constructor's own walk does
+    # another on an edge the walk rests on: the retaken walk keeps the sink
+    # particle where it is, as a walk with the parking in place does
     cycles = importlib.import_module("graphconf.cycles")
     g = gc.build_graph(gc.parse_graph_spec("star:4", sinks=(1,)))
     spec = StarSpec(0, (2, 4, 6))
     parking = {2: ("V", 1), 3: ("E", 1, 0)}
-    assert cycles._star_walk(g, spec, (0, 1)).parked(parking) == (
+    walk = cycles._star_walk(g, spec, (0, 1))
+    assert walk.parked(parking) == _reference_parked(walk, parking) == (
         gc.star_cycle_chain(g, spec, (0, 1), parking))
     parked = 0
     for spec, sinks, n in (("star:4", (1,), 4), ("h", (0,), 4)):
@@ -805,16 +838,15 @@ def test_parked_replay_follows_the_entry_ends():
     # the two cases where one unparked cell recurs with its particle
     # entered by either end, so a parked particle on that edge sits on
     # either side of it: a loop at a star centre, and an edge that is a
-    # side edge at both ends of a crossing; the replay of the one walk
-    # equals the constructor's own walk with the parking
+    # side edge at both ends of a crossing; the retaken walk equals the
+    # walk with the parking in place from its start
     cycles = importlib.import_module("graphconf.cycles")
     looped = gc.Graph(2, [(0, 0), (0, 1)])
     spec_loop = StarSpec(0, (0, 1, 2))
     walk = cycles._star_walk(looped, spec_loop, (0, 2))
     for parking in ({1: ("E", 0, 0)}, {1: ("E", 0, 0), 3: ("E", 0, 1)},
                     {3: ("E", 0, 0), 1: ("E", 0, 1)}):
-        assert walk.parked(parking) == gc.star_cycle_chain(
-            looped, spec_loop, (0, 2), parking)
+        assert walk.parked(parking) == _reference_parked(walk, parking)
     k4 = gc.complete(4)
     sided = [(spec, e) for spec in h_specs(k4)
              for e in ({edge_of_end(h) for h in spec.v_sides}
@@ -823,23 +855,45 @@ def test_parked_replay_follows_the_entry_ends():
     for spec, e in sided:
         walk = cycles._h_walk(k4, spec, (1, 2))
         for parking in ({0: ("E", e, 0)}, {0: ("E", e, 0), 3: ("E", e, 1)}):
-            assert walk.parked(parking) == gc.h_cycle_chain(
-                k4, spec, (1, 2), parking)
-    # a parked particle on an edge the walk crosses would be passed: the
-    # constructor's walk is blocked, and the replay refuses as a defect
+            assert walk.parked(parking) == _reference_parked(walk, parking)
+    # a parked particle on an edge the walk crosses would be passed, and
+    # one on a vertex the walk passes through would be met: the walk with
+    # the parking in place is blocked, and the retaken walk or the merge
+    # refuses the same way
     circle = gc.Graph(3, [(0, 1), (1, 2), (2, 0)])
     spec = circuit_specs(circle)[0]
-    with pytest.raises(CycleConstructionError):
-        gc.circuit_cycle_chain(circle, spec, 0, {1: ("E", 0, 0)})
-    with pytest.raises(gc.model.InvariantError, match="does not close"):
-        cycles._circuit_walk(circle, spec, 0).parked({1: ("E", 0, 0)})
-    # a parking on a vertex that is not a sink does not close the walk, and
-    # a walk built with a parking of its own is not parked again
-    with pytest.raises(gc.model.InvariantError, match="does not close"):
-        cycles._circuit_walk(circle, spec, 0).parked({1: ("V", 1)})
-    with pytest.raises(CycleConstructionError):
-        cycles._star_walk(looped, spec_loop, (0, 2), {1: ("E", 0, 0)}).parked(
-            {3: ("E", 0, 0)})
+    for parking in ({1: ("E", 0, 0)}, {1: ("V", 1)}):
+        with pytest.raises(CycleConstructionError):
+            _reference_parked(cycles._circuit_walk(circle, spec, 0), parking)
+        with pytest.raises(CycleConstructionError):
+            cycles._circuit_walk(circle, spec, 0).parked(parking)
+
+
+def test_parkings_off_the_support_but_on_the_itinerary(small_complexes):
+    # two parkings that a choice of merge or retake by the chain's support
+    # got wrong: a particle on a vertex that is not a sink, off a star's
+    # itinerary, and a particle on a side edge of a banana:4 crossing whose
+    # bare walk cancels to zero, though its cells meet the parked particle;
+    # the constructor, the bare walk parked and the walk with the parking
+    # in place from its start agree
+    cycles = importlib.import_module("graphconf.cycles")
+    g = gc.Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 4)])
+    spec = StarSpec(0, (0, 2, 4))
+    parking = {2: ("V", 4)}
+    walk = cycles._star_walk(g, spec, (0, 1))
+    z = gc.star_cycle_chain(g, spec, (0, 1), parking)
+    assert len(z) == 12
+    assert walk.parked(parking) == _reference_parked(walk, parking) == z
+    cx = small_complexes("banana4-n3")
+    spec = HSpec(0, 1, (0,), (2, 4), (3, 5))
+    parking = {2: ("E", 1, 0)}
+    walk = cycles._h_walk(cx.graph, spec, (0, 1))
+    assert not walk.terms
+    z = gc.h_cycle_chain(cx.graph, spec, (0, 1), parking)
+    assert len(z) == 8
+    assert walk.parked(parking) == _reference_parked(walk, parking) == z
+    assert z == reference_h_cycle_chain(cx.graph, spec, (0, 1), parking)
+    assert gc.is_cycle(z) and not gc.is_boundary(z, cx)
 
 
 @pytest.mark.parametrize("graph,n,b1", [
