@@ -197,8 +197,7 @@ def nonproduct_checks():
         cx = banana()
         bc = cyc.enumerate_basic_classes(cx, degree=2)
         rank = class_span_rank(bc.chains, cx, 2)
-        return rank == 0, {"span": rank, "candidates": len(bc.chains),
-                           "truncated": False}
+        return rank == 0, {"span": rank, "candidates": len(bc.chains)}
 
     return [
         Check("nonproduct/dimension",
@@ -289,7 +288,7 @@ def tree_corpus_checks():
         h, details = _generation(g, n)
         return h.torsion_free() and details["integral"], {
             **details, "betti": list(h.betti_vector()),
-            "torsion_free": h.torsion_free(), "truncated": False}
+            "torsion_free": h.torsion_free()}
 
     checks = []
     for name, g in wedge_corpus():

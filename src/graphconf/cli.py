@@ -9,9 +9,7 @@ one self-describing JSON document per run, byte-identical for identical
 configurations.  ``span`` prints ``GENERATED`` when the candidates
 generate the homology group over the integers, ``RATIONAL-ONLY`` when
 they reach its rank but not the whole lattice, and ``NOT-GENERATED``
-otherwise.  The ``truncated`` key of ``span`` and ``export``
-documents is always false: candidate enumeration is complete, and the key
-stays for format stability.
+otherwise.
 """
 
 from __future__ import annotations
@@ -156,7 +154,6 @@ def cmd_span(args):
             "betti": betti,
             "span_rank": rank,
             "candidates": len(bc.chains),
-            "truncated": False,
             "status": status,
         },
     }
@@ -175,7 +172,6 @@ def cmd_export(args):
         "complex": complex_to_doc(cx),
         "homology": summary.to_doc(),
         "basic_classes": [cyc.chain_to_doc(z) for z in chains],
-        "truncated": False,
     }
     human = [f"cells per dimension: {list(cx.cell_counts())}",
              f"betti: {list(summary.betti_vector())}",

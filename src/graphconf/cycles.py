@@ -927,16 +927,6 @@ class BasicClasses:
     chains: LazyChains
 
 
-def star_specs(g):
-    specs = []
-    for v in sorted(essential_vertices(g)):
-        if g.is_sink(v):
-            continue
-        for triple in itertools.combinations(sorted(g.ends_at(v)), 3):
-            specs.append(StarSpec(v, triple))
-    return specs
-
-
 def circuit_specs(g):
     """Embedded circuits: the loops, then the closed embedded paths from
     each vertex in turn through no lower vertex, so from the least vertex
@@ -1005,12 +995,11 @@ def _embedded_paths(g, v, w, max_edges):
     return paths
 
 
-def _parking_options(g, remaining, blocked, deep_ends=()):
-    """Deterministic parkings of the remaining particles over sinks,
-    non-blocked sink-free edges, and the deep slots behind the given ends;
-    edge and deep groups run through all orders.  Yields every parking:
-    one empty parking when nothing remains, none when there is nowhere
-    to park.
+def _parking_options(g, remaining, blocked):
+    """Deterministic parkings of the remaining particles over sinks and
+    non-blocked sink-free edges; edge groups run through all orders.
+    Yields every parking: one empty parking when nothing remains, none
+    when there is nowhere to park.
     """
     if not remaining:
         yield {}
@@ -1019,7 +1008,6 @@ def _parking_options(g, remaining, blocked, deep_ends=()):
     for e in range(g.num_edges):
         if g.sink_endpoints(e) == 0 and e not in blocked:
             containers.append(("E", e))
-    containers.extend(("D", h) for h in deep_ends)
     for combo in itertools.product(range(len(containers)), repeat=len(remaining)):
         groups = {}
         for pid, ci in zip(remaining, combo):
@@ -1043,11 +1031,11 @@ def _parking_options(g, remaining, blocked, deep_ends=()):
 def _attach_parked(z, g, parking, support):
     """Merge constant parked states into every cell of a partial chain.
 
-    Parked particles sit on sinks, on edges untouched by the chain, or
-    "deep" behind an end the chain rests on: a ``('D', end, k)`` entry
-    parks leafward of every active occupant of that end's edge, so the
-    moves of the chain never interact with it.  Ranks are recomputed per
-    cell where an edge is shared.
+    Parked particles sit on sinks, on edges untouched by the chain, or,
+    for :func:`push_in`, "deep" behind an end the chain rests on: a
+    ``('D', end, k)`` entry parks leafward of every active occupant of
+    that end's edge, so the moves of the chain never interact with it.
+    Ranks are recomputed per cell where an edge is shared.
 
     The parking is checked once, against ``support``: the chain's
     :func:`chain_support_elements`, or a walk's footprint, which holds
@@ -1108,33 +1096,22 @@ def _attach_parked(z, g, parking, support):
     return Chain._merged(g, z.degree, terms)
 
 
-def _deep_ends(g, ends):
-    """Ends usable for deep parking: not loops, not sink-incident."""
-    out = []
-    for h in ends:
-        e = edge_of_end(h)
-        if not g.is_loop(e) and g.sink_endpoints(e) == 0:
-            out.append(h)
-    return tuple(sorted(set(out)))
-
-
 def _candidate_partials(g, n):
-    """Candidate cycles: classic two-particle star shuffles, the complete
-    local star bases at the essential vertices, circuit rotations, and
-    path crossings, yielded in that order.
+    """Candidate cycles: the complete local star bases at the essential
+    vertices, circuit rotations, and path crossings, yielded in that
+    order.
 
-    Each entry is ``(z, make, actives, blocked_edges, deep_ends)``: ``z``
-    is the cycle without parked particles, built once (a candidate that
-    cannot be built or is zero is dropped), and ``make(parking)`` realizes
-    it with the given parked particles.  A star, circuit or crossing
-    cycle is walked once, with every check, and ``make`` is
-    :meth:`_Walk.parked`, the constructors' own parking: it merges a
-    parking off the walk's footprint into every cell, and walks the
-    itinerary again, each step checked, for a parking on the edges the
-    walk rests on.  The prebuilt local
-    classes get parking merged in afterwards by :func:`_attach_parked`,
-    checked once against the support of their basis chain, with the
-    ``deep_ends`` available for leafward slots on their own edges.
+    Each entry is ``(z, make, actives, blocked_edges)``: ``z`` is the
+    cycle without parked particles, built once (a candidate that cannot
+    be built or is zero is dropped), and ``make(parking)`` realizes it
+    with the given parked particles.  A circuit or crossing cycle is
+    walked once, with every check, and ``make`` is :meth:`_Walk.parked`,
+    the constructors' own parking: it merges a parking off the walk's
+    footprint into every cell, and walks the itinerary again, each step
+    checked, for a parking on the edges the walk rests on.  The prebuilt
+    local classes get parking merged in afterwards by
+    :func:`_attach_parked`, checked once against the support of their
+    basis chain.
     """
     pids = range(n)
 
@@ -1145,16 +1122,12 @@ def _candidate_partials(g, n):
             return ()
         if not walk.terms:
             return ()
-        return ((walk.chain(), walk.parked, actives, blocked, ()),)
+        return ((walk.chain(), walk.parked, actives, blocked),)
 
-    for spec in star_specs(g):
-        for pair in itertools.combinations(pids, 2):
-            yield from built(_star_walk, spec, pair, frozenset())
     for v in sorted(essential_vertices(g)):
         if g.is_sink(v):
             continue
         blocked = frozenset(edge_of_end(h) for h in g.ends_at(v))
-        deep = _deep_ends(g, g.ends_at(v))
         for m in range(2, n + 1):
             basis = [(z, chain_support_elements(z))
                      for z in _local_star_basis(g, v, m)]
@@ -1163,7 +1136,7 @@ def _candidate_partials(g, n):
                     z = _placed(z, actives)
                     yield (z, lambda parking, z=z, support=support:
                            _attach_parked(z, g, parking, support),
-                           actives, blocked, deep)
+                           actives, blocked)
     for spec in circuit_specs(g):
         blocked = frozenset(edge_of_end(h) for h in spec.ends)
         if len(spec.ends) == 1:
@@ -1182,18 +1155,18 @@ def _candidate_partials(g, n):
             yield from built(_h_walk, spec, pair, blocked)
 
 
-def _every_parking(z, make, g, remaining, blocked, deep=()):
+def _every_parking(z, make, g, remaining, blocked):
     """``z`` with every parking of ``remaining`` that
     :func:`_parking_options` yields, each realized by ``make(parking)``.
 
     No such parking conflicts with its cycle: it parks on sinks, which
-    hold any number of particles and which no move claims, on edges off
-    ``blocked``, which holds every edge the cycle crosses (a star's
-    particles leave each edge by the end they entered by) or, for a
-    merged chain, touches, and deep behind the ends of a local star.  So
-    a refusal is a defect and raises ``InvariantError``.
+    hold any number of particles and which no move claims, or on edges
+    off ``blocked``, which holds every edge the cycle crosses (a
+    crossing's particles leave each side edge by the end they entered
+    by) or, for a merged chain, touches.  So a refusal is a defect and
+    raises ``InvariantError``.
     """
-    for parking in _parking_options(g, remaining, blocked, deep):
+    for parking in _parking_options(g, remaining, blocked):
         if not parking:
             yield z
             continue
@@ -1206,16 +1179,15 @@ def _every_parking(z, make, g, remaining, blocked, deep=()):
 
 
 def _degree_one_classes(g, n):
-    for z, make, actives, blocked, deep in _candidate_partials(g, n):
+    for z, make, actives, blocked in _candidate_partials(g, n):
         remaining = [p for p in range(n) if p not in actives]
-        yield from _every_parking(z, make, g, remaining, blocked, deep)
+        yield from _every_parking(z, make, g, remaining, blocked)
 
 
 def _degree_two_classes(g, n):
     # every pair of partials is tried, so all of them are built first;
     # their walks are not kept, since products park by merging
-    partials = [(z, act, blk)
-                for z, _, act, blk, _ in _candidate_partials(g, n)]
+    partials = [(z, act, blk) for z, _, act, blk in _candidate_partials(g, n)]
     # a product's support is the union of its factors' supports
     supports = [chain_support_elements(z) for z, _, _ in partials]
     for i, (z1, act1, blk1) in enumerate(partials):
@@ -1238,17 +1210,28 @@ def _degree_two_classes(g, n):
 
 
 def enumerate_basic_classes(cx, degree=1):
-    """Deterministic candidate generating cycles, every one that builds.
+    """Deterministic candidate generating cycles.
 
-    Degree 1: two-particle star shuffles, the full local star basis at
-    every essential vertex for every active particle subset, circuit
-    rotations and path-crossing differences, each filled up to all
-    particles by every parking of the rest over sinks and the edges the
-    cycle does not cross.  Degree 2: products of two degree-1 candidates
-    with disjoint particles and disjoint graph support, parked the same
-    way off their support.
+    Degree 1: the full local star basis at every essential vertex for
+    every active particle subset, circuit rotations and path-crossing
+    differences, each filled up to all particles by every parking of the
+    rest over sinks and the edges the cycle does not cross.  Degree 2:
+    products of two degree-1 candidates with disjoint particles and
+    disjoint graph support, parked the same way off their support.
 
-    A star, circuit or crossing itinerary is walked once, and each of its
+    These are not all the star, circuit and crossing classes.  The local
+    star basis of ``m`` particles at ``v`` is a basis over Z of the
+    cycles of the one-dimensional complex of ``m`` particles on the star
+    of ``v``.  A two-particle star shuffle at ``v``
+    (:func:`star_cycle_chain`) is such a cycle, and so is a local class
+    with one more particle parked deep on an edge of ``v``: each is an
+    integer combination of placed basis chains, as chains, so neither
+    family is enumerated.  A circuit or crossing whose bare walk is zero
+    is dropped together with all its parkings, though a parking can make
+    it nonzero: on banana:4 n3, 12 crossings are zero bare and their 24
+    parkings are not, and the candidates still generate H_1 (26 of 26).
+
+    A circuit or crossing itinerary is walked once, and each of its
     parkings is merged in off the walk's footprint or walks the itinerary
     again with the parked particles in place (:meth:`_Walk.parked`); the
     local star classes and the products get their parkings merged in

@@ -10,10 +10,10 @@ import graphconf as gc
 from graphconf.checks import random_connected_graph, wedge_corpus
 from graphconf.cycles import (MAX_CIRCUIT_EDGES, CircuitSpec,
                               CycleConstructionError, HSpec, StarSpec,
-                              _deep_ends, _local_star_basis, _parking_options,
-                              _placed, _Walk, chain_support_elements,
-                              chain_to_doc, circuit_specs, h_specs,
-                              one_dim_cycle_basis, product_chain, star_specs)
+                              _local_star_basis, _parking_options, _placed,
+                              _Walk, chain_support_elements, chain_to_doc,
+                              circuit_specs, h_specs, one_dim_cycle_basis,
+                              product_chain)
 from graphconf.graphs import edge_of_end, essential_vertices
 from graphconf.model import (boundary_chain, make_cell, relabel_chain,
                              state_is_valid)
@@ -633,6 +633,65 @@ def test_local_star_classes_place_one_basis_per_subset_size():
             assert all(gc.is_cycle(z) for z in classes)
 
 
+def _integer_combination(basis, z):
+    """Whether ``z`` is an integer combination of the chains ``basis``,
+    cell by cell: ``solve_in_image`` on the matrix whose columns are the
+    basis chains and whose rows are their cells and those of ``z``."""
+    rows = {}
+    for c in itertools.chain(z.terms, *(b.terms for b in basis)):
+        rows.setdefault(c, len(rows))
+    m = gc.SparseIntMatrix(len(rows), len(basis), [
+        (rows[c], j, v) for j, b in enumerate(basis) for c, v in b.terms.items()])
+    return gc.solve_in_image(m, {rows[c]: v for c, v in z.terms.items()})
+
+
+def test_local_star_bases_contain_shuffles_and_deep_parkings():
+    # why the enumeration builds neither two-particle star shuffles nor
+    # local classes with a particle parked deep on an edge of their
+    # centre: each is a cycle of the configurations of the star of its
+    # centre, so an integer combination, as chains, of the local star
+    # basis placed on its particles
+    cycles = importlib.import_module("graphconf.cycles")
+    graphs = [gc.build_graph(gc.parse_graph_spec(spec, sinks=sinks))
+              for spec, sinks in (("star:4", ()), ("k:4", ()), ("h", ()),
+                                  ("banana:4", (0,)), ("k:4", (0,)),
+                                  ("banana:3", ()))]
+    graphs += [gc.wedge(gc.star(3), 0, gc.circle(), 0),
+               gc.Graph(3, [(0, 1), (0, 0), (0, 2), (1, 2)])]
+    n = 3
+    shuffles = deep = 0
+    for g in graphs:
+        for v in sorted(essential_vertices(g)):
+            if g.is_sink(v):
+                continue
+            bases = {m: _local_star_basis(g, v, m) for m in range(2, n + 1)}
+            for triple in itertools.combinations(sorted(g.ends_at(v)), 3):
+                for pair in itertools.combinations(range(n), 2):
+                    z = gc.star_cycle_chain(g, StarSpec(v, triple), pair)
+                    if z.is_zero():
+                        continue
+                    placed = [_placed(b, pair) for b in bases[2]]
+                    assert _integer_combination(placed, z), (g, triple, pair)
+                    shuffles += 1
+            ends = [h for h in sorted(g.ends_at(v)) if not g.is_loop(
+                edge_of_end(h)) and not g.sink_endpoints(edge_of_end(h))]
+            for m in range(2, n):
+                for actives in itertools.combinations(range(n), m):
+                    for p in (p for p in range(n) if p not in actives):
+                        grown = tuple(sorted(actives + (p,)))
+                        placed = [_placed(b, grown) for b in bases[m + 1]]
+                        for b in bases[m]:
+                            z = _placed(b, actives)
+                            support = chain_support_elements(z)
+                            for h in ends:
+                                w = cycles._attach_parked(
+                                    z, g, {p: ("D", h, 0)}, support)
+                                assert _integer_combination(placed, w), (
+                                    g, v, actives, p, h)
+                                deep += 1
+    assert (shuffles, deep) == (87, 327)
+
+
 def _candidates_digest(chains):
     h = hashlib.sha256()
     for z in chains:
@@ -641,12 +700,12 @@ def _candidates_digest(chains):
 
 
 @pytest.mark.parametrize("spec,sinks,n,degree,count,digest", [
-    ("k:5", (), 2, 1, 645,
-     "cade3e928bd3d227634e46e4e23f64228d5890acafed40aa2916d2fabeb498c5"),
+    ("k:5", (), 2, 1, 625,
+     "1b8125de5b74e1a23beb4699f1d7dfbb2b6912567d9b6f08530072b126b02c76"),
     ("banana:4", (0,), 3, 1, 45,
      "4423bf73712bb37a676827e47622c24fb55e5c4866baf7e5ac39ced780dfc0df"),
-    ("k:4", (), 3, 2, 24,
-     "aa6843ba434db8e0265df6e3e775791e280f743def03eb86bf1ab2a9e3287e0e"),
+    ("k:4", (), 3, 2, 12,
+     "759de8d865d2cb6f7c17b1713abb0fdd822e81d17ab14bd62b4be4592e766409"),
 ])
 def test_candidate_chains_pinned(spec, sinks, n, degree, count, digest):
     # every candidate, in order, as the export writes it
@@ -666,14 +725,14 @@ def test_candidate_chains_are_built_lazily(small_complexes):
     assert head == list(itertools.islice(chains, 10))
     again = iter(chains)
     assert [next(again) for _ in range(12)] == head + [chains[10], chains[11]]
-    assert len(chains._built) == len(chains) == 645
+    assert len(chains._built) == len(chains) == 625
     built = list(chains)
-    assert built == list(chains) == chains[:] == [chains[i] for i in range(645)]
+    assert built == list(chains) == chains[:] == [chains[i] for i in range(625)]
     assert built[:10] == head and chains[-1] == built[-1]
     assert chains[100:110] == built[100:110]
     assert [next(again) for _ in range(3)] == built[12:15]
     fresh = gc.enumerate_basic_classes(cx, degree=1).chains
-    assert fresh[:] == built and len(fresh) == 645
+    assert fresh[:] == built and len(fresh) == 625
 
 
 def test_a_failed_candidate_build_fails_every_later_read():
@@ -690,8 +749,8 @@ def test_a_failed_candidate_build_fails_every_later_read():
 
 def test_candidate_chains_pinned_on_random_graphs():
     # degrees 1 and 2 on thirty seeded random graphs with up to four edges,
-    # nine of them with sinks: stars, loop rotations, circuits of two and
-    # three edges and crossings, bare and parked
+    # nine of them with sinks: local stars, loop rotations, circuits of two
+    # and three edges and crossings, bare and parked
     rng = random.Random(16)
     chains = []
     for _ in range(30):
@@ -699,9 +758,9 @@ def test_candidate_chains_pinned_on_random_graphs():
         cx = gc.enumerate_cells(g, rng.randint(2, 3))
         for degree in (1, 2):
             chains += gc.enumerate_basic_classes(cx, degree).chains
-    assert len(chains) == 2302
+    assert len(chains) == 1329
     assert _candidates_digest(chains) == \
-        "48fbc320db164ca8f09984f4e004371bcfb441a78f70cccfd231cdce3d66f58e"
+        "9e9999b74762ec8d334c74f38ba09a0053717435508768f1fafeecad8265e2a3"
 
 
 def _reference_parked(walk, parking):
@@ -717,25 +776,21 @@ def _reference_parked(walk, parking):
 
 
 def _reference_candidates(g, n, degree):
-    """The candidates as first built: every star, circuit and crossing
-    cycle walked again with the parked particles in place, once per
+    """The candidates as first built: every circuit and crossing cycle
+    walked again with the parked particles in place, once per
     parking, and every other parking merged cell by cell with each cell
     checked; a refused parking is skipped.  Same order as the
     enumeration, each with its parking."""
     cycles = importlib.import_module("graphconf.cycles")
     pids = range(n)
-    probes = []  # (walker, spec, actives, blocked, local chain, deep)
-    for spec in star_specs(g):
-        probes += [(cycles._star_walk, spec, pair, frozenset(), None, ())
-                   for pair in itertools.combinations(pids, 2)]
+    probes = []  # (walker, spec, actives, blocked, local chain)
     for v in sorted(essential_vertices(g)):
         if g.is_sink(v):
             continue
         blocked = frozenset(edge_of_end(h) for h in g.ends_at(v))
-        deep = _deep_ends(g, g.ends_at(v))
         for m in range(2, n + 1):
             basis = _local_star_basis(g, v, m)
-            probes += [(None, None, actives, blocked, _placed(z, actives), deep)
+            probes += [(None, None, actives, blocked, _placed(z, actives))
                        for actives in itertools.combinations(pids, m)
                        for z in basis]
     for spec in circuit_specs(g):
@@ -745,14 +800,14 @@ def _reference_candidates(g, n, degree):
                       for subset in itertools.combinations(pids, m)
                       for order in itertools.permutations(subset[1:])]
         blocked = frozenset(edge_of_end(h) for h in spec.ends)
-        probes += [(cycles._circuit_walk, spec, actives, blocked, None, ())
+        probes += [(cycles._circuit_walk, spec, actives, blocked, None)
                    for actives in groups]
     for spec in h_specs(g):
         blocked = frozenset(edge_of_end(h) for h in spec.path)
-        probes += [(cycles._h_walk, spec, pair, blocked, None, ())
+        probes += [(cycles._h_walk, spec, pair, blocked, None)
                    for pair in itertools.combinations(pids, 2)]
     partials = []
-    for walker, spec, actives, blocked, z, deep in probes:
+    for walker, spec, actives, blocked, z in probes:
         walk = None
         if z is None:
             try:
@@ -761,19 +816,19 @@ def _reference_candidates(g, n, degree):
                 continue
             z = walk.chain()
         if not z.is_zero():
-            partials.append((walk, actives, blocked, z, deep))
+            partials.append((walk, actives, blocked, z))
     if degree == 1:
-        for walk, actives, blocked, z, deep in partials:
+        for walk, actives, blocked, z in partials:
             rest = [p for p in pids if p not in actives]
-            for parking in _parking_options(g, rest, blocked, deep):
+            for parking in _parking_options(g, rest, blocked):
                 try:
                     yield (_reference_parked(walk, parking) if walk and parking
                            else reference_attach_parked(z, g, parking)), parking
                 except CycleConstructionError:
                     pass
         return
-    for i, (_, act1, blk1, z1, _) in enumerate(partials):
-        for _, act2, blk2, z2, _ in partials[i + 1:]:
+    for i, (_, act1, blk1, z1) in enumerate(partials):
+        for _, act2, blk2, z2 in partials[i + 1:]:
             s1, s2 = chain_support_elements(z1), chain_support_elements(z2)
             if set(act1) & set(act2) or s1 & s2:
                 continue
@@ -810,7 +865,7 @@ def test_parked_candidates_match_their_constructors():
             assert chains == [z for z, _ in want], (g, n, degree)
             assert all(gc.is_cycle(z) for z in chains)
             parked += sum(1 for _, parking in want if parking)
-    assert parked == 1811
+    assert parked == 944
 
 
 def test_sink_and_edge_parkings_match_their_constructors():
@@ -831,7 +886,7 @@ def test_sink_and_edge_parkings_match_their_constructors():
         want = list(_reference_candidates(g, n, 1))
         assert chains == [z for z, _ in want], (spec, n)
         parked += sum(1 for _, parking in want if parking)
-    assert parked == 2790
+    assert parked == 564
 
 
 def test_parked_replay_follows_the_entry_ends():
@@ -908,11 +963,13 @@ def test_enumerate_basic_classes_span_at_shared_sink(graph, n, b1):
 
 
 def test_enumerate_basic_classes_star3(small_complexes):
+    # the one candidate is the local star basis of two particles, which
+    # is the twelve-cell shuffle up to sign
     cx = small_complexes("star3-n2")
     _, spec = star3_spec()
     twelve = gc.star_cycle_chain(cx.graph, spec, (0, 1))
     bc = gc.enumerate_basic_classes(cx, degree=1)
-    assert any(z == twelve for z in bc.chains)
+    assert bc.chains[:] == [-twelve]
     assert gc.class_span_rank(bc.chains, cx, 1) == 1
 
 
@@ -937,13 +994,14 @@ def test_enumerate_degree2_finds_products():
 
 
 def test_enumeration_is_complete_on_the_six_loop_rose():
-    # three particles on a rose of six loops build 5653 candidates; all of
-    # them are kept, and they generate H_1 over Z, which the first 4000
-    # alone do not (they span 747 of b_1 = 1051)
+    # three particles on a rose of six loops build 1693 candidates; all of
+    # them are kept, and they generate H_1 over Z, as do the first 1051
+    # alone, the local star classes, which the circuit classes follow
     cx = gc.enumerate_cells(gc.Graph(1, [(0, 0)] * 6), 3)
     bc = gc.enumerate_basic_classes(cx, degree=1)
-    assert len(bc.chains) == 5653
+    assert len(bc.chains) == 1693
     assert gc.class_span(bc.chains, cx, 1) == (1051, True)
+    assert gc.class_span(bc.chains[:1051], cx, 1) == (1051, True)
     assert gc.homology(cx).betti(1) == 1051
     assert reference_smith_generation(bc.chains, cx, 1)
 
@@ -963,7 +1021,7 @@ def test_each_candidate_is_built_once(small_complexes, monkeypatch):
 
     monkeypatch.setattr(cycles, "_h_walk", counted)
     bc = gc.enumerate_basic_classes(small_complexes("k5-n2"), degree=1)
-    assert len(bc.chains) == 645
+    assert len(bc.chains) == 625
     assert len(calls) == 160
     calls.clear()
     replays = []
@@ -971,7 +1029,7 @@ def test_each_candidate_is_built_once(small_complexes, monkeypatch):
     monkeypatch.setattr(cycles._Walk, "parked", lambda walk, parking:
                         replays.append(parking) or replay(walk, parking))
     g = gc.complete(4)
-    assert len(gc.enumerate_basic_classes(gc.enumerate_cells(g, 3)).chains) == 736
+    assert len(gc.enumerate_basic_classes(gc.enumerate_cells(g, 3)).chains) == 628
     assert len(calls) == 3 * len(h_specs(g)) < len(replays)
 
 

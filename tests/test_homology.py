@@ -1061,16 +1061,16 @@ def test_streamed_span_answers_like_reading_everything():
 
 
 def test_span_stops_reading_once_it_generates(small_complexes):
-    # k:5 n2 generates H_1 over Z from its first 169 of 645 candidates, so
+    # k:5 n2 generates H_1 over Z from its first 149 of 625 candidates, so
     # the span returns at a checkpoint before their end, and the chains
     # after it are neither built nor read nor checked
     cx = small_complexes("k5-n2")
     bc = gc.enumerate_basic_classes(cx, degree=1)
     counted = Counted(bc.chains)
     assert gc.class_span(counted, cx, 1) == (12, True)
-    assert 169 <= counted.read < 645
+    assert 149 <= counted.read < 625
     assert len(bc.chains._built) == counted.read
-    assert len(bc.chains) == 645
+    assert len(bc.chains) == 625
     not_a_cycle = gc.Chain(cx.graph, 1, {cx.cells[1][0]: 1})
     assert gc.class_span(bc.chains[:counted.read] + [not_a_cycle], cx, 1) \
         == (12, True)
@@ -1079,7 +1079,7 @@ def test_span_stops_reading_once_it_generates(small_complexes):
     # the rank alone reads the same way
     counted = Counted(bc.chains)
     assert gc.class_span_rank(counted, cx, 1) == 12
-    assert counted.read < 645
+    assert counted.read < 625
 
 
 def test_span_skips_the_smith_form_short_of_b_k_modulo_2(monkeypatch):
