@@ -26,10 +26,12 @@ endpoint is a sink it is the sink vertex itself, reached by an 'MF' move.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graphs import Graph, banana, dimension_bound, edge_of_end, end_side, \
     essential_vertices, other_end, wedge
@@ -215,7 +217,8 @@ class _Walk:
     builds from ``rests``, and ``moves`` records its itinerary as
     ``(particle, move state)`` steps.  From these :meth:`parked` builds
     the walk with more particles parked: the one way a star, circuit or
-    crossing cycle gets parked particles."""
+    crossing cycle gets parked particles.  :meth:`renamed` gives the
+    same closed walk of other particles without walking it again."""
 
     def __init__(self, graph, rests):
         self.graph = graph
@@ -271,6 +274,19 @@ class _Walk:
         """The chain of the walk so far, its terms copied afresh: the
         walk's own dict keeps the room of every cell it dropped."""
         return Chain._merged(self.graph, 1, dict(self.terms.items()))
+
+    def renamed(self, actives):
+        """This closed walk of the particles ``0..m-1`` with particle ``i``
+        renamed ``actives[i]``: the walk of the renamed itinerary, which
+        :func:`_renaming` says needs no second walk."""
+        rename = _renaming(actives)
+        walk = copy.copy(self)
+        walk.rests = {actives[p]: st for p, st in self.rests.items()}
+        walk.start = walk.config = rename(self.start)
+        walk.index = {p: i for i, (p, _) in enumerate(walk.start)}
+        walk.terms = {rename(cell): coef for cell, coef in self.terms.items()}
+        walk.moves = [(actives[p], st) for p, st in self.moves]
+        return walk
 
     def parked(self, parking):
         """The chain of this closed walk with the particles of ``parking``
@@ -847,7 +863,8 @@ def _local_star_basis(g, v, m):
     sink-to-sink edges), so a spanning-forest cycle basis of it is a basis
     of its first homology, and it maps verbatim onto cells of ``g``.  It
     depends on a subset of particles only through its size;
-    :func:`_placed` puts it on one subset."""
+    :func:`_placed` puts it on one subset (:func:`_renaming` says why
+    the placed chains are cycles of ``g``)."""
     sub, edge_map, vertex_map = _local_star(g, v)
     cx = enumerate_cells(sub, m, max_cells=MAX_LOCAL_CELLS)
     return [Chain._merged(
@@ -857,12 +874,41 @@ def _local_star_basis(g, v, m):
             for z in one_dim_cycle_basis(cx)]
 
 
+_state = itemgetter(1)  # the state of a (particle, state) pair
+
+
+def _renaming(actives):
+    """The map that renames particle ``i`` to ``actives[i]`` in a cell of
+    the particles ``0..m-1``, keeping the cell sorted by particle id.
+
+    A star, circuit or crossing class depends on its particles only
+    through this renaming, so each is built once per number of
+    particles and renamed onto every tuple.  Renaming commutes with
+    everything that builds and checks it.  No check reads a particle's
+    id, only its state and its slot: a state's validity and the vertices
+    it claims are the state's own, a face (``_face_at``) changes the
+    mover's state and re-ranks the slots of its edge, which are ordered
+    by slot, not by id, and :func:`assemble_configuration` places each
+    particle by its rest (the rests of one itinerary are distinct ends
+    or distinct ranks).  So the renamed itinerary takes the renamed
+    steps, is blocked or closes exactly when the itinerary of ``0..m-1``
+    is or does, and its chain is the renamed chain, a cycle because
+    renaming commutes with the boundary (:func:`model.relabel_chain`).
+    A 1-cell has one mover, so no coefficient changes sign; a cell is
+    only re-sorted when ``actives`` is not increasing, as in the loop
+    rotation ``(0, 2, 1)``.  The same holds for a local star basis,
+    whose cells map verbatim onto ``g``."""
+    if list(actives) == sorted(actives):
+        return lambda cell: tuple(zip(actives, map(_state, cell)))
+    return lambda cell: tuple(sorted(zip(actives, map(_state, cell))))
+
+
 def _placed(z, actives):
-    """``z`` with particle ``p`` renamed ``actives[p]``; ``actives`` is
-    increasing, so every cell keeps its pid order and no sign changes."""
+    """The degree-1 chain ``z`` of the particles ``0..m-1`` with particle
+    ``i`` renamed ``actives[i]`` (:func:`_renaming`)."""
+    rename = _renaming(actives)
     return Chain._merged(z.graph, z.degree,
-                         {tuple(zip(actives, (s for _, s in cell))): coef
-                          for cell, coef in z.terms.items()})
+                         {rename(cell): coef for cell, coef in z.terms.items()})
 
 
 # -- enumeration of candidate generating cycles --------------------------------
@@ -1032,10 +1078,11 @@ def _attach_parked(z, g, parking, support):
     """Merge constant parked states into every cell of a partial chain.
 
     Parked particles sit on sinks, on edges untouched by the chain, or,
-    for :func:`push_in`, "deep" behind an end the chain rests on: a
-    ``('D', end, k)`` entry parks leafward of every active occupant of
-    that end's edge, so the moves of the chain never interact with it.
-    Ranks are recomputed per cell where an edge is shared.
+    for :func:`push_in`, "deep" behind an end the chain rests on: the
+    one ``('D', end, 0)`` entry that :func:`push_in` parks alone sits
+    leafward of every active occupant of that end's edge, so the moves
+    of the chain never interact with it.  Its rank, and the ranks of the
+    occupants it pushes up, are recomputed per cell.
 
     The parking is checked once, against ``support``: the chain's
     :func:`chain_support_elements`, or a walk's footprint, which holds
@@ -1062,73 +1109,75 @@ def _attach_parked(z, g, parking, support):
             raise CycleConstructionError("parking conflicts with the cycle")
     fixed = []
     free_edges = {}
-    deep = {}
+    deep = None
     for pid, st in sorted(parking.items()):
         if st[0] == "V":
             fixed.append((pid, ("V", st[1])))
         elif st[0] == "E":
             free_edges.setdefault(st[1], []).append((st[2], pid))
         else:
-            end = st[1]
-            deep.setdefault(edge_of_end(end), [end_side(end), []])[1].append(
-                (st[2], pid))
+            deep = pid, edge_of_end(st[1]), end_side(st[1])
     for e, slots in free_edges.items():
         for r, (_, pid) in enumerate(sorted(slots)):
             fixed.append((pid, ("E", e, r)))
-    deep = [(e, side, [pid for _, pid in sorted(slots)])
-            for e, (side, slots) in deep.items()]
     terms = {}
     for cell, coef in z.terms.items():
         pairs = list(cell) + fixed
-        for e, side, group in deep:
+        if deep:
+            pid, e, side = deep
             if side == 0:
-                # actives hug the iota end; parked fill the tau side
+                # actives hug the iota end; the parked one takes the tau side
                 j = sum(1 for _, s in cell if s[0] == "E" and s[1] == e)
-                pairs.extend((pid, ("E", e, j + k)) for k, pid in enumerate(group))
+                pairs.append((pid, ("E", e, j)))
             else:
-                # parked fill the iota side and push the actives up
-                p = len(group)
-                pairs = [(q, ("E", e, s[2] + p))
+                # the parked one takes the iota slot and pushes the actives up
+                pairs = [(q, ("E", e, s[2] + 1))
                          if s[0] == "E" and s[1] == e else (q, s)
                          for q, s in pairs]
-                pairs.extend((pid, ("E", e, k)) for k, pid in enumerate(group))
+                pairs.append((pid, ("E", e, 0)))
         terms[tuple(sorted(pairs))] = coef
     return Chain._merged(g, z.degree, terms)
 
 
-def _candidate_partials(g, n):
-    """Candidate cycles: the complete local star bases at the essential
-    vertices, circuit rotations, and path crossings, yielded in that
-    order.
+def _candidate_partials(g, n, most):
+    """Candidate cycles of at most ``most`` of the ``n`` particles: the
+    complete local star bases at the essential vertices, circuit
+    rotations, and path crossings, yielded in that order.
 
     Each entry is ``(z, make, actives, blocked_edges)``: ``z`` is the
     cycle without parked particles, built once (a candidate that cannot
     be built or is zero is dropped), and ``make(parking)`` realizes it
-    with the given parked particles.  A circuit or crossing cycle is
-    walked once, with every check, and ``make`` is :meth:`_Walk.parked`,
-    the constructors' own parking: it merges a parking off the walk's
-    footprint into every cell, and walks the itinerary again, each step
-    checked, for a parking on the edges the walk rests on.  The prebuilt
-    local classes get parking merged in afterwards by
-    :func:`_attach_parked`, checked once against the support of their
-    basis chain.
+    with the given parked particles.  A circuit or crossing itinerary is
+    walked once per number of particles, with every check, on the
+    particles ``0..m-1``, and renamed onto each tuple of ``m``
+    (:meth:`_Walk.renamed`); ``make`` is the renamed walk's
+    :meth:`_Walk.parked`, the constructors' own parking: it merges a
+    parking off the walk's footprint into every cell, and walks the
+    itinerary again, each step checked, for a parking on the edges the
+    walk rests on.  The prebuilt local classes get parking merged in
+    afterwards by :func:`_attach_parked`, checked once against the
+    support of their basis chain.
     """
     pids = range(n)
 
-    def built(walker, spec, actives, blocked):
-        try:
-            walk = walker(g, spec, actives)
-        except CycleConstructionError:
-            return ()
-        if not walk.terms:
-            return ()
-        return ((walk.chain(), walk.parked, actives, blocked),)
+    def built(walker, spec, groups, blocked):
+        walks = {}  # number of particles -> walk of 0..m-1, or None
+        for actives in groups:
+            m = len(actives)
+            if m not in walks:
+                try:
+                    walks[m] = walker(g, spec, tuple(range(m)))
+                except CycleConstructionError:
+                    walks[m] = None
+            if walks[m] is not None and walks[m].terms:
+                walk = walks[m].renamed(actives)
+                yield walk.chain(), walk.parked, actives, blocked
 
     for v in sorted(essential_vertices(g)):
         if g.is_sink(v):
             continue
         blocked = frozenset(edge_of_end(h) for h in g.ends_at(v))
-        for m in range(2, n + 1):
+        for m in range(2, most + 1):
             basis = [(z, chain_support_elements(z))
                      for z in _local_star_basis(g, v, m)]
             for actives in itertools.combinations(pids, m):
@@ -1139,20 +1188,19 @@ def _candidate_partials(g, n):
                            actives, blocked)
     for spec in circuit_specs(g):
         blocked = frozenset(edge_of_end(h) for h in spec.ends)
-        if len(spec.ends) == 1:
-            groups = []
-            for m in range(1, n + 1):
-                for subset in itertools.combinations(pids, m):
-                    for order in itertools.permutations(subset[1:]):
-                        groups.append((subset[0],) + order)
-        else:
-            groups = [(p,) for p in pids]
-        for actives in groups:
-            yield from built(_circuit_walk, spec, actives, blocked)
+        # a loop carries rotations of any number of particles, in every
+        # cyclic order; a longer circuit carries one particle
+        top = most if len(spec.ends) == 1 else min(most, 1)
+        groups = ((subset[0],) + order for m in range(1, top + 1)
+                  for subset in itertools.combinations(pids, m)
+                  for order in itertools.permutations(subset[1:]))
+        yield from built(_circuit_walk, spec, groups, blocked)
+    if most < 2:
+        return
     for spec in h_specs(g):
         blocked = frozenset(edge_of_end(h) for h in spec.path)
-        for pair in itertools.combinations(pids, 2):
-            yield from built(_h_walk, spec, pair, blocked)
+        yield from built(_h_walk, spec, itertools.combinations(pids, 2),
+                         blocked)
 
 
 def _every_parking(z, make, g, remaining, blocked):
@@ -1179,15 +1227,17 @@ def _every_parking(z, make, g, remaining, blocked):
 
 
 def _degree_one_classes(g, n):
-    for z, make, actives, blocked in _candidate_partials(g, n):
+    for z, make, actives, blocked in _candidate_partials(g, n, n):
         remaining = [p for p in range(n) if p not in actives]
         yield from _every_parking(z, make, g, remaining, blocked)
 
 
 def _degree_two_classes(g, n):
     # every pair of partials is tried, so all of them are built first;
-    # their walks are not kept, since products park by merging
-    partials = [(z, act, blk) for z, _, act, blk in _candidate_partials(g, n)]
+    # their walks are not kept, since products park by merging; a factor
+    # leaves the other at least one particle, so holds at most n - 1
+    partials = [(z, act, blk)
+                for z, _, act, blk in _candidate_partials(g, n, n - 1)]
     # a product's support is the union of its factors' supports
     supports = [chain_support_elements(z) for z, _, _ in partials]
     for i, (z1, act1, blk1) in enumerate(partials):
@@ -1231,13 +1281,17 @@ def enumerate_basic_classes(cx, degree=1):
     it nonzero: on banana:4 n3, 12 crossings are zero bare and their 24
     parkings are not, and the candidates still generate H_1 (26 of 26).
 
-    A circuit or crossing itinerary is walked once, and each of its
-    parkings is merged in off the walk's footprint or walks the itinerary
-    again with the parked particles in place (:meth:`_Walk.parked`); the
-    local star classes and the products get their parkings merged in
-    (:func:`_attach_parked`).  No parking tried can conflict with its
-    cycle, so a refused one raises ``InvariantError``: a candidate is
-    never skipped silently.
+    A circuit or crossing itinerary is walked once per number of
+    particles and renamed onto each tuple of them (:func:`_renaming`),
+    as a local star basis is built once per size; each parking is merged
+    in off the walk's footprint or walks the itinerary again with the
+    parked particles in place (:meth:`_Walk.parked`); the local star
+    classes and the products get their parkings merged in
+    (:func:`_attach_parked`).  A product's factors hold at most
+    ``n - 1`` particles each, so no ``n``-particle partial is built for
+    degree 2.  No parking tried can conflict with its cycle, so a
+    refused one raises ``InvariantError``: a candidate is never skipped
+    silently.
 
     ``chains`` is a :class:`LazyChains`: the candidates in this order,
     each built when a reader first reaches it.  A reader that iterates,

@@ -1,6 +1,10 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -331,3 +335,22 @@ def test_exit_codes(capsys, monkeypatch):
 
     code, _, err = run(capsys, "homology", "--graph", "banana:1", "-n", "2")
     assert code == 2
+
+    # a cycle that cannot be built is a ValueError, so a usage error too
+    def refused(cx, degree=1):
+        raise gc.CycleConstructionError("no such cycle")
+
+    monkeypatch.setattr(importlib.import_module("graphconf.cycles"),
+                        "enumerate_basic_classes", refused)
+    code, _, err = run(capsys, "span", "--graph", "h", "-n", "2")
+    assert code == 2 and err == "error: no such cycle\n"
+
+
+def test_only_verify_loads_the_check_suite():
+    # a fresh interpreter that imports the CLI has not imported the
+    # verification suite, which cmd_verify imports when it runs
+    src = str(Path(gc.__file__).resolve().parent.parent)
+    code = "import sys, graphconf.cli; sys.exit('graphconf.checks' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0

@@ -706,7 +706,7 @@ def _candidates_digest(chains):
      "4423bf73712bb37a676827e47622c24fb55e5c4866baf7e5ac39ced780dfc0df"),
     ("k:4", (), 3, 2, 12,
      "759de8d865d2cb6f7c17b1713abb0fdd822e81d17ab14bd62b4be4592e766409"),
-])
+], ids=["k:5-n2-degree1", "banana:4+s0-n3-degree1", "k:4-n3-degree2"])
 def test_candidate_chains_pinned(spec, sinks, n, degree, count, digest):
     # every candidate, in order, as the export writes it
     g = gc.build_graph(gc.parse_graph_spec(spec, sinks=sinks))
@@ -868,6 +868,26 @@ def test_parked_candidates_match_their_constructors():
     assert parked == 944
 
 
+def test_renamed_walks_match_walks_of_every_tuple():
+    # each circuit and crossing is walked once per number of particles and
+    # renamed onto every tuple, where the reference walks every tuple: on a
+    # path of three looped vertices, whose crossings rest on the loops, and
+    # on a rose of three loops, whose rotations run in the cyclic orders
+    # (0, 1, 2) and (0, 2, 1), in degrees 1 and 2
+    cycles = importlib.import_module("graphconf.cycles")
+    path = gc.Graph(3, [(0, 1), (1, 2), (0, 0), (1, 1), (2, 2)])
+    rose = gc.Graph(1, [(0, 0)] * 3)
+    for g, counts in ((path, (426, 156)), (rose, (199, 0))):
+        cx = gc.enumerate_cells(g, 3)
+        for degree, count in zip((1, 2), counts):
+            chains = list(gc.enumerate_basic_classes(cx, degree).chains)
+            assert len(chains) == count
+            want = [z for z, _ in _reference_candidates(g, 3, degree)]
+            assert chains == want, (g, degree)
+    actives = {act for _, _, act, _ in cycles._candidate_partials(rose, 3, 3)}
+    assert {(0, 1, 2), (0, 2, 1)} <= actives
+
+
 def test_sink_and_edge_parkings_match_their_constructors():
     # from four particles on, one parking can hold a particle on a sink and
     # another on an edge the walk rests on: the retaken walk keeps the sink
@@ -1009,8 +1029,9 @@ def test_enumeration_is_complete_on_the_six_loop_rose():
 def test_each_candidate_is_built_once(small_complexes, monkeypatch):
     # two particles on K5 leave nothing to park, so every crossing
     # candidate is the chain its probe built: one walk each; with three
-    # particles on K4 every parking replays its probe's walk, so there are
-    # still as many walks as probes, and fewer than replays
+    # particles on K4 each crossing is walked once, for the particles 0
+    # and 1, and renamed onto the other two pairs, and every parking
+    # replays a renamed walk, so there are fewer walks than replays
     cycles = importlib.import_module("graphconf.cycles")
     build = cycles._h_walk
     calls = []
@@ -1030,7 +1051,8 @@ def test_each_candidate_is_built_once(small_complexes, monkeypatch):
                         replays.append(parking) or replay(walk, parking))
     g = gc.complete(4)
     assert len(gc.enumerate_basic_classes(gc.enumerate_cells(g, 3)).chains) == 628
-    assert len(calls) == 3 * len(h_specs(g)) < len(replays)
+    assert len(calls) == len(h_specs(g)) < len(replays)
+    assert all(args[2] == (0, 1) for args in calls)
 
 
 def test_chain_export_doc(small_complexes):
